@@ -2,21 +2,25 @@
 
 Subcommands: validate (dataset count check), sweep (full grid evaluation),
 eval (single cell), profile (timing/energy grid), synth (write synthetic
-streams). Exit codes: 0 ok, 2 invalid grid or arguments, 3 missing data,
-4 unwritable output, 1 anything else.
+streams). Exit codes: 0 ok, 2 invalid grid, arguments or learner/ensemble
+parameters, 3 missing data, 4 unwritable output, 1 anything else.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
 from . import dataset, evaluation, profiling
 from .dataset import (ACTIVITY_NAMES, PROTOCOL_ACTIVITIES, REFERENCE_COUNTS,
                       SyntheticSpec, TOTAL_RAW_SAMPLES, DatasetError)
-from .ensemble import LearnerParams, write_audit_csv
-from .evaluation import STUDY_OVERLAPS, STUDY_WINDOWS
+from .ensemble import EnsembleError, LearnerParams, write_audit_csv
+from .evaluation import STUDY_OVERLAPS, STUDY_WINDOWS, EvaluationError
+from .features import FeatureError
+from .learners import LearnerError
+from .profiling import ProfilingError
 from .windowing import DEFAULT_PURITY, WindowConfig, WindowingError
 
 EXIT_OK = 0
@@ -224,10 +228,9 @@ def cmd_profile(args):
     test = next(s for s in streams if s.user_id == test_user)
 
     entries = []
-    import csv as _csv
     timing_path = os.path.join(args.out, "timing.csv")
     with open(timing_path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["window_size", "overlap", "n_windows",
                          "sampling_ns", "feature_ns", "classification_ns",
                          "rep_total_ns_list", "warnings"])
@@ -361,6 +364,10 @@ def main(argv=None):
     except (DatasetError, WindowingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_GRID if isinstance(exc, WindowingError) else EXIT_MISSING_DATA
+    except (LearnerError, EnsembleError, EvaluationError, ProfilingError,
+            FeatureError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_GRID
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE

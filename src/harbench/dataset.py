@@ -100,24 +100,13 @@ class ParseError(DatasetError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class RawSample:
-    """One 100 Hz reading; missing values are NaN."""
-    timestamp: float
-    activity_id: int
-    heart_rate: float  # NaN when missing
-    channels: np.ndarray  # the 39 per-device values, NaN where missing
-
-    def is_missing(self, column):
-        idx = COLUMNS.index(column)
-        if idx < 3:
-            return math.isnan(self.heart_rate) if column == "heart_rate" else False
-        return bool(np.isnan(self.channels[idx - 3]))
-
-
 @dataclass
 class SensorStream:
-    """Immutable per-user sample stream backed by a (n, 42) float array."""
+    """Immutable per-user sample stream backed by a (n, 42) float array.
+
+    Columns follow COLUMNS: timestamp, activity id, heart rate, then the
+    per-device channels.
+    """
     user_id: int
     values: np.ndarray  # shape (n, N_COLUMNS)
 
@@ -130,24 +119,6 @@ class SensorStream:
 
     def __len__(self):
         return self.values.shape[0]
-
-    @property
-    def timestamps(self):
-        return self.values[:, 0]
-
-    @property
-    def activity_ids(self):
-        return self.values[:, 1].astype(np.int64)
-
-    @property
-    def feature_channels(self):
-        """(n, 27) view of the channels used for features."""
-        return self.values[:, FEATURE_CHANNEL_INDEX]
-
-    def sample(self, i) -> RawSample:
-        row = self.values[i]
-        return RawSample(timestamp=row[0], activity_id=int(row[1]),
-                         heart_rate=row[2], channels=row[3:].copy())
 
 
 def _parse_token(token, line_no):

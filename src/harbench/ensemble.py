@@ -63,15 +63,11 @@ class AuditRecord:
 class Ensemble:
     """Three-member ensemble with confidence-gated self-training."""
 
-    def __init__(self, classes, n_features=N_FEATURES, params=None,
-                 update_all_members=True):
+    def __init__(self, classes, n_features=N_FEATURES, params=None):
         params = params or LearnerParams()
         self.classes = tuple(classes)
         self.params = params
         self.confidence_threshold = params.confidence_threshold
-        # True: self-training updates every member (default); False:
-        # tri-training style, a member only learns when the other two agree.
-        self.update_all_members = update_all_members
         self.members = [
             KnnClassifier(classes, n_features, k=params.k,
                           capacity=params.knn_capacity),
@@ -136,16 +132,8 @@ class Ensemble:
         self.confidence_histogram[bucket] += 1
         if prediction.confidence <= self.confidence_threshold:
             return False
-        if self.update_all_members:
-            for member in self.members:
-                member.train(fv.values, prediction.label)
-        else:
-            argmaxes = [self.classes[int(np.argmax(d))]
-                        for d in prediction.member_distributions]
-            for i, member in enumerate(self.members):
-                others = [argmaxes[j] for j in range(3) if j != i]
-                if others[0] == others[1]:
-                    member.train(fv.values, others[0])
+        for member in self.members:
+            member.train(fv.values, prediction.label)
         self.self_updates += 1
         return True
 

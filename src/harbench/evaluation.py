@@ -9,10 +9,13 @@ accuracy heat map per (user, mode), and a cross-user summary.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +97,41 @@ def pipeline_instances(stream, config, purity=DEFAULT_PURITY,
     return extract_stream(labeled_windows(stream, config, purity, valid_labels))
 
 
+class StreamPass(NamedTuple):
+    """One test stream through the three phases, with their times in ns."""
+    instances: list
+    predictions: list
+    audit: list
+    sampling_ns: int
+    feature_ns: int
+    classification_ns: int
+
+
+def stream_pass(train_instances, test_stream, config, mode, params=None,
+                purity=DEFAULT_PURITY, valid_labels=PROTOCOL_ACTIVITIES):
+    """Window, featurize and classify the test stream online.
+
+    The phases are timed in the order sampling (segment and label),
+    feature extraction, classification. A fresh ensemble is trained on
+    train_instances between the last two, untimed, and only when the test
+    stream yielded windows.
+    """
+    t0 = time.perf_counter_ns()
+    windows = labeled_windows(test_stream, config, purity, valid_labels)
+    t1 = time.perf_counter_ns()
+    instances = extract_stream(windows)
+    t2 = time.perf_counter_ns()
+    if not instances:
+        return StreamPass([], [], [], t1 - t0, t2 - t1, 0)
+    model = Ensemble(valid_labels, n_features=N_FEATURES, params=params)
+    model.train_offline(train_instances)
+    t3 = time.perf_counter_ns()
+    predictions, audit = model.run_online(instances, mode)
+    t4 = time.perf_counter_ns()
+    return StreamPass(instances, predictions, audit, t1 - t0, t2 - t1,
+                      t4 - t3)
+
+
 def evaluate_fold(streams_by_user, fold, config, mode,
                   params=None, purity=DEFAULT_PURITY,
                   valid_labels=PROTOCOL_ACTIVITIES, return_audit=False):
@@ -105,36 +143,37 @@ def evaluate_fold(streams_by_user, fold, config, mode,
             if fv.user_id == fold.test_user:
                 raise EvaluationError("test-user instance in training data")
             train_instances.append(fv)
-    test_instances = pipeline_instances(streams_by_user[fold.test_user],
-                                        config, purity, valid_labels)
+    run = stream_pass(train_instances, streams_by_user[fold.test_user],
+                      config, mode, params, purity, valid_labels)
 
     result = FoldResult(user=fold.test_user, window_size=config.window_size,
                         overlap=config.overlap, mode=mode,
-                        n_windows=len(test_instances), n_correct=0,
+                        n_windows=len(run.instances), n_correct=0,
                         per_activity_windows={a: 0 for a in valid_labels},
-                        per_activity_correct={a: 0 for a in valid_labels})
-    if not test_instances:
-        result.empty = True
-        return (result, []) if return_audit else result
-
-    model = Ensemble(valid_labels, n_features=N_FEATURES, params=params)
-    model.train_offline(train_instances)
-    predictions, audit = model.run_online(test_instances, mode)
-    for fv, pred in zip(test_instances, predictions):
+                        per_activity_correct={a: 0 for a in valid_labels},
+                        self_updates=sum(rec.updated for rec in run.audit),
+                        empty=not run.instances)
+    for fv, pred in zip(run.instances, run.predictions):
         result.per_activity_windows[fv.label] += 1
         if pred.label == fv.label:
             result.n_correct += 1
             result.per_activity_correct[fv.label] += 1
-    result.self_updates = model.self_updates
-    return (result, audit) if return_audit else result
+    return (result, run.audit) if return_audit else result
 
 
 # ---------------------------------------------------------------------------
 # Sweep with per-cell persistence
 
 
-def _cell_name(user, window_size, overlap, mode, seed):
-    return f"u{user}_w{window_size}_o{overlap:.1f}_{mode}_s{seed}.json"
+def _cell_name(user, window_size, overlap, mode, params, purity,
+               valid_labels, stream_digests, seed):
+    """File name keyed by a sha256 of everything the cell's result depends on."""
+    key = {"user": user, "window_size": window_size, "overlap": repr(overlap),
+           "mode": mode, "params": asdict(params or LearnerParams()),
+           "purity": repr(purity), "labels": list(valid_labels),
+           "streams": stream_digests, "seed": seed}
+    payload = json.dumps(key, sort_keys=True).encode()
+    return hashlib.sha256(payload).hexdigest() + ".json"
 
 
 def _run_cell(args):
@@ -151,11 +190,15 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
           progress=None):
     """Evaluate the full (user x window x overlap x mode) grid.
 
-    Completed cells live in out_dir/cells/ and are skipped on resume.
-    Deterministic given (inputs, seed); single-worker runs are byte-stable.
+    Completed cells live in out_dir/cells/, one file per full cell
+    configuration, and are skipped on resume. Deterministic given (inputs,
+    seed): any worker count writes the same bytes.
     """
     streams_by_user = {s.user_id: s for s in streams}
     folds = {f.test_user: f for f in louo_split(streams)}
+    stream_digests = [
+        [user, hashlib.sha256(np.ascontiguousarray(s.values)).hexdigest()]
+        for user, s in sorted(streams_by_user.items())]
     cell_dir = os.path.join(out_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)
 
@@ -165,8 +208,9 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
         for w in windows:
             for o in overlaps:
                 for mode in modes:
-                    path = os.path.join(cell_dir,
-                                        _cell_name(user, w, o, mode, seed))
+                    path = os.path.join(cell_dir, _cell_name(
+                        user, w, o, mode, params, purity, valid_labels,
+                        stream_digests, seed))
                     if resume and os.path.exists(path):
                         with open(path) as fh:
                             results.append(FoldResult.from_dict(json.load(fh)))
@@ -217,19 +261,16 @@ def emit_reports(results, out_dir, include_single_activity_user=False,
     written = []
 
     long_path = os.path.join(out_dir, "long.csv")
-    try:
-        with open(long_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user", "activity", "window_size", "overlap",
-                             "mode", "n_windows", "accuracy"])
-            for r in results:
-                per_acc = r.per_activity_accuracy()
-                for a in valid_labels:
-                    n = r.per_activity_windows.get(a, 0)
-                    writer.writerow([r.user, a, r.window_size, r.overlap,
-                                     r.mode, n, _fmt(per_acc.get(a))])
-    except OSError as exc:
-        raise EvaluationError(f"cannot write {long_path}: {exc}") from exc
+    with open(long_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["user", "activity", "window_size", "overlap",
+                         "mode", "n_windows", "accuracy"])
+        for r in results:
+            per_acc = r.per_activity_accuracy()
+            for a in valid_labels:
+                n = r.per_activity_windows.get(a, 0)
+                writer.writerow([r.user, a, r.window_size, r.overlap,
+                                 r.mode, n, _fmt(per_acc.get(a))])
     written.append(long_path)
 
     windows = sorted({r.window_size for r in results})

@@ -95,7 +95,7 @@ def _fill_missing(channels):
 
 
 def extract(window, window_index=0) -> FeatureVector:
-    """Featurize a labeled SensorWindow into the canonical 81-value vector."""
+    """Featurize a labeled Window into the canonical 81-value vector."""
     data, quality_ok = _fill_missing(np.asarray(window.channels, dtype=np.float64))
     means = data.mean(axis=0)
     stds = np.sqrt(np.mean((data - means) ** 2, axis=0))

@@ -2,8 +2,10 @@
 
 Mirrors the three-phase breakdown used in the accuracy/energy trade-off
 study: sampling (window instantiation), feature extraction and
-classification. Energy comes from a pluggable phase->watts model, or from an
-external power log (timestamp_seconds, watts CSV) integrated over the run.
+classification, as timed by evaluation.stream_pass, the same pass that
+evaluate_fold scores. Energy comes from a pluggable phase->watts model, or
+from an external power log (timestamp_seconds, watts CSV) integrated over
+the run.
 Profiling must run single-threaded; do not overlap it with parallel sweep
 jobs.
 """
@@ -12,17 +14,15 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import statistics
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import evaluation
 from .dataset import PROTOCOL_ACTIVITIES
-from .ensemble import Ensemble
-from .features import N_FEATURES, extract
-from .windowing import DEFAULT_PURITY, label_window, segment
+from .windowing import DEFAULT_PURITY
 
 PHASES = ("sampling", "features", "classification")
 _TIMER_RESOLUTION_WARN_NS = 1000  # warn above 1 us
@@ -83,66 +83,42 @@ class PowerModel:
             raise ProfilingError(f"invalid power model {path}: {exc}") from exc
 
 
-def _one_rep(train_instances, test_stream, config, mode, purity, valid_labels,
-             params):
-    model = Ensemble(valid_labels, n_features=N_FEATURES, params=params)
-    model.train_offline(train_instances)
-
-    t0 = time.perf_counter_ns()
-    windows = []
-    for cand in segment(test_stream, config):
-        win = label_window(cand, purity, valid_labels)
-        if win is not None:
-            windows.append(win)
-    t1 = time.perf_counter_ns()
-    instances = [extract(w, i) for i, w in enumerate(windows)]
-    t2 = time.perf_counter_ns()
-    predictions = []
-    for fv in instances:
-        pred = model.classify(fv)
-        if mode == "semi_supervised":
-            model.self_update(fv, pred)
-        predictions.append(pred)
-    t3 = time.perf_counter_ns()
-    n_correct = sum(1 for fv, p in zip(instances, predictions)
-                    if p.label == fv.label)
-    return t1 - t0, t2 - t1, t3 - t2, len(windows), n_correct
-
-
 def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
               purity=DEFAULT_PURITY, valid_labels=PROTOCOL_ACTIVITIES,
               params=None, repetitions=5) -> TimingBreakdown:
-    """Median per-phase times for processing the test stream.
+    """Median per-phase times of evaluation.stream_pass over the test stream.
 
     Offline training is rebuilt per repetition but not timed; the measured
     region covers sampling, feature extraction and classification only.
     """
     if repetitions < 1:
         raise ProfilingError("repetitions must be >= 1")
-    from .evaluation import pipeline_instances  # avoid import cycle at module load
     train_instances = []
     for stream in train_streams:
-        train_instances.extend(
-            pipeline_instances(stream, config, purity, valid_labels))
+        train_instances.extend(evaluation.pipeline_instances(
+            stream, config, purity, valid_labels))
 
     warnings = []
     res = time.get_clock_info("perf_counter").resolution
     if res > _TIMER_RESOLUTION_WARN_NS / 1e9:
         warnings.append(f"timer resolution {res}s is coarser than 1us")
 
-    reps = [_one_rep(train_instances, test_stream, config, mode, purity,
-                     valid_labels, params) for _ in range(repetitions)]
-    n_windows = reps[0][3]
+    reps = []
+    for _ in range(repetitions):
+        run = evaluation.stream_pass(train_instances, test_stream, config,
+                                     mode, params, purity, valid_labels)
+        reps.append((run.sampling_ns, run.feature_ns, run.classification_ns))
     return TimingBreakdown(
         sampling_ns=int(statistics.median(r[0] for r in reps)),
         feature_ns=int(statistics.median(r[1] for r in reps)),
         classification_ns=int(statistics.median(r[2] for r in reps)),
-        n_windows=n_windows,
+        n_windows=len(run.instances),
         window_size=config.window_size,
         overlap=config.overlap,
         repetitions=repetitions,
-        n_correct=reps[0][4],
-        per_rep_total_ns=[r[0] + r[1] + r[2] for r in reps],
+        n_correct=sum(1 for fv, p in zip(run.instances, run.predictions)
+                      if p.label == fv.label),
+        per_rep_total_ns=[sum(r) for r in reps],
         warnings=warnings)
 
 

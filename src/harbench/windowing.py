@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PROTOCOL_ACTIVITIES, TRANSIENT_ACTIVITY
+from .dataset import (FEATURE_CHANNEL_INDEX, PROTOCOL_ACTIVITIES,
+                      TRANSIENT_ACTIVITY)
 
 DEFAULT_PURITY = 0.8
 
@@ -40,42 +41,36 @@ class WindowConfig:
 
 
 @dataclass(frozen=True)
-class WindowCandidate:
-    """A raw window slice, not yet labeled."""
+class Window:
+    """A view of `size` stream rows from `start`; labeled once kept.
+
+    Accessors slice the rows first, so a window never reads more of the
+    stream than its own rows.
+    """
     stream: object
     start: int
     size: int
-
-    @property
-    def activity_ids(self):
-        return self.stream.activity_ids[self.start:self.start + self.size]
-
-    @property
-    def channels(self):
-        """(W, 27) feature-channel slice."""
-        return self.stream.feature_channels[self.start:self.start + self.size]
-
-
-@dataclass(frozen=True)
-class SensorWindow:
-    """A labeled window kept for feature extraction."""
-    stream: object
-    start: int
-    size: int
-    label: int
-    purity: float
+    label: int | None = None
+    purity: float | None = None
 
     @property
     def user_id(self):
         return self.stream.user_id
 
     @property
+    def activity_ids(self):
+        ids = self.stream.values[self.start:self.start + self.size, 1]
+        return ids.astype(np.int64)
+
+    @property
     def channels(self):
-        return self.stream.feature_channels[self.start:self.start + self.size]
+        """(size, 27) feature-channel slice."""
+        return self.stream.values[self.start:self.start + self.size,
+                                  FEATURE_CHANNEL_INDEX]
 
 
 def segment(stream, config):
-    """All fully-contained windows at starts 0, step, 2*step, ...
+    """All fully-contained, unlabeled windows at starts 0, step, 2*step, ...
 
     Returns [] when the stream is shorter than one window.
     """
@@ -84,16 +79,16 @@ def segment(stream, config):
     if n < w:
         return []
     count = (n - w) // config.step + 1
-    return [WindowCandidate(stream, i * config.step, w) for i in range(count)]
+    return [Window(stream, i * config.step, w) for i in range(count)]
 
 
 def label_window(candidate, purity_threshold=DEFAULT_PURITY,
                  valid_labels=PROTOCOL_ACTIVITIES):
-    """Assign the modal activity label, or None when the window is discarded.
+    """A labeled copy of the window, or None when it is discarded.
 
-    Ties are broken toward the label occurring earlier in the window. Kept
-    only when the modal share reaches the purity threshold and the label is
-    a valid (non-transient) activity.
+    The label is the modal activity, ties broken toward the label occurring
+    earlier in the window. Kept only when the modal share reaches the
+    purity threshold and the label is a valid (non-transient) activity.
     """
     ids = candidate.activity_ids
     labels, first_pos, counts = np.unique(ids, return_index=True,
@@ -105,8 +100,8 @@ def label_window(candidate, purity_threshold=DEFAULT_PURITY,
         return None
     if modal == TRANSIENT_ACTIVITY or modal not in valid_labels:
         return None
-    return SensorWindow(candidate.stream, candidate.start, candidate.size,
-                        label=modal, purity=float(purity))
+    return Window(candidate.stream, candidate.start, candidate.size, modal,
+                  float(purity))
 
 
 def labeled_windows(stream, config, purity_threshold=DEFAULT_PURITY,

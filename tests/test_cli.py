@@ -147,6 +147,12 @@ class TestEvalCommand:
         assert audit[0] == "index,true_label,predicted_label,confidence,updated"
         assert len(audit) > 1
 
+    def test_bad_learner_param_exits_two(self, capsys, spec_file):
+        code = run(["eval", "--synthetic", spec_file, "--user", "2",
+                    "--window", "50", "--overlap", "0.0", "--k", "0"])
+        assert code == cli.EXIT_BAD_GRID
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_user_exits_three(self, capsys, spec_file):
         code = run(["eval", "--synthetic", spec_file, "--user", "7",
                     "--window", "50", "--overlap", "0.0"])

@@ -20,28 +20,27 @@ def _block(base):
 
 def test_parse_direct_field_mapping():
     line = make_imu_line(0.01, 1, 100.0, [_block(9.8), _block(1.0), _block(2.0)])
-    stream = parse_subject_file([line], user_id=1)
-    s = stream.sample(0)
-    assert s.activity_id == 1
-    assert s.timestamp == 0.01
-    assert s.heart_rate == 100.0
-    assert not np.isnan(s.channels).any()
+    row = parse_subject_file([line], user_id=1).values[0]
+    assert row[1] == 1
+    assert row[0] == 0.01
+    assert row[2] == 100.0
+    assert not np.isnan(row[3:]).any()
 
 
 def test_parse_nan_heart_rate_sets_missing():
     line = make_imu_line(0.01, 1, "NaN", [_block(1.0)] * 3)
-    stream = parse_subject_file([line], user_id=1)
-    assert math.isnan(stream.sample(0).heart_rate)
-    assert stream.sample(0).is_missing("heart_rate")
+    row = parse_subject_file([line], user_id=1).values[0]
+    assert math.isnan(row[dataset.COLUMNS.index("heart_rate")])
+    assert not np.isnan(row[3:]).any()
 
 
 def test_parse_missing_channel_flagged():
     block = _block(1.0)
     block[1] = "NaN"  # hand accel16 x
     line = make_imu_line(0.01, 4, 90, [block, _block(1.0), _block(1.0)])
-    stream = parse_subject_file([line], user_id=2)
-    assert stream.sample(0).is_missing("hand_accel16_x")
-    assert not stream.sample(0).is_missing("hand_accel16_y")
+    row = parse_subject_file([line], user_id=2).values[0]
+    assert np.isnan(row[dataset.COLUMNS.index("hand_accel16_x")])
+    assert not np.isnan(row[dataset.COLUMNS.index("hand_accel16_y")])
 
 
 def test_parse_wrong_column_count_reports_line():
@@ -74,8 +73,8 @@ def test_filter_keeps_protocol_only_in_order():
     lines = [make_line(0.01 * (i + 1), a) for i, a in enumerate([0, 1, 0, 4])]
     stream = parse_subject_file(lines, user_id=1)
     filtered = filter_protocol_activities(stream)
-    assert list(filtered.activity_ids) == [1, 4]
-    assert (np.diff(filtered.timestamps) > 0).all()
+    assert filtered.values[:, 1].tolist() == [1, 4]
+    assert (np.diff(filtered.values[:, 0]) > 0).all()
 
 
 def test_filter_empty_result_is_not_an_error():
@@ -150,4 +149,4 @@ def test_synthetic_spec_from_file_invalid(tmp_path):
 
 def test_synthetic_feature_channels_finite(small_streams):
     for s in small_streams:
-        assert np.isfinite(s.feature_channels).all()
+        assert np.isfinite(s.values[:, dataset.FEATURE_CHANNEL_INDEX]).all()

@@ -159,17 +159,6 @@ class TestSelfUpdate:
         assert sum(1 for rec in audit if rec.updated) == gate_count
         assert sum(model.confidence_histogram) == model.instances_seen
 
-    def test_selective_member_update_strategy(self):
-        model = stub_ensemble([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        model.update_all_members = False
-        model.confidence_threshold = 0.5
-        pred = model.classify(fv([0.0]))
-        assert model.self_update(fv([0.0]), pred) is True
-        # each member learns only when the other two agree
-        assert model.members[0].trained == []
-        assert model.members[1].trained == []
-        assert model.members[2].trained == [1]
-
 
 class TestRunOnline:
     def test_unknown_mode(self):

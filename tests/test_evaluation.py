@@ -139,6 +139,52 @@ class TestSweep:
         assert recomputed == []  # everything loaded from disk
         assert again == first
 
+    def test_resume_keys_cells_by_exact_overlap(self, small_streams,
+                                                small_spec, tmp_path):
+        labels = small_spec.class_labels
+        fresh = sweep(small_streams, [50], [0.2, 0.25], ["supervised_frozen"],
+                      seed=0, out_dir=str(tmp_path / "fresh"), params=FAST,
+                      valid_labels=labels)
+        sweep(small_streams, [50], [0.2, 0.25], ["supervised_frozen"], seed=0,
+              out_dir=str(tmp_path), params=FAST, valid_labels=labels)
+        again = sweep(small_streams, [50], [0.2, 0.25], ["supervised_frozen"],
+                      seed=0, out_dir=str(tmp_path), params=FAST,
+                      valid_labels=labels, resume=True)
+        assert len(os.listdir(tmp_path / "cells")) == len(fresh) == 6
+        assert again == fresh
+        assert sorted({r.overlap for r in again}) == [0.2, 0.25]
+
+    def test_resume_recomputes_changed_params(self, small_streams,
+                                              small_spec, tmp_path):
+        labels = small_spec.class_labels
+        self.run(small_streams, labels, tmp_path)
+        other = LearnerParams(k=1, knn_capacity=500, vfdt_grace_period=50)
+        recomputed = []
+        again = sweep(small_streams, self.WINDOWS, self.OVERLAPS, self.MODES,
+                      seed=0, out_dir=str(tmp_path), params=other,
+                      valid_labels=labels, resume=True,
+                      progress=recomputed.append)
+        fresh = sweep(small_streams, self.WINDOWS, self.OVERLAPS, self.MODES,
+                      seed=0, out_dir=str(tmp_path / "fresh"), params=other,
+                      valid_labels=labels)
+        assert len(recomputed) == len(fresh)
+        assert again == fresh
+
+    def test_two_workers_write_same_bytes(self, small_streams, small_spec,
+                                          tmp_path):
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            results = self.run(small_streams, small_spec.class_labels, out,
+                               workers=workers)
+            emit_reports(results, str(out / "reports"),
+                         valid_labels=small_spec.class_labels)
+            outputs.append({
+                path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()})
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) > len(os.listdir(tmp_path / "w1" / "cells"))
+
     def test_rerun_reports_byte_identical(self, small_streams, small_spec,
                                           tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -162,6 +208,13 @@ class TestEmitReports:
     def test_empty_results_rejected(self, tmp_path):
         with pytest.raises(EvaluationError):
             emit_reports([], str(tmp_path))
+
+    def test_unwritable_report_raises_os_error(self, tmp_path):
+        # the CLI maps OSError to the unwritable-output exit code
+        (tmp_path / "long.csv").mkdir()
+        results = [result_cell(1, 100, 0.0, "supervised_frozen", 10, 8)]
+        with pytest.raises(OSError):
+            emit_reports(results, str(tmp_path), valid_labels=(1,))
 
     def test_heatmap_shape_and_missing_cells(self, tmp_path):
         results = [result_cell(1, 100, 0.0, "supervised_frozen", 10, 8),

@@ -3,7 +3,7 @@ import pytest
 
 from harbench import dataset
 from harbench.dataset import SensorStream
-from harbench.windowing import (WindowConfig, WindowingError,
+from harbench.windowing import (Window, WindowConfig, WindowingError,
                                 classification_count, label_window,
                                 labeled_windows, segment)
 
@@ -85,6 +85,56 @@ class TestSegment:
             for o in (0.0, 0.3, 0.9):
                 for win in segment(id_stream([1] * n), WindowConfig(w, o)):
                     assert win.start + win.size <= n
+
+
+class RowRecorder:
+    """Array stand-in that records every index it is read with."""
+
+    def __init__(self, values):
+        self.values = values
+        self.keys = []
+
+    def __getitem__(self, key):
+        self.keys.append(key)
+        return self.values[key]
+
+
+class RecordingStream:
+    def __init__(self, stream):
+        self.user_id = stream.user_id
+        self.values = RowRecorder(stream.values)
+
+
+class TestWindow:
+    def test_segment_yields_unlabeled_views(self):
+        wins = segment(id_stream([4] * 8), WindowConfig(4, 0.5))
+        assert all(w.label is None and w.purity is None for w in wins)
+
+    def test_label_returns_labeled_copy(self):
+        win = segment(id_stream([4] * 8), WindowConfig(4, 0.5))[1]
+        kept = label_window(win)
+        assert kept == Window(win.stream, 2, 4, label=4, purity=1.0)
+        assert win.label is None
+
+    def test_accessors_match_stream_slices(self):
+        rng = np.random.default_rng(5)
+        stream = SensorStream(3, rng.normal(size=(40, dataset.N_COLUMNS)))
+        win = Window(stream, 7, 12)
+        rows = stream.values[7:19]
+        assert win.user_id == 3
+        assert np.array_equal(win.channels,
+                              rows[:, dataset.FEATURE_CHANNEL_INDEX])
+        assert np.array_equal(win.activity_ids, rows[:, 1].astype(np.int64))
+
+    def test_accessors_read_only_their_own_rows(self):
+        stream = RecordingStream(id_stream([4] * 30))
+        win = Window(stream, 10, 5)
+        win.channels
+        win.activity_ids
+        label_window(win)
+        assert stream.values.keys
+        for rows, _ in stream.values.keys:
+            assert (rows.start, rows.stop) == (10, 15)
 
 
 class TestLabelWindow:

@@ -1,9 +1,10 @@
 """Leave-one-user-out evaluation and the window-size x overlap sweep.
 
-Every (test user, window size, overlap, mode) cell is an independent job;
-finished cells are persisted as JSON so an interrupted sweep resumes without
-recomputation. Reports are plain CSV: a long-form per-activity table, one
-accuracy heat map per (user, mode), and a cross-user summary.
+A sweep's unit of work is one (window size, overlap) point: each user is
+featurized once per point. Finished cells are persisted as JSON so an
+interrupted sweep resumes without recomputation. Reports are plain CSV: a
+long-form per-activity table, one accuracy heat map per (user, mode), and a
+cross-user summary.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import csv
 import hashlib
 import json
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -97,68 +98,53 @@ def pipeline_instances(stream, config, purity=DEFAULT_PURITY,
     return extract_stream(labeled_windows(stream, config, purity, valid_labels))
 
 
-class StreamPass(NamedTuple):
-    """One test stream through the three phases, with their times in ns."""
-    instances: list
-    predictions: list
-    audit: list
-    sampling_ns: int
-    feature_ns: int
-    classification_ns: int
-
-
-def stream_pass(train_instances, test_stream, config, mode, params=None,
-                purity=DEFAULT_PURITY, valid_labels=PROTOCOL_ACTIVITIES):
-    """Window, featurize and classify the test stream online.
-
-    The phases are timed in the order sampling (segment and label),
-    feature extraction, classification. A fresh ensemble is trained on
-    train_instances between the last two, untimed, and only when the test
-    stream yielded windows.
-    """
-    t0 = time.perf_counter_ns()
-    windows = labeled_windows(test_stream, config, purity, valid_labels)
-    t1 = time.perf_counter_ns()
-    instances = extract_stream(windows)
-    t2 = time.perf_counter_ns()
-    if not instances:
-        return StreamPass([], [], [], t1 - t0, t2 - t1, 0)
+def classify(train_instances, test_instances, mode, params=None,
+             valid_labels=PROTOCOL_ACTIVITIES):
+    """(predictions, audit, ns) of a fresh ensemble run online on the test
+    instances; it is trained, untimed, only when there are any."""
     model = Ensemble(valid_labels, n_features=N_FEATURES, params=params)
+    if not test_instances:  # built first, so bad params fail on any data
+        return [], [], 0
     model.train_offline(train_instances)
-    t3 = time.perf_counter_ns()
-    predictions, audit = model.run_online(instances, mode)
-    t4 = time.perf_counter_ns()
-    return StreamPass(instances, predictions, audit, t1 - t0, t2 - t1,
-                      t4 - t3)
+    t0 = time.perf_counter_ns()
+    predictions, audit = model.run_online(test_instances, mode)
+    return predictions, audit, time.perf_counter_ns() - t0
+
+
+def score_fold(tables, fold, config, mode, params=None,
+               valid_labels=PROTOCOL_ACTIVITIES):
+    """(FoldResult, audit) of one cell; tables: user -> pipeline_instances."""
+    train_instances = [fv for user in fold.train_users for fv in tables[user]]
+    if any(fv.user_id == fold.test_user for fv in train_instances):
+        raise EvaluationError("test-user instance in training data")
+    instances = tables[fold.test_user]
+    predictions, audit, _ = classify(train_instances, instances, mode, params,
+                                     valid_labels)
+    result = FoldResult(user=fold.test_user, window_size=config.window_size,
+                        overlap=config.overlap, mode=mode,
+                        n_windows=len(instances), n_correct=0,
+                        per_activity_windows={a: 0 for a in valid_labels},
+                        per_activity_correct={a: 0 for a in valid_labels},
+                        self_updates=sum(rec.updated for rec in audit),
+                        empty=not instances)
+    for fv, pred in zip(instances, predictions):
+        result.per_activity_windows[fv.label] += 1
+        if pred.label == fv.label:
+            result.n_correct += 1
+            result.per_activity_correct[fv.label] += 1
+    return result, audit
 
 
 def evaluate_fold(streams_by_user, fold, config, mode,
                   params=None, purity=DEFAULT_PURITY,
                   valid_labels=PROTOCOL_ACTIVITIES, return_audit=False):
     """Train on the fold's training users, run the test user online."""
-    train_instances = []
-    for user in fold.train_users:
-        for fv in pipeline_instances(streams_by_user[user], config, purity,
-                                     valid_labels):
-            if fv.user_id == fold.test_user:
-                raise EvaluationError("test-user instance in training data")
-            train_instances.append(fv)
-    run = stream_pass(train_instances, streams_by_user[fold.test_user],
-                      config, mode, params, purity, valid_labels)
-
-    result = FoldResult(user=fold.test_user, window_size=config.window_size,
-                        overlap=config.overlap, mode=mode,
-                        n_windows=len(run.instances), n_correct=0,
-                        per_activity_windows={a: 0 for a in valid_labels},
-                        per_activity_correct={a: 0 for a in valid_labels},
-                        self_updates=sum(rec.updated for rec in run.audit),
-                        empty=not run.instances)
-    for fv, pred in zip(run.instances, run.predictions):
-        result.per_activity_windows[fv.label] += 1
-        if pred.label == fv.label:
-            result.n_correct += 1
-            result.per_activity_correct[fv.label] += 1
-    return (result, run.audit) if return_audit else result
+    tables = {user: pipeline_instances(streams_by_user[user], config, purity,
+                                       valid_labels)
+              for user in (*fold.train_users, fold.test_user)}
+    result, audit = score_fold(tables, fold, config, mode, params,
+                               valid_labels)
+    return (result, audit) if return_audit else result
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +162,40 @@ def _cell_name(user, window_size, overlap, mode, params, purity,
     return hashlib.sha256(payload).hexdigest() + ".json"
 
 
-def _run_cell(args):
-    streams_by_user, fold, window_size, overlap, mode, params, purity, \
-        valid_labels = args
-    config = WindowConfig(window_size, overlap)
-    return evaluate_fold(streams_by_user, fold, config, mode, params, purity,
-                         valid_labels)
+def _load_cell(path, user, window_size, overlap, mode):
+    """The persisted result of this cell, or None to compute it.
+
+    A file that does not load as a FoldResult, or that holds another cell,
+    is reported on stderr and recomputed.
+    """
+    try:
+        with open(path) as fh:
+            result = FoldResult.from_dict(json.load(fh))
+    except FileNotFoundError:
+        return None
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        print(f"warning: recomputing unreadable cell {path}: {exc!r}",
+              file=sys.stderr)
+        return None
+    found = (result.user, result.window_size, result.overlap, result.mode)
+    if found != (user, window_size, overlap, mode):
+        print(f"warning: recomputing cell {path}: it holds {found}",
+              file=sys.stderr)
+        return None
+    return result
+
+
+def _point_cells(streams, config, cells, params, purity, valid_labels):
+    """Featurize every user once, then yield each cell's (path, result)."""
+    tables = {s.user_id: pipeline_instances(s, config, purity, valid_labels)
+              for s in streams}
+    for path, fold, mode in cells:
+        yield path, score_fold(tables, fold, config, mode, params,
+                               valid_labels)[0]
+
+
+def _score_point(args):
+    return list(_point_cells(*args))
 
 
 def sweep(streams, windows, overlaps, modes, seed, out_dir,
@@ -194,29 +208,32 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
     configuration, and are skipped on resume. Deterministic given (inputs,
     seed): any worker count writes the same bytes.
     """
-    streams_by_user = {s.user_id: s for s in streams}
     folds = {f.test_user: f for f in louo_split(streams)}
-    stream_digests = [
-        [user, hashlib.sha256(np.ascontiguousarray(s.values)).hexdigest()]
-        for user, s in sorted(streams_by_user.items())]
+    stream_digests = sorted(
+        [s.user_id, hashlib.sha256(np.ascontiguousarray(s.values)).hexdigest()]
+        for s in streams)
     cell_dir = os.path.join(out_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)
 
-    jobs = []
+    points = []
     results = []
-    for user in sorted(folds):
-        for w in windows:
-            for o in overlaps:
+    for w in windows:
+        for o in overlaps:
+            cells = []
+            for user in sorted(folds):
                 for mode in modes:
                     path = os.path.join(cell_dir, _cell_name(
                         user, w, o, mode, params, purity, valid_labels,
                         stream_digests, seed))
-                    if resume and os.path.exists(path):
-                        with open(path) as fh:
-                            results.append(FoldResult.from_dict(json.load(fh)))
-                        continue
-                    jobs.append((path, (streams_by_user, folds[user], w, o,
-                                        mode, params, purity, valid_labels)))
+                    done = _load_cell(path, user, w, o, mode) if resume \
+                        else None
+                    if done is None:
+                        cells.append((path, folds[user], mode))
+                    else:
+                        results.append(done)
+            if cells:
+                points.append((streams, WindowConfig(w, o), cells, params,
+                               purity, valid_labels))
 
     def finish(path, result):
         tmp = path + ".tmp"
@@ -227,14 +244,15 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
         if progress:
             progress(result)
 
-    if workers > 1 and jobs:
+    if workers > 1 and points:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (path, _), result in zip(jobs, pool.map(_run_cell,
-                                                        [a for _, a in jobs])):
-                finish(path, result)
+            for scored in pool.map(_score_point, points):
+                for path, result in scored:
+                    finish(path, result)
     else:
-        for path, args in jobs:
-            finish(path, _run_cell(args))
+        for point in points:
+            for path, result in _point_cells(*point):
+                finish(path, result)
 
     results.sort(key=lambda r: (r.user, r.window_size, r.overlap, r.mode))
     return results

@@ -208,6 +208,10 @@ class HoeffdingTreeClassifier:
 
     def __init__(self, classes, n_features, delta=1e-7, tie_threshold=0.05,
                  grace_period=200, n_candidate_thresholds=10, max_depth=None):
+        if not 0.0 < delta < 1.0:
+            raise LearnerError(f"delta must be in (0, 1), got {delta}")
+        if grace_period < 1:
+            raise LearnerError(f"grace_period must be >= 1, got {grace_period}")
         self.classes = tuple(classes)
         self.n_features = n_features
         self.delta = delta

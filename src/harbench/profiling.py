@@ -2,8 +2,8 @@
 
 Mirrors the three-phase breakdown used in the accuracy/energy trade-off
 study: sampling (window instantiation), feature extraction and
-classification, as timed by evaluation.stream_pass, the same pass that
-evaluate_fold scores. Energy comes from a pluggable phase->watts model, or
+classification. Classification is evaluation.classify, the same step that
+scores every evaluation cell. Energy comes from a pluggable phase->watts model, or
 from an external power log (timestamp_seconds, watts CSV) integrated over
 the run.
 Profiling must run single-threaded; do not overlap it with parallel sweep
@@ -22,7 +22,8 @@ import numpy as np
 
 from . import evaluation
 from .dataset import PROTOCOL_ACTIVITIES
-from .windowing import DEFAULT_PURITY
+from .features import extract_stream
+from .windowing import DEFAULT_PURITY, labeled_windows
 
 PHASES = ("sampling", "features", "classification")
 _TIMER_RESOLUTION_WARN_NS = 1000  # warn above 1 us
@@ -86,10 +87,11 @@ class PowerModel:
 def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
               purity=DEFAULT_PURITY, valid_labels=PROTOCOL_ACTIVITIES,
               params=None, repetitions=5) -> TimingBreakdown:
-    """Median per-phase times of evaluation.stream_pass over the test stream.
+    """Median per-phase times of one pass over the test stream.
 
-    Offline training is rebuilt per repetition but not timed; the measured
-    region covers sampling, feature extraction and classification only.
+    Each repetition times labeled_windows (sampling), extract_stream
+    (features) and the online run of evaluation.classify (classification).
+    Offline training is rebuilt per repetition but not timed.
     """
     if repetitions < 1:
         raise ProfilingError("repetitions must be >= 1")
@@ -105,18 +107,23 @@ def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
 
     reps = []
     for _ in range(repetitions):
-        run = evaluation.stream_pass(train_instances, test_stream, config,
-                                     mode, params, purity, valid_labels)
-        reps.append((run.sampling_ns, run.feature_ns, run.classification_ns))
+        t0 = time.perf_counter_ns()
+        windows = labeled_windows(test_stream, config, purity, valid_labels)
+        t1 = time.perf_counter_ns()
+        instances = extract_stream(windows)
+        t2 = time.perf_counter_ns()
+        predictions, _, classification_ns = evaluation.classify(
+            train_instances, instances, mode, params, valid_labels)
+        reps.append((t1 - t0, t2 - t1, classification_ns))
     return TimingBreakdown(
         sampling_ns=int(statistics.median(r[0] for r in reps)),
         feature_ns=int(statistics.median(r[1] for r in reps)),
         classification_ns=int(statistics.median(r[2] for r in reps)),
-        n_windows=len(run.instances),
+        n_windows=len(instances),
         window_size=config.window_size,
         overlap=config.overlap,
         repetitions=repetitions,
-        n_correct=sum(1 for fv, p in zip(run.instances, run.predictions)
+        n_correct=sum(1 for fv, p in zip(instances, predictions)
                       if p.label == fv.label),
         per_rep_total_ns=[sum(r) for r in reps],
         warnings=warnings)

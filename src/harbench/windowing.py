@@ -107,6 +107,9 @@ def label_window(candidate, purity_threshold=DEFAULT_PURITY,
 def labeled_windows(stream, config, purity_threshold=DEFAULT_PURITY,
                     valid_labels=PROTOCOL_ACTIVITIES):
     """Segment then label, dropping discarded windows."""
+    if not 0.0 <= purity_threshold <= 1.0:
+        raise WindowingError(
+            f"purity must be in [0, 1], got {purity_threshold}")
     out = []
     for cand in segment(stream, config):
         win = label_window(cand, purity_threshold, valid_labels)

@@ -153,6 +153,20 @@ class TestEvalCommand:
         assert code == cli.EXIT_BAD_GRID
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flags", [["--delta", "0"],
+                                       ["--delta", "0", "--window", "99999"],
+                                       ["--grace-period", "0"],
+                                       ["--grace-period", "-5"],
+                                       ["--purity", "1.5"],
+                                       ["--purity", "-1"]],
+                             ids=["delta0", "delta0-no-windows", "grace0", "grace-5", "purity1.5",
+                                  "purity-1"])
+    def test_out_of_range_parameter_exits_two(self, capsys, spec_file, flags):
+        code = run(["eval", "--synthetic", spec_file, "--user", "2",
+                    "--window", "50", "--overlap", "0.0"] + flags)
+        assert code == cli.EXIT_BAD_GRID
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_user_exits_three(self, capsys, spec_file):
         code = run(["eval", "--synthetic", spec_file, "--user", "7",
                     "--window", "50", "--overlap", "0.0"])

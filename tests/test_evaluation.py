@@ -1,8 +1,11 @@
+import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from harbench import evaluation
 from harbench.ensemble import LearnerParams
 from harbench.evaluation import (EvaluationError, Fold, FoldResult,
                                  SINGLE_ACTIVITY_USER, emit_reports,
@@ -185,6 +188,74 @@ class TestSweep:
         assert outputs[0] == outputs[1]
         assert len(outputs[0]) > len(os.listdir(tmp_path / "w1" / "cells"))
 
+    def test_every_cell_equals_evaluate_fold(self, small_streams, small_spec,
+                                             tmp_path):
+        labels = small_spec.class_labels
+        windows = [50, 10_000]  # the second is longer than every stream
+        first = sweep(small_streams, windows, [0.0], self.MODES, seed=0,
+                      out_dir=str(tmp_path), params=FAST, valid_labels=labels)
+        # drop half of the (50, 0.0) point's cells, then resume it
+        files = {_cell_key(FoldResult.from_dict(json.loads(p.read_text()))): p
+                 for p in (tmp_path / "cells").iterdir()}
+        dropped = [r for r in first if r.window_size == 50][::2]
+        for r in dropped:
+            files[_cell_key(r)].unlink()
+        recomputed = []
+        results = sweep(small_streams, windows, [0.0], self.MODES, seed=0,
+                        out_dir=str(tmp_path), params=FAST,
+                        valid_labels=labels, progress=recomputed.append)
+        assert sorted(recomputed, key=_cell_key) == dropped
+        assert len(results) == 3 * len(windows) * len(self.MODES)
+        for r in results:
+            expected = evaluate_fold(by_user(small_streams),
+                                     fold_for(small_streams, r.user),
+                                     WindowConfig(r.window_size, r.overlap),
+                                     r.mode, params=FAST, valid_labels=labels)
+            assert r == expected
+        assert all(r.empty for r in results if r.window_size == 10_000)
+
+    def test_featurizes_each_user_once_per_point(self, small_streams,
+                                                 small_spec, tmp_path,
+                                                 monkeypatch):
+        calls = Counter()
+        original = evaluation.pipeline_instances
+
+        def counting(stream, config, *args):
+            calls[(stream.user_id, config.window_size, config.overlap)] += 1
+            return original(stream, config, *args)
+
+        monkeypatch.setattr(evaluation, "pipeline_instances", counting)
+        self.run(small_streams, small_spec.class_labels, tmp_path)
+        assert calls == {(u, w, o): 1 for u in (1, 2, 3)
+                         for w in self.WINDOWS for o in self.OVERLAPS}
+
+    def test_resume_recomputes_bad_cells(self, small_streams, small_spec,
+                                         tmp_path, capsys):
+        labels = small_spec.class_labels
+        clean, bad = tmp_path / "clean", tmp_path / "bad"
+        emit_reports(self.run(small_streams, labels, clean), str(clean),
+                     valid_labels=labels)
+        self.run(small_streams, labels, bad)
+        cells = sorted((bad / "cells").iterdir())
+        cells[0].write_text('{"user": 1')  # truncated JSON
+        cells[1].write_text('{"user": 1}')  # not a FoldResult
+        cells[3].write_text(cells[2].read_text())  # another cell's result
+        capsys.readouterr()
+        recomputed = []
+        results = self.run(small_streams, labels, bad, resume=True,
+                           progress=recomputed.append)
+        emit_reports(results, str(bad), valid_labels=labels)
+        assert len(recomputed) == 3
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 3
+        assert all(w.startswith("warning: ") for w in warnings)
+        for name in os.listdir(clean):
+            if (clean / name).is_file():
+                assert (bad / name).read_bytes() == (clean / name).read_bytes()
+        for path in (clean / "cells").iterdir():
+            assert (bad / "cells" / path.name).read_bytes() == \
+                path.read_bytes()
+
     def test_rerun_reports_byte_identical(self, small_streams, small_spec,
                                           tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -194,6 +265,10 @@ class TestSweep:
         emit_reports(rb, str(b), valid_labels=small_spec.class_labels)
         for name in ("long.csv", "summary.csv", "heatmap_user1_semi_supervised.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _cell_key(r):
+    return (r.user, r.window_size, r.overlap, r.mode)
 
 
 def result_cell(user, w, o, mode, n, correct):

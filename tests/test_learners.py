@@ -232,3 +232,10 @@ class TestHoeffdingTree:
             x = rng.normal(size=2)
             tree.train(x, int(x[0] > 0) if x[1] > 0 else int(x[0] < 0))
         assert all(leaf.depth <= 1 for leaf in tree.leaves())
+
+    @pytest.mark.parametrize("kw", [{"delta": 0.0}, {"delta": 1.0},
+                                    {"delta": float("nan")},
+                                    {"grace_period": 0}])
+    def test_bad_parameters_rejected_at_construction(self, kw):
+        with pytest.raises(LearnerError):
+            HoeffdingTreeClassifier(classes=(0, 1), n_features=2, **kw)

@@ -164,6 +164,12 @@ class TestLabelWindow:
         cand = segment(id_stream([99] * 10), WindowConfig(10, 0.0))[0]
         assert label_window(cand) is None
 
+    @pytest.mark.parametrize("purity", [-0.1, 1.5, float("nan")])
+    def test_purity_outside_unit_interval_rejected(self, purity):
+        with pytest.raises(WindowingError):
+            labeled_windows(id_stream([1] * 200), WindowConfig(100, 0.0),
+                            purity)
+
 
 class TestClassificationCount:
     def test_monotone_in_overlap(self):

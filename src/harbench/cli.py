@@ -2,8 +2,9 @@
 
 Subcommands: validate (dataset count check), sweep (full grid evaluation),
 eval (single cell), profile (timing/energy grid), synth (write synthetic
-streams). Exit codes: 0 ok, 2 invalid grid, arguments or learner/ensemble
-parameters, 3 missing data, 4 unwritable output, 1 anything else.
+streams). Exit codes: 0 ok, 2 invalid grid, arguments, learner/ensemble
+parameters or power model file, 3 missing data or unreadable synthetic spec,
+4 unwritable output, 1 anything else.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _subject_path(data_dir, user):
     return None
 
 
-def load_pamap2(data_dir, users=range(1, 10), require_all=False):
+def load_pamap2(data_dir, users=range(1, 10)):
     """Parse and protocol-filter available subject files."""
     if not data_dir or not os.path.isdir(data_dir):
         raise CliError(f"data directory not found: {data_dir!r}",
@@ -60,9 +61,6 @@ def load_pamap2(data_dir, users=range(1, 10), require_all=False):
             continue
         raw = dataset.parse_subject_file(path, user)
         streams.append((raw, dataset.filter_protocol_activities(raw)))
-    if missing and require_all:
-        raise CliError(f"missing subject files for users {missing}",
-                       EXIT_MISSING_DATA)
     if not streams:
         raise CliError(f"no subject files found under {data_dir}",
                        EXIT_MISSING_DATA)
@@ -94,11 +92,8 @@ def _parse_grid(args):
     if not windows or not overlaps:
         raise CliError("empty grid", EXIT_BAD_GRID)
     for w in windows:
-        if w < 2:
-            raise CliError(f"window size {w} must be >= 2", EXIT_BAD_GRID)
-    for o in overlaps:
-        if not 0.0 <= o < 1.0:
-            raise CliError(f"overlap {o} must be in [0, 1)", EXIT_BAD_GRID)
+        for o in overlaps:
+            WindowConfig(w, o)  # raises WindowingError (exit 2)
     if not args.allow_any_grid:
         bad_w = [w for w in windows if w not in STUDY_WINDOWS]
         bad_o = [o for o in overlaps if round(o, 1) not in STUDY_OVERLAPS
@@ -216,10 +211,10 @@ def cmd_eval(args):
 def cmd_profile(args):
     streams, classes = _load_streams(args)
     windows, overlaps = _parse_grid(args)
-    _ensure_out(args.out)
     power = (profiling.PowerModel.from_file(args.power_model)
              if args.power_model
              else profiling.PowerModel(1.0, 2.0, 1.5))
+    _ensure_out(args.out)
     users = sorted(s.user_id for s in streams)
     test_user = args.user if args.user is not None else users[-1]
     if test_user not in users:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -59,9 +61,14 @@ FEATURE_CHANNELS = [
 ]
 FEATURE_CHANNEL_INDEX = np.array([COLUMNS.index(c) for c in FEATURE_CHANNELS])
 
-# Raw PAMAP2 file layout: 54 columns, 17 per IMU block.
-_RAW_COLUMNS = 54
-_IMU_BLOCK = 17
+# Raw PAMAP2 line: timestamp, activity, heart rate, then per device a 17-column
+# IMU block: the 13 stored channels, then 4 orientation columns. _RAW_INDEX[j]
+# is the raw position of COLUMNS[j]; parse gathers by it, serialize scatters.
+_RAW_LAYOUT = COLUMNS[:3] + [f"{dev}_{ch}" for dev in DEVICES for ch in (
+    *_DEVICE_CHANNELS, "orient_w", "orient_x", "orient_y", "orient_z")]
+_RAW_COLUMNS = len(_RAW_LAYOUT)  # 54
+_RAW_INDEX = [_RAW_LAYOUT.index(c) for c in COLUMNS]
+_GATHER = itemgetter(*_RAW_INDEX)
 
 # Per-user per-activity reference sample counts for the nine subjects
 # (protocol activities only), used by the validate command.
@@ -102,7 +109,7 @@ class ParseError(DatasetError):
 
 @dataclass
 class SensorStream:
-    """Immutable per-user sample stream backed by a (n, 42) float array.
+    """Immutable per-user sample stream backed by a C-ordered (n, 42) array.
 
     Columns follow COLUMNS: timestamp, activity id, heart rate, then the
     per-device channels.
@@ -111,7 +118,7 @@ class SensorStream:
     values: np.ndarray  # shape (n, N_COLUMNS)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[1] != N_COLUMNS:
             raise DatasetError(
                 f"stream array must be (n, {N_COLUMNS}), got {self.values.shape}")
@@ -119,15 +126,6 @@ class SensorStream:
 
     def __len__(self):
         return self.values.shape[0]
-
-
-def _parse_token(token, line_no):
-    if token == "NaN":
-        return math.nan
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"unparsable token {token!r}", line_no) from None
 
 
 def parse_subject_file(text_source, user_id) -> SensorStream:
@@ -140,7 +138,7 @@ def parse_subject_file(text_source, user_id) -> SensorStream:
         with open(text_source, "r") as fh:
             return parse_subject_file(fh, user_id)
 
-    rows = []
+    kept = array("d")  # every line's stored columns, back to back
     prev_ts = -math.inf
     for line_no, line in enumerate(text_source, start=1):
         tokens = line.split()
@@ -149,30 +147,22 @@ def parse_subject_file(text_source, user_id) -> SensorStream:
         if len(tokens) != _RAW_COLUMNS:
             raise ParseError(
                 f"expected {_RAW_COLUMNS} columns, got {len(tokens)}", line_no)
-        raw = [_parse_token(t, line_no) for t in tokens]
-        ts = raw[0]
+        try:
+            row = [float(t) for t in tokens]
+        except ValueError as exc:  # float names the token
+            raise ParseError(f"unparsable token: {exc}", line_no) from None
+        ts = row[0]
         if math.isnan(ts):
             raise ParseError("missing timestamp", line_no)
         if ts <= prev_ts:
             raise ParseError(
                 f"non-monotone timestamp {ts} after {prev_ts}", line_no)
         prev_ts = ts
-        if math.isnan(raw[1]):
+        if math.isnan(row[1]):
             raise ParseError("missing activity id", line_no)
+        kept.extend(_GATHER(row))
 
-        row = np.empty(N_COLUMNS)
-        row[0] = ts
-        row[1] = raw[1]
-        row[2] = raw[2]  # heart rate, NaN allowed
-        for dev in range(3):
-            base = 3 + dev * _IMU_BLOCK
-            # temp, accel16, accel6, gyro, mag; the 4 orientation columns
-            # at the end of each block are discarded.
-            row[3 + dev * 13: 3 + (dev + 1) * 13] = raw[base: base + 13]
-        rows.append(row)
-
-    values = np.array(rows).reshape(len(rows), N_COLUMNS)
-    return SensorStream(user_id=user_id, values=values)
+    return SensorStream(user_id, np.frombuffer(kept).reshape(-1, N_COLUMNS))
 
 
 def serialize_stream(stream) -> str:
@@ -181,24 +171,19 @@ def serialize_stream(stream) -> str:
     Discarded orientation columns are written as NaN.
     """
     def fmt(v):
-        if math.isnan(v):
-            return "NaN"
-        return repr(float(v))
+        return "NaN" if math.isnan(v) else repr(v)
 
-    lines = []
-    for row in stream.values:
-        tokens = [fmt(row[0]), str(int(row[1])), fmt(row[2])]
-        for dev in range(3):
-            tokens.extend(fmt(v) for v in row[3 + dev * 13: 3 + (dev + 1) * 13])
-            tokens.extend(["NaN"] * 4)  # orientation
-        lines.append(" ".join(tokens))
+    raw = np.full((len(stream), _RAW_COLUMNS), np.nan)
+    raw[:, _RAW_INDEX] = stream.values
+    lines = [" ".join([fmt(ts), str(int(act)), *map(fmt, rest)])
+             for ts, act, *rest in (row.tolist() for row in raw)]
     return "\n".join(lines) + "\n"
 
 
 def filter_protocol_activities(stream, activities=PROTOCOL_ACTIVITIES) -> SensorStream:
     """Keep only samples labeled with one of the given activities, in order."""
     mask = np.isin(stream.values[:, 1], np.asarray(activities, dtype=np.float64))
-    return SensorStream(user_id=stream.user_id, values=stream.values[mask].copy())
+    return SensorStream(user_id=stream.user_id, values=stream.values[mask])
 
 
 def sample_counts(stream, activities=PROTOCOL_ACTIVITIES):
@@ -271,9 +256,9 @@ class SyntheticSpec:
     @classmethod
     def from_file(cls, path):
         """Load a spec from its JSON config file (see README for the schema)."""
-        with open(path) as fh:
-            cfg = json.load(fh)
         try:
+            with open(path) as fh:
+                cfg = json.load(fh)
             classes = [ClassSpec(label=int(c["label"]),
                                  frequency=float(c["frequency"]),
                                  amplitude=float(c.get("amplitude", 1.0)),
@@ -290,7 +275,7 @@ class SyntheticSpec:
                        seed=int(cfg["seed"]),
                        sample_rate=float(cfg.get("sample_rate", 100.0)),
                        user_drifts=user_drifts)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"invalid synthetic spec {path}: {exc}") from exc
 
 

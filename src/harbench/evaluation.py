@@ -210,7 +210,7 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
     """
     folds = {f.test_user: f for f in louo_split(streams)}
     stream_digests = sorted(
-        [s.user_id, hashlib.sha256(np.ascontiguousarray(s.values)).hexdigest()]
+        [s.user_id, hashlib.sha256(s.values).hexdigest()]
         for s in streams)
     cell_dir = os.path.join(out_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)

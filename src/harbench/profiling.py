@@ -73,14 +73,14 @@ class PowerModel:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            cfg = json.load(fh)
         try:
+            with open(path) as fh:
+                cfg = json.load(fh)
             return cls(sampling_watts=float(cfg["sampling_watts"]),
                        feature_watts=float(cfg["feature_watts"]),
                        classification_watts=float(cfg["classification_watts"]),
                        idle_watts=float(cfg.get("idle_watts", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ProfilingError(f"invalid power model {path}: {exc}") from exc
 
 

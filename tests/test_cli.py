@@ -85,6 +85,17 @@ class TestGridValidation:
         assert code == cli.EXIT_BAD_GRID
 
 
+    def test_window_below_two_rejected_before_output(self, capsys, spec_file,
+                                                     tmp_path):
+        out = tmp_path / "out"
+        code = run(["sweep", "--synthetic", spec_file, "--seed", "0",
+                    "--windows", "1", "--overlaps", "0.0",
+                    "--allow-any-grid", "--out", str(out)])
+        assert code == cli.EXIT_BAD_GRID
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestSynth:
     def test_writes_one_file_per_user(self, capsys, spec_file, tmp_path):
         assert run(["synth", "--spec", spec_file,
@@ -104,6 +115,42 @@ class TestSynth:
         bad.write_text('{"seed": 1}')
         assert run(["synth", "--spec", str(bad),
                     "--out", str(tmp_path)]) == cli.EXIT_MISSING_DATA
+
+
+class TestInputFiles:
+    """A missing or non-JSON input file exits with its documented code."""
+
+    def test_missing_synthetic_spec_exits_three(self, capsys, tmp_path):
+        code = run(["eval", "--synthetic", str(tmp_path / "missing.json"),
+                    "--user", "1", "--window", "50", "--overlap", "0.0"])
+        assert code == cli.EXIT_MISSING_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("content", [None, "not json {"],
+                             ids=["missing", "not-json"])
+    def test_synth_spec_exits_three(self, capsys, tmp_path, content):
+        spec = tmp_path / "spec.json"
+        if content is not None:
+            spec.write_text(content)
+        code = run(["synth", "--spec", str(spec),
+                    "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_MISSING_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("content", [None, "not json {"],
+                             ids=["missing", "not-json"])
+    def test_power_model_exits_two(self, capsys, spec_file, tmp_path,
+                                   content):
+        power = tmp_path / "power.json"
+        if content is not None:
+            power.write_text(content)
+        code = run(["profile", "--synthetic", spec_file, "--windows", "50",
+                    "--overlaps", "0.0", "--allow-any-grid", "--reps", "1",
+                    "--power-model", str(power),
+                    "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_BAD_GRID
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommand:

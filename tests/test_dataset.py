@@ -51,7 +51,7 @@ def test_parse_wrong_column_count_reports_line():
 
 def test_parse_unparsable_token_reports_line():
     bad = make_line(0.02, 1).replace("1.0", "abc", 1)
-    with pytest.raises(ParseError, match="line 3"):
+    with pytest.raises(ParseError, match=r"line 3\b.*'abc'"):
         parse_subject_file([make_line(0.01, 1), make_line(0.015, 1), bad], 1)
 
 
@@ -67,6 +67,87 @@ def test_parse_serialize_round_trip():
     stream = parse_subject_file(lines, user_id=3)
     again = parse_subject_file(serialize_stream(stream).splitlines(), user_id=3)
     assert np.array_equal(stream.values, again.values, equal_nan=True)
+
+
+# PAMAP2's documented layout, written out independently of harbench.dataset:
+# timestamp, activity id, heart rate, then a 17-column block per IMU.
+_PAMAP2_BLOCK = ["temp", "accel16_x", "accel16_y", "accel16_z",
+                 "accel6_x", "accel6_y", "accel6_z", "gyro_x", "gyro_y",
+                 "gyro_z", "mag_x", "mag_y", "mag_z",
+                 "orientation_1", "orientation_2", "orientation_3",
+                 "orientation_4"]
+_PAMAP2_POSITIONS = {"timestamp": 0, "activity_id": 1, "heart_rate": 2} | {
+    f"{dev}_{ch}": 3 + 17 * d + k
+    for d, dev in enumerate(["hand", "chest", "ankle"])
+    for k, ch in enumerate(_PAMAP2_BLOCK)}
+_ORIENTATION_POSITIONS = sorted(p for name, p in _PAMAP2_POSITIONS.items()
+                                if "orientation" in name)
+
+
+def test_every_column_lands_on_its_pamap2_position():
+    line = " ".join(str(i) for i in range(54))  # each token is its position
+    row = parse_subject_file([line], user_id=1).values[0]
+    assert len(dataset.COLUMNS) == 42
+    for j, name in enumerate(dataset.COLUMNS):
+        assert row[j] == _PAMAP2_POSITIONS[name], name
+
+
+def test_serialize_writes_nan_orientation_and_int_activity():
+    values = np.arange(2 * 42, dtype=np.float64).reshape(2, 42) + 0.5
+    values[:, 0] = [0.01, 0.02]
+    values[:, 1] = [7, 24]
+    lines = serialize_stream(SensorStream(1, values)).splitlines()
+    assert len(lines) == 2
+    for line, act in zip(lines, ["7", "24"]):
+        tokens = line.split()
+        assert len(tokens) == 54
+        assert tokens[1] == act
+        nan_at = [i for i, t in enumerate(tokens) if t == "NaN"]
+        assert nan_at == _ORIENTATION_POSITIONS
+        assert len(nan_at) == 12
+
+
+def test_serialize_exact_bytes():
+    values = np.full((2, 42), 1.0)
+    values[0, :3] = [0.01, 4, np.nan]
+    values[1, :3] = [0.02, 17, 91.0]
+    values[0, 3] = -0.0  # hand temperature
+    values[1, 41] = 1e-300  # ankle mag z
+    device = " ".join(["1.0"] * 13) + " NaN NaN NaN NaN"
+    expected = (
+        "0.01 4 NaN -0.0 " + " ".join(["1.0"] * 12) + " NaN NaN NaN NaN "
+        + device + " " + device + "\n"
+        + "0.02 17 91.0 " + device + " " + device + " "
+        + " ".join(["1.0"] * 12) + " 1e-300 NaN NaN NaN NaN\n")
+    assert serialize_stream(SensorStream(1, values)) == expected
+
+
+def test_parse_serialize_round_trip_bit_exact():
+    rng = np.random.default_rng(11)
+    n = 300
+    values = rng.normal(size=(n, 42)) * 10.0 ** rng.integers(-300, 300,
+                                                             size=(n, 42))
+    values[:, 0] = np.cumsum(rng.uniform(1e-3, 1.0, size=n))
+    values[:, 1] = rng.choice([0, 1, 4, 24], size=n)
+    for _ in range(20):  # NaN runs in the sensor columns
+        start, col = rng.integers(0, n - 10), rng.integers(2, 42)
+        values[start:start + rng.integers(1, 10), col] = np.nan
+    values[5, 3:8] = -0.0
+    values[6, 3:9] = [np.finfo(float).max, -np.finfo(float).max,
+                      np.finfo(float).tiny, 5e-324, -5e-324, 0.0]
+    stream = SensorStream(2, values)
+    text = serialize_stream(stream)
+    again = parse_subject_file(text.splitlines(), user_id=2)
+    assert again.values.tobytes() == stream.values.tobytes()
+    assert serialize_stream(again) == text
+
+
+def test_stream_values_are_c_ordered():
+    values = np.asfortranarray(np.arange(3 * 42, dtype=np.float64)
+                               .reshape(3, 42))
+    stream = SensorStream(1, values)
+    assert stream.values.flags.c_contiguous
+    assert np.array_equal(stream.values, values)
 
 
 def test_filter_keeps_protocol_only_in_order():

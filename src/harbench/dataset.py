@@ -118,7 +118,14 @@ class SensorStream:
     values: np.ndarray  # shape (n, N_COLUMNS)
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        # Share the array only if numpy offers no route to write to it (a
+        # fresh parse buffer, another stream's values). Copy anything else,
+        # so the stream never changes and the caller's array stays writable.
+        base = self.values
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        self.values = np.array(self.values, dtype=np.float64, order="C",
+                               copy=True if isinstance(base, np.ndarray) else None)
         if self.values.ndim != 2 or self.values.shape[1] != N_COLUMNS:
             raise DatasetError(
                 f"stream array must be (n, {N_COLUMNS}), got {self.values.shape}")
@@ -132,17 +139,19 @@ def parse_subject_file(text_source, user_id) -> SensorStream:
     """Parse a PAMAP2 subject file (path, file object or iterable of lines).
 
     Raises ParseError with the offending line number on wrong column count,
-    unparsable tokens or non-monotone timestamps.
+    unparsable or infinite tokens or non-monotone timestamps.
     """
     if isinstance(text_source, (str, bytes)) or hasattr(text_source, "__fspath__"):
         with open(text_source, "r") as fh:
             return parse_subject_file(fh, user_id)
 
     kept = array("d")  # every line's stored columns, back to back
+    blank = []  # line numbers of blank lines, to map rows back to lines
     prev_ts = -math.inf
     for line_no, line in enumerate(text_source, start=1):
         tokens = line.split()
         if not tokens:
+            blank.append(line_no)
             continue
         if len(tokens) != _RAW_COLUMNS:
             raise ParseError(
@@ -162,7 +171,15 @@ def parse_subject_file(text_source, user_id) -> SensorStream:
             raise ParseError("missing activity id", line_no)
         kept.extend(_GATHER(row))
 
-    return SensorStream(user_id, np.frombuffer(kept).reshape(-1, N_COLUMNS))
+    values = np.frombuffer(memoryview(kept).toreadonly()).reshape(-1, N_COLUMNS)
+    infinite = np.flatnonzero(np.isinf(values))
+    if len(infinite):
+        row, col = divmod(int(infinite[0]), N_COLUMNS)
+        line_no = row + 1
+        for b in blank:  # the row's line is the (row + 1)-th non-blank one
+            line_no += b <= line_no
+        raise ParseError(f"infinite value in column {COLUMNS[col]}", line_no)
+    return SensorStream(user_id, values)
 
 
 def serialize_stream(stream) -> str:
@@ -183,7 +200,9 @@ def serialize_stream(stream) -> str:
 def filter_protocol_activities(stream, activities=PROTOCOL_ACTIVITIES) -> SensorStream:
     """Keep only samples labeled with one of the given activities, in order."""
     mask = np.isin(stream.values[:, 1], np.asarray(activities, dtype=np.float64))
-    return SensorStream(user_id=stream.user_id, values=stream.values[mask])
+    kept = stream.values[mask]
+    kept.setflags(write=False)  # a fresh copy: the stream shares it
+    return SensorStream(user_id=stream.user_id, values=kept)
 
 
 def sample_counts(stream, activities=PROTOCOL_ACTIVITIES):
@@ -318,5 +337,6 @@ def generate_synthetic(spec) -> list:
             values[:, 3 + dev * 13] = 20.0  # temperature
             a16 = values[:, 3 + dev * 13 + 1: 3 + dev * 13 + 4]
             values[:, 3 + dev * 13 + 4: 3 + dev * 13 + 7] = a16  # accel6 mirror
+        values.setflags(write=False)  # built here: the stream shares it
         streams.append(SensorStream(user_id=user_id, values=values))
     return streams

@@ -19,7 +19,8 @@ class LearnerError(Exception):
 
 def _check_distribution(probs):
     probs = np.asarray(probs, dtype=np.float64)
-    if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
+    # written so that NaN and infinite entries fail the test too
+    if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-9):
         raise LearnerError(f"invalid class distribution: {probs}")
     return probs
 
@@ -78,11 +79,15 @@ class KnnClassifier:
         if n == 0:
             raise LearnerError("predict on empty kNN store")
         x = np.asarray(x, dtype=np.float64)
-        scale = self._scale()
-        diff = (self._X[:n] - x) / scale
+        diff = self._X[:n] - x
+        diff /= self._scale()
         dist = np.einsum("ij,ij->i", diff, diff)
-        order = np.lexsort((self._seq[:n], dist))
         k = min(self.k, n)
+        # Rows beyond the k-th smallest distance cannot vote; the rest go in
+        # (distance, insertion) order, NaN distances kept and ranked last.
+        kth = np.partition(dist, k - 1)[k - 1]
+        near = np.flatnonzero(~(dist > kth))
+        order = near[np.lexsort((self._seq[near], dist[near]))]
         votes = np.bincount(self._y[order[:k]], minlength=len(self.classes))
         return votes / k
 
@@ -125,17 +130,17 @@ class GaussianNbClassifier:
         return n, self._mean[ci].copy(), var
 
     def log_posteriors(self, x):
-        if self.n_trained == 0:
+        total = self._count.sum()
+        if total == 0:
             raise LearnerError("predict before any NB update")
         x = np.asarray(x, dtype=np.float64)
-        seen = self._count > 0
+        seen = np.flatnonzero(self._count)
+        count = self._count[seen]
+        var = np.maximum(self._m2[seen] / count[:, None], self.VAR_FLOOR)
+        diff = x - self._mean[seen]
+        ll = -0.5 * (np.log(2 * math.pi * var) + diff * diff / var).sum(axis=1)
         log_post = np.full(len(self.classes), -np.inf)
-        total = self._count.sum()
-        for ci in np.nonzero(seen)[0]:
-            var = np.maximum(self._m2[ci] / self._count[ci], self.VAR_FLOOR)
-            diff = x - self._mean[ci]
-            ll = -0.5 * np.sum(np.log(2 * math.pi * var) + diff * diff / var)
-            log_post[ci] = math.log(self._count[ci] / total) + ll
+        log_post[seen] = list(map(math.log, (count / total).tolist())) + ll
         return log_post
 
     def predict(self, x):
@@ -168,8 +173,22 @@ def _entropy(counts):
     return float(-(p * np.log2(p)).sum())
 
 
-def _phi(z):
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+def _row_entropies(counts):
+    """_entropy of each row along the last axis, as masked row sums."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / counts.sum(axis=-1, keepdims=True)
+        return -np.where(counts > 0, p * np.log2(p), 0.0).sum(axis=-1)
+
+
+def _left_counts(leaf, features, present, thresholds):
+    """Each present class's Gaussian count at or below each threshold."""
+    n_c = leaf.counts[present]
+    mu = leaf.mean[np.ix_(present, features)].T[:, None, :]
+    m2 = leaf.m2[np.ix_(present, features)].T[:, None, :]
+    z = (thresholds[:, :, None] - mu) / np.sqrt(np.maximum(m2 / n_c, 1e-18))
+    z /= math.sqrt(2.0)
+    erf = np.fromiter(map(math.erf, z.ravel().data), np.float64, z.size)
+    return n_c * (0.5 * (1.0 + erf.reshape(z.shape)))
 
 
 class _Node:
@@ -210,8 +229,8 @@ class HoeffdingTreeClassifier:
                  grace_period=200, n_candidate_thresholds=10, max_depth=None):
         if not 0.0 < delta < 1.0:
             raise LearnerError(f"delta must be in (0, 1), got {delta}")
-        if grace_period < 1:
-            raise LearnerError(f"grace_period must be >= 1, got {grace_period}")
+        if grace_period < 1 or n_candidate_thresholds < 1:
+            raise LearnerError("grace_period and n_candidate_thresholds must be >= 1")
         self.classes = tuple(classes)
         self.n_features = n_features
         self.delta = delta
@@ -247,35 +266,21 @@ class HoeffdingTreeClassifier:
             leaf.n_since_eval = 0
             self._attempt_split(leaf)
 
-    def _split_gains(self, leaf, feature):
-        """Best (gain, threshold) for one feature, from class Gaussians."""
-        lo, hi = leaf.fmin[feature], leaf.fmax[feature]
-        if not (hi > lo):
-            return None
-        thresholds = np.linspace(lo, hi, self.n_candidate_thresholds + 2)[1:-1]
-        present = np.nonzero(leaf.counts > 0)[0]
-        n_total = leaf.counts.sum()
-        h_parent = _entropy(leaf.counts)
-        left = np.zeros((len(thresholds), len(leaf.counts)))
-        for ci in present:
-            n_c = leaf.counts[ci]
-            mu = leaf.mean[ci, feature]
-            sigma = math.sqrt(max(leaf.m2[ci, feature] / n_c, 1e-18))
-            for ti, t in enumerate(thresholds):
-                if sigma > 0:
-                    frac = _phi((t - mu) / sigma)
-                else:
-                    frac = 1.0 if mu <= t else 0.0
-                left[ti, ci] = n_c * frac
-        best = None
-        for ti, t in enumerate(thresholds):
-            lc = left[ti]
-            rc = leaf.counts - lc
-            n_l, n_r = lc.sum(), rc.sum()
-            gain = h_parent - (n_l * _entropy(lc) + n_r * _entropy(rc)) / n_total
-            if best is None or gain > best[0]:
-                best = (gain, float(t))
-        return best
+    def _split_candidates(self, leaf):
+        """[features], [gains], [thresholds]: each ranged feature's best split."""
+        features = np.flatnonzero(leaf.fmax > leaf.fmin)
+        present = np.flatnonzero(leaf.counts > 0)
+        thresholds = np.linspace(leaf.fmin[features], leaf.fmax[features],
+                                 self.n_candidate_thresholds + 2, axis=1)[:, 1:-1]
+        left = np.zeros(thresholds.shape + leaf.counts.shape)
+        left[..., present] = _left_counts(leaf, features, present, thresholds)
+        right = leaf.counts - left
+        split = (left.sum(axis=2) * _row_entropies(left)
+                 + right.sum(axis=2) * _row_entropies(right))
+        gains = _entropy(leaf.counts) - split / leaf.counts.sum()
+        rows, best = np.arange(len(features)), gains.argmax(axis=1)  # first max
+        return (features.tolist(), gains[rows, best].tolist(),
+                thresholds[rows, best].tolist())
 
     def _attempt_split(self, leaf):
         if np.count_nonzero(leaf.counts) < 2:
@@ -283,11 +288,7 @@ class HoeffdingTreeClassifier:
         if self.max_depth is not None and leaf.depth >= self.max_depth:
             return
         best = second = (0.0, None, None)  # (gain, feature, threshold)
-        for f in range(self.n_features):
-            result = self._split_gains(leaf, f)
-            if result is None:
-                continue
-            gain, threshold = result
+        for f, gain, threshold in zip(*self._split_candidates(leaf)):
             if gain > best[0]:
                 second = best
                 best = (gain, f, threshold)

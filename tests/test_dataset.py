@@ -55,6 +55,15 @@ def test_parse_unparsable_token_reports_line():
         parse_subject_file([make_line(0.01, 1), make_line(0.015, 1), bad], 1)
 
 
+def test_parse_infinite_values_report_first_line():
+    inf_channel = make_line(0.02, 1).replace("1.0", "inf", 1)  # hand temp
+    lines = [make_line(0.01, 1), "", inf_channel, make_line(0.03, 1, hr="-inf")]
+    with pytest.raises(ParseError, match=r"line 3\b.*hand_temp"):
+        parse_subject_file(lines, 1)
+    with pytest.raises(ParseError, match=r"line 4\b.*heart_rate"):
+        parse_subject_file([lines[0], "", "", lines[3], ""], 1)
+
+
 def test_parse_non_monotone_timestamp():
     with pytest.raises(ParseError, match="non-monotone"):
         parse_subject_file([make_line(0.02, 1), make_line(0.01, 1)], 1)
@@ -148,6 +157,18 @@ def test_stream_values_are_c_ordered():
     stream = SensorStream(1, values)
     assert stream.values.flags.c_contiguous
     assert np.array_equal(stream.values, values)
+
+
+def test_stream_leaves_the_callers_array_writable():
+    v = np.zeros((2, dataset.N_COLUMNS))
+    stream = SensorStream(1, v)
+    v[0, 0] = 1
+    assert stream.values[0, 0] == 0
+    assert not stream.values.flags.writeable
+    assert SensorStream(2, stream.values).values is stream.values  # shared
+    view = v.view()
+    view.setflags(write=False)  # read-only, but v still writes through
+    assert not np.shares_memory(SensorStream(1, view).values, v)
 
 
 def test_filter_keeps_protocol_only_in_order():

@@ -4,6 +4,7 @@ import pytest
 from harbench.ensemble import (Ensemble, EnsembleError, LearnerParams,
                                Prediction, write_audit_csv)
 from harbench.features import FeatureVector, N_FEATURES
+from harbench.learners import LearnerError
 
 
 def fv(values, label=1, user=1, index=0):
@@ -76,6 +77,13 @@ class TestClassify:
                 dists.append(p / p.sum())
             pred = stub_ensemble(dists, classes=(1, 2, 3, 4)).classify(fv([0.0]))
             assert 0.0 <= pred.confidence <= 1.0
+
+    def test_nan_trained_member_is_rejected(self):
+        # naive Bayes trained on an all-NaN instance has NaN posteriors; they
+        # must not reach the vote as confidence=nan
+        model = Ensemble((1, 2)).train_offline([fv(np.full(N_FEATURES, np.nan))])
+        with pytest.raises(LearnerError):
+            model.classify(fv(np.zeros(N_FEATURES)))
 
     def test_untrained_model_raises(self):
         with pytest.raises(EnsembleError):

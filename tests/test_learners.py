@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from harbench.learners import (GaussianNbClassifier, HoeffdingTreeClassifier,
-                               KnnClassifier, LearnerError, _entropy,
-                               hoeffding_bound)
+                               KnnClassifier, LearnerError, _check_distribution,
+                               _entropy, hoeffding_bound)
 
 
 def assert_valid_distribution(probs):
     assert (probs >= 0).all()
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 1.0],
+                                   [np.inf, 0.0], [1.5, -0.5]])
+def test_check_distribution_rejects(probs):
+    with pytest.raises(LearnerError):
+        _check_distribution(probs)
 
 
 class TestKnn:

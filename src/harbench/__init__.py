@@ -12,7 +12,7 @@ from .dataset import (PROTOCOL_ACTIVITIES, SensorStream, SyntheticSpec,
 from .ensemble import Ensemble, LearnerParams, Prediction
 from .evaluation import (Fold, FoldResult, emit_reports, evaluate_fold,
                          louo_split, sweep)
-from .features import FeatureVector, extract, pearson, signal_stats
+from .features import FeatureVector, extract, extract_stream
 from .learners import (GaussianNbClassifier, HoeffdingTreeClassifier,
                        KnnClassifier, hoeffding_bound)
 from .profiling import PowerModel, TimingBreakdown, estimate_energy, timed_run

@@ -275,7 +275,9 @@ def _add_common(parser, need_seed=False):
     parser.add_argument("--purity", type=float, default=DEFAULT_PURITY,
                         help="minimum modal-label fraction to keep a window")
     parser.add_argument("--seed", type=int, required=need_seed,
-                        default=None if need_seed else 0)
+                        default=None if need_seed else 0,
+                        help="namespace for sweep cell files; nothing random "
+                             "reads it")
     parser.add_argument("--k", type=int, default=5, help="kNN neighbors")
     parser.add_argument("--knn-capacity", type=int, default=5000)
     parser.add_argument("--delta", type=float, default=1e-7,

@@ -78,7 +78,6 @@ class Ensemble:
                                     grace_period=params.vfdt_grace_period,
                                     max_depth=params.vfdt_max_depth),
         ]
-        self.instances_seen = 0
         self.self_updates = 0
         self.confidence_histogram = [0] * CONFIDENCE_BUCKETS
         self._trained = False
@@ -126,7 +125,6 @@ class Ensemble:
 
     def self_update(self, fv, prediction) -> bool:
         """Train the predicted label back in iff confidence beats the gate."""
-        self.instances_seen += 1
         bucket = min(CONFIDENCE_BUCKETS - 1,
                      int(prediction.confidence * CONFIDENCE_BUCKETS))
         self.confidence_histogram[bucket] += 1

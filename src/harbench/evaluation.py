@@ -205,9 +205,12 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
     """Evaluate the full (user x window x overlap x mode) grid.
 
     Completed cells live in out_dir/cells/, one file per full cell
-    configuration, and are skipped on resume. Deterministic given (inputs,
-    seed): any worker count writes the same bytes.
+    configuration, and are skipped on resume. Deterministic given the
+    inputs: any worker count writes the same bytes. Nothing random reads
+    the seed; it only namespaces the cell files.
     """
+    if workers < 1:
+        raise EvaluationError(f"workers must be >= 1, got {workers}")
     folds = {f.test_user: f for f in louo_split(streams)}
     stream_digests = sorted(
         [s.user_id, hashlib.sha256(s.values).hexdigest()]

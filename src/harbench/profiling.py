@@ -2,12 +2,11 @@
 
 Mirrors the three-phase breakdown used in the accuracy/energy trade-off
 study: sampling (window instantiation), feature extraction and
-classification. Classification is evaluation.classify, the same step that
-scores every evaluation cell. Energy comes from a pluggable phase->watts model, or
-from an external power log (timestamp_seconds, watts CSV) integrated over
-the run.
-Profiling must run single-threaded; do not overlap it with parallel sweep
-jobs.
+classification. Features are timed one `extract` call per window, as a
+device featurizes each window when it closes. Classification is
+evaluation.classify, the same step that scores every evaluation cell.
+Energy comes from a constant watts-per-phase model. Profiling must run
+single-threaded; do not overlap it with parallel sweep jobs.
 """
 
 from __future__ import annotations
@@ -18,11 +17,9 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import evaluation
 from .dataset import PROTOCOL_ACTIVITIES
-from .features import extract_stream
+from .features import extract
 from .windowing import DEFAULT_PURITY, labeled_windows
 
 PHASES = ("sampling", "features", "classification")
@@ -59,15 +56,14 @@ class TimingBreakdown:
 
 @dataclass(frozen=True)
 class PowerModel:
-    """Constant watts per phase; idle applies outside the measured region."""
+    """Constant watts per phase."""
     sampling_watts: float
     feature_watts: float
     classification_watts: float
-    idle_watts: float = 0.0
 
     def __post_init__(self):
         for name in ("sampling_watts", "feature_watts",
-                     "classification_watts", "idle_watts"):
+                     "classification_watts"):
             if getattr(self, name) < 0:
                 raise ProfilingError(f"{name} must be >= 0")
 
@@ -78,8 +74,7 @@ class PowerModel:
                 cfg = json.load(fh)
             return cls(sampling_watts=float(cfg["sampling_watts"]),
                        feature_watts=float(cfg["feature_watts"]),
-                       classification_watts=float(cfg["classification_watts"]),
-                       idle_watts=float(cfg.get("idle_watts", 0.0)))
+                       classification_watts=float(cfg["classification_watts"]))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ProfilingError(f"invalid power model {path}: {exc}") from exc
 
@@ -89,8 +84,9 @@ def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
               params=None, repetitions=5) -> TimingBreakdown:
     """Median per-phase times of one pass over the test stream.
 
-    Each repetition times labeled_windows (sampling), extract_stream
-    (features) and the online run of evaluation.classify (classification).
+    Each repetition times labeled_windows (sampling), one extract call per
+    window (features) and the online run of evaluation.classify
+    (classification).
     Offline training is rebuilt per repetition but not timed.
     """
     if repetitions < 1:
@@ -110,7 +106,7 @@ def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
         t0 = time.perf_counter_ns()
         windows = labeled_windows(test_stream, config, purity, valid_labels)
         t1 = time.perf_counter_ns()
-        instances = extract_stream(windows)
+        instances = [extract(w, i) for i, w in enumerate(windows)]
         t2 = time.perf_counter_ns()
         predictions, _, classification_ns = evaluation.classify(
             train_instances, instances, mode, params, valid_labels)
@@ -135,31 +131,6 @@ def estimate_energy(breakdown, power_model) -> float:
             + power_model.feature_watts * breakdown.seconds("features")
             + power_model.classification_watts
             * breakdown.seconds("classification"))
-
-
-def read_power_log(path):
-    """Load a (timestamp_seconds, watts) CSV; returns two float arrays."""
-    ts, watts = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header[:2]] != ["timestamp_seconds", "watts"]:
-            raise ProfilingError(f"unexpected power log header: {header}")
-        for row in reader:
-            ts.append(float(row[0]))
-            watts.append(float(row[1]))
-    return np.array(ts), np.array(watts)
-
-
-def integrate_power_log(ts, watts, start, end) -> float:
-    """Trapezoidal integral of logged watts over [start, end] seconds."""
-    if start < ts[0] or end > ts[-1]:
-        raise ProfilingError(
-            f"power log [{ts[0]}, {ts[-1]}] does not cover run [{start}, {end}]")
-    if (watts < 0).any():
-        raise ProfilingError("negative watts in power log")
-    grid = np.concatenate([[start], ts[(ts > start) & (ts < end)], [end]])
-    return float(np.trapezoid(np.interp(grid, ts, watts), grid))
 
 
 def emit_energy_heatmap(entries, path):

@@ -174,6 +174,15 @@ class TestSweepCommand:
         assert run(self.sweep_args(spec_file, tmp_path) + ["--resume"]) == 0
         assert (tmp_path / "summary.csv").read_bytes() == before
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exits_two(self, capsys, spec_file, tmp_path,
+                                         workers):
+        code = run(self.sweep_args(spec_file, tmp_path)
+                   + ["--workers", workers])
+        assert code == cli.EXIT_BAD_GRID
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "cells").exists()
+
     def test_unwritable_out_exits_four(self, capsys, spec_file, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")

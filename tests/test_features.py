@@ -1,11 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from harbench import features
+from harbench.dataset import FEATURE_CHANNEL_INDEX, N_COLUMNS, SensorStream
 from harbench.features import (FEATURE_NAMES, N_FEATURES, FeatureError,
-                               extract, pearson, signal_stats,
-                               write_features_csv)
+                               extract, extract_stream)
+from harbench.windowing import WindowConfig, segment
 
 from conftest import FakeWindow, random_window
 
@@ -42,50 +46,178 @@ def oracle_extract(window):
     return np.array(means + stds + corrs)
 
 
+# ---------------------------------------------------------------------------
+# The per-window featurizer the block kernel replaced, frozen as the
+# bit-exact reference: one window at a time, 27 Pearson calls per window.
+
+
+@np.errstate(divide="ignore")  # va * vb can underflow to 0
+def _reference_pearson(a, b):
+    da = a - a.mean()
+    db = b - b.mean()
+    va = float(da @ da)
+    vb = float(db @ db)
+    if va == 0.0 or vb == 0.0:
+        return 0.0
+    r = float(da @ db) / np.sqrt(va * vb)
+    return float(min(1.0, max(-1.0, r)))
+
+
+def _reference_fill(channels):
+    if not np.isnan(channels).any():
+        return channels, True
+    filled = channels.copy()
+    quality_ok = True
+    idx = np.arange(channels.shape[0])
+    for j in range(channels.shape[1]):
+        col = filled[:, j]
+        missing = np.isnan(col)
+        if not missing.any():
+            continue
+        if missing.all():
+            filled[:, j] = 0.0
+            quality_ok = False
+            continue
+        col[missing] = np.interp(idx[missing], idx[~missing], col[~missing])
+    return filled, quality_ok
+
+
+def reference_extract(window):
+    """(81 values, quality flag) exactly as the per-window featurizer gave."""
+    data, quality_ok = _reference_fill(
+        np.asarray(window.channels, dtype=np.float64))
+    means = data.mean(axis=0)
+    stds = np.sqrt(np.mean((data - means) ** 2, axis=0))
+    corrs = np.empty(27)
+    for s in range(9):
+        x, y, z = data[:, 3 * s], data[:, 3 * s + 1], data[:, 3 * s + 2]
+        corrs[3 * s:3 * s + 3] = [_reference_pearson(x, y),
+                                  _reference_pearson(x, z),
+                                  _reference_pearson(y, z)]
+    return np.concatenate([means, stds, corrs]), quality_ok
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def streams(draw):
+    """(stream, window size): a SensorStream whose feature channels mix
+    scales and offsets, with NaN runs, fully missing stretches and
+    constant channels."""
+    w = draw(st.integers(2, 64))
+    n = draw(st.integers(w, 6 * w + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    chans = (rng.normal(size=(n, 27)) * 10.0 ** rng.integers(-3, 4, size=27)
+             + rng.normal(scale=100.0, size=27))
+    if draw(st.booleans()):
+        chans = np.round(chans, 1)  # repeated values and exact ties
+    for _ in range(draw(st.integers(0, 3))):  # constant channels
+        chans[:, draw(st.integers(0, 26))] = draw(st.floats(-1e3, 1e3))
+    for _ in range(draw(st.integers(0, 6))):  # NaN runs, some spanning a window
+        j = draw(st.integers(0, 26))
+        lo = draw(st.integers(0, n - 1))
+        chans[lo:lo + draw(st.integers(1, 2 * w)), j] = np.nan
+    values = np.zeros((n, N_COLUMNS))
+    values[:, 0] = np.arange(n) / 100.0
+    values[:, 1] = 1.0
+    values[:, FEATURE_CHANNEL_INDEX] = chans
+    return SensorStream(1, values), w
+
+
+class TestBlockKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(streams(), st.sampled_from([0.0, 0.5, 0.8, 0.9]),
+           st.integers(1, 8))
+    def test_bit_equal_to_per_window_reference(self, drawn, overlap,
+                                               windows_per_block):
+        stream, w = drawn
+        windows = segment(stream, WindowConfig(w, overlap))
+        # small blocks put clean and NaN windows, and block edges, anywhere
+        with mock.patch.object(features, "_BLOCK_VALUES",
+                               windows_per_block * 27 * w):
+            got = extract_stream(windows)
+        assert [fv.window_index for fv in got] == list(range(len(windows)))
+        for win, fv in zip(windows, got):
+            want, quality_ok = reference_extract(win)
+            assert np.array_equal(bits(fv.values), bits(want)), win.start
+            assert fv.quality_ok == quality_ok
+            one = extract(win, 7)
+            assert np.array_equal(bits(one.values), bits(want)), win.start
+            assert one.quality_ok == quality_ok and one.window_index == 7
+
+    def test_mixed_window_sizes_rejected_across_blocks(self):
+        rng = np.random.default_rng(10)  # one block: TestPearson
+        with mock.patch.object(features, "_BLOCK_VALUES", 27 * 10):
+            with pytest.raises(FeatureError):
+                extract_stream([random_window(rng, 10),
+                                random_window(rng, 12)])
+
+
 class TestSignalStats:
+    """The mean and population-std features of one channel."""
+
     def test_constant_signal(self):
-        assert signal_stats([5, 5, 5, 5]) == (5.0, 0.0)
+        data = np.zeros((4, 27))
+        data[:, 0] = 5.0
+        fv = extract(FakeWindow(data))
+        assert (fv.values[0], fv.values[27]) == (5.0, 0.0)
 
     def test_hand_computed(self):
-        mean, std = signal_stats([1, 2, 3, 4])
-        assert mean == 2.5
-        assert std == pytest.approx(1.118033988749895, abs=1e-12)
+        data = np.zeros((4, 27))
+        data[:, 0] = [1, 2, 3, 4]
+        fv = extract(FakeWindow(data))
+        assert fv.values[0] == 2.5
+        assert fv.values[27] == pytest.approx(1.118033988749895, abs=1e-12)
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            xs = rng.normal(scale=rng.uniform(0.1, 100), size=64)
-            mean, std = signal_stats(xs)
-            omean, ostd = oracle_stats(list(xs))
-            assert mean == pytest.approx(omean, rel=1e-9)
-            assert std == pytest.approx(ostd, rel=1e-9, abs=1e-12)
-
-    def test_too_short(self):
-        with pytest.raises(FeatureError):
-            signal_stats([1.0])
+            data = rng.normal(scale=rng.uniform(0.1, 100), size=(64, 27))
+            fv = extract(FakeWindow(data))
+            for j in range(27):
+                omean, ostd = oracle_stats(list(data[:, j]))
+                assert fv.values[j] == pytest.approx(omean, rel=1e-9)
+                assert fv.values[27 + j] == pytest.approx(ostd, rel=1e-9,
+                                                          abs=1e-12)
 
 
 class TestPearson:
+    """The correlation features: the (x, y) pair of the first sensor is
+    feature 54, (x, z) 55 and (y, z) 56."""
+
+    @staticmethod
+    def window(x, y, z=None):
+        data = np.zeros((len(x), 27))
+        data[:, 0], data[:, 1] = x, y
+        if z is not None:
+            data[:, 2] = z
+        return FakeWindow(data)
+
     def test_self_correlation(self):
         x = np.array([1.0, 2.0, 5.0, 3.0])
-        assert pearson(x, x) == pytest.approx(1.0)
+        assert extract(self.window(x, x)).values[54] == pytest.approx(1.0)
 
     def test_anti_correlation(self):
         x = np.array([1.0, 2.0, 5.0, 3.0])
-        assert pearson(x, -x) == pytest.approx(-1.0)
+        assert extract(self.window(x, -x)).values[54] == pytest.approx(-1.0)
 
     def test_constant_is_zero(self):
-        assert pearson([2, 2, 2], [1, 5, 9]) == 0.0
+        values = extract(self.window([2, 2, 2], [1, 5, 9], [3, 1, 4])).values
+        assert values[54] == 0.0 and values[55] == 0.0
+        assert values[56] != 0.0
 
     def test_length_mismatch(self):
+        rng = np.random.default_rng(2)
         with pytest.raises(FeatureError):
-            pearson([1, 2], [1, 2, 3])
+            extract_stream([random_window(rng, 2), random_window(rng, 3)])
 
     def test_bounded(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            r = pearson(rng.normal(size=16), rng.normal(size=16))
-            assert -1.0 <= r <= 1.0
+            corrs = extract(random_window(rng, 16)).values[54:]
+            assert ((corrs >= -1.0) & (corrs <= 1.0)).all()
 
 
 class TestExtract:
@@ -163,13 +295,3 @@ def test_feature_names_align_with_values():
     assert FEATURE_NAMES[0].endswith("_mean")
     assert FEATURE_NAMES[27].endswith("_std")
     assert "corr" in FEATURE_NAMES[54]
-
-
-def test_csv_export(tmp_path):
-    rng = np.random.default_rng(9)
-    fvs = [extract(random_window(rng), i) for i in range(3)]
-    path = tmp_path / "features.csv"
-    write_features_csv(fvs, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].split(",")[4:] == FEATURE_NAMES
-    assert len(lines) == 4

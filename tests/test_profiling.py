@@ -1,10 +1,9 @@
-import numpy as np
 import pytest
 
+from harbench import profiling
 from harbench.ensemble import LearnerParams
 from harbench.profiling import (PowerModel, ProfilingError, TimingBreakdown,
                                 emit_energy_heatmap, estimate_energy,
-                                integrate_power_log, read_power_log,
                                 timed_run)
 from harbench.windowing import WindowConfig, classification_count
 
@@ -42,7 +41,6 @@ class TestPowerModel:
                         '"classification_watts": 1.5}')
         model = PowerModel.from_file(path)
         assert model.feature_watts == 2.0
-        assert model.idle_watts == 0.0
 
     def test_from_file_missing_key(self, tmp_path):
         path = tmp_path / "power.json"
@@ -81,57 +79,27 @@ class TestTimedRun:
     def test_accuracy_fields_consistent(self, run):
         assert 0 <= run.n_correct <= run.n_windows
 
+    def test_features_timed_one_extract_per_window(self, small_streams,
+                                                   small_spec, monkeypatch):
+        extract = profiling.extract
+        calls = []
+
+        def counting_extract(window, window_index=0):
+            calls.append(window_index)
+            return extract(window, window_index)
+
+        monkeypatch.setattr(profiling, "extract", counting_extract)
+        bd = timed_run(small_streams[:2], small_streams[2],
+                       WindowConfig(50, 0.5), params=FAST,
+                       valid_labels=small_spec.class_labels, repetitions=2)
+        assert bd.n_windows > 0
+        assert calls == list(range(bd.n_windows)) * 2
+
     def test_bad_repetitions(self, small_streams, small_spec):
         with pytest.raises(ProfilingError):
             timed_run(small_streams[:2], small_streams[2],
                       WindowConfig(50, 0.0), repetitions=0,
                       valid_labels=small_spec.class_labels)
-
-
-class TestPowerLog:
-    def write_log(self, tmp_path, rows):
-        path = tmp_path / "power.csv"
-        lines = ["timestamp_seconds,watts"] + [f"{t},{w}" for t, w in rows]
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
-    def test_read(self, tmp_path):
-        path = self.write_log(tmp_path, [(0.0, 1.0), (1.0, 2.0)])
-        ts, watts = read_power_log(path)
-        assert ts.tolist() == [0.0, 1.0]
-        assert watts.tolist() == [1.0, 2.0]
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "power.csv"
-        path.write_text("time,power\n0,1\n")
-        with pytest.raises(ProfilingError):
-            read_power_log(path)
-
-    def test_constant_log_integrates_exactly(self, tmp_path):
-        ts = np.linspace(0.0, 10.0, 101)
-        watts = np.full(101, 2.5)
-        # closed form: 2.5 W x 4 s = 10 J
-        joules = integrate_power_log(ts, watts, 3.0, 7.0)
-        assert joules == pytest.approx(10.0, rel=1e-2)
-
-    def test_linear_ramp_closed_form(self, tmp_path):
-        ts = np.linspace(0.0, 4.0, 401)
-        watts = 2.0 * ts  # integral over [1, 3] = t^2 | = 8
-        joules = integrate_power_log(ts, watts, 1.0, 3.0)
-        assert joules == pytest.approx(8.0, rel=1e-6)
-
-    def test_run_outside_log_coverage(self):
-        ts = np.array([1.0, 2.0])
-        watts = np.array([1.0, 1.0])
-        with pytest.raises(ProfilingError):
-            integrate_power_log(ts, watts, 0.5, 1.5)
-        with pytest.raises(ProfilingError):
-            integrate_power_log(ts, watts, 1.5, 2.5)
-
-    def test_negative_watts_rejected(self):
-        ts = np.array([0.0, 1.0])
-        with pytest.raises(ProfilingError):
-            integrate_power_log(ts, np.array([1.0, -1.0]), 0.0, 1.0)
 
 
 def test_energy_heatmap_csv(tmp_path):

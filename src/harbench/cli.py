@@ -162,7 +162,6 @@ def cmd_validate(args):
 def cmd_sweep(args):
     streams, classes = _load_streams(args)
     windows, overlaps = _parse_grid(args)
-    _ensure_out(args.out)
     results = evaluation.sweep(
         streams, windows, overlaps, _modes(args.mode), seed=args.seed,
         out_dir=args.out, params=_learner_params(args), purity=args.purity,
@@ -267,17 +266,13 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-def _add_common(parser, need_seed=False):
+def _add_common(parser):
     parser.add_argument("--data-dir", default=None,
                         help=f"PAMAP2 directory (default ${DATA_DIR_ENV})")
     parser.add_argument("--synthetic", default=None, metavar="SPEC_JSON",
                         help="synthetic spec file instead of PAMAP2")
     parser.add_argument("--purity", type=float, default=DEFAULT_PURITY,
                         help="minimum modal-label fraction to keep a window")
-    parser.add_argument("--seed", type=int, required=need_seed,
-                        default=None if need_seed else 0,
-                        help="namespace for sweep cell files; nothing random "
-                             "reads it")
     parser.add_argument("--k", type=int, default=5, help="kNN neighbors")
     parser.add_argument("--knn-capacity", type=int, default=5000)
     parser.add_argument("--delta", type=float, default=1e-7,
@@ -310,8 +305,11 @@ def build_parser():
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep", help="run the full evaluation grid")
-    _add_common(p, need_seed=True)
+    _add_common(p)
     _add_grid(p)
+    p.add_argument("--seed", type=int, required=True,
+                   help="namespace for the cell files; nothing random "
+                        "reads it")
     p.add_argument("--mode", choices=["sup", "semi", "both"], default="both")
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)

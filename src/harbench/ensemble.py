@@ -16,16 +16,15 @@ import copy
 import csv
 import hashlib
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .features import N_FEATURES
 from .learners import (GaussianNbClassifier, HoeffdingTreeClassifier,
-                       KnnClassifier, LearnerError, _check_distribution)
+                       KnnClassifier, _check_distribution)
 
 MODES = ("supervised_frozen", "semi_supervised")
-CONFIDENCE_BUCKETS = 20
 
 
 class EnsembleError(Exception):
@@ -47,7 +46,6 @@ class LearnerParams:
     vfdt_delta: float = 1e-7
     vfdt_tie_threshold: float = 0.05
     vfdt_grace_period: int = 200
-    vfdt_max_depth: int | None = None
     confidence_threshold: float = 0.99
 
 
@@ -75,11 +73,9 @@ class Ensemble:
             HoeffdingTreeClassifier(classes, n_features,
                                     delta=params.vfdt_delta,
                                     tie_threshold=params.vfdt_tie_threshold,
-                                    grace_period=params.vfdt_grace_period,
-                                    max_depth=params.vfdt_max_depth),
+                                    grace_period=params.vfdt_grace_period),
         ]
         self.self_updates = 0
-        self.confidence_histogram = [0] * CONFIDENCE_BUCKETS
         self._trained = False
 
     def clone(self):
@@ -125,9 +121,6 @@ class Ensemble:
 
     def self_update(self, fv, prediction) -> bool:
         """Train the predicted label back in iff confidence beats the gate."""
-        bucket = min(CONFIDENCE_BUCKETS - 1,
-                     int(prediction.confidence * CONFIDENCE_BUCKETS))
-        self.confidence_histogram[bucket] += 1
         if prediction.confidence <= self.confidence_threshold:
             return False
         for member in self.members:

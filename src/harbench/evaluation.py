@@ -16,7 +16,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -50,18 +52,22 @@ class FoldResult:
     window_size: int
     overlap: float
     mode: str
-    n_windows: int
-    n_correct: int
     per_activity_windows: dict  # activity -> window count
     per_activity_correct: dict
     self_updates: int = 0
-    empty: bool = False  # no test windows at this configuration
+
+    @property
+    def n_windows(self):
+        return sum(self.per_activity_windows.values())
+
+    @property
+    def n_correct(self):
+        return sum(self.per_activity_correct.values())
 
     @property
     def accuracy(self):
-        if self.empty or self.n_windows == 0:
-            return None
-        return self.n_correct / self.n_windows
+        n = self.n_windows
+        return self.n_correct / n if n else None
 
     def per_activity_accuracy(self):
         return {a: (self.per_activity_correct[a] / n if n else None)
@@ -100,38 +106,34 @@ def pipeline_instances(stream, config, purity=DEFAULT_PURITY,
 
 def classify(train_instances, test_instances, mode, params=None,
              valid_labels=PROTOCOL_ACTIVITIES):
-    """(predictions, audit, ns) of a fresh ensemble run online on the test
-    instances; it is trained, untimed, only when there are any."""
+    """(audit, ns) of a fresh ensemble run online on the test instances; it
+    is trained, untimed, only when there are any."""
     model = Ensemble(valid_labels, n_features=N_FEATURES, params=params)
     if not test_instances:  # built first, so bad params fail on any data
-        return [], [], 0
+        return [], 0
     model.train_offline(train_instances)
     t0 = time.perf_counter_ns()
-    predictions, audit = model.run_online(test_instances, mode)
-    return predictions, audit, time.perf_counter_ns() - t0
+    _, audit = model.run_online(test_instances, mode)
+    return audit, time.perf_counter_ns() - t0
 
 
 def score_fold(tables, fold, config, mode, params=None,
                valid_labels=PROTOCOL_ACTIVITIES):
-    """(FoldResult, audit) of one cell; tables: user -> pipeline_instances."""
+    """(FoldResult, audit) of one cell; tables: user -> pipeline_instances.
+    Every count comes from the audit records."""
     train_instances = [fv for user in fold.train_users for fv in tables[user]]
     if any(fv.user_id == fold.test_user for fv in train_instances):
         raise EvaluationError("test-user instance in training data")
-    instances = tables[fold.test_user]
-    predictions, audit, _ = classify(train_instances, instances, mode, params,
-                                     valid_labels)
-    result = FoldResult(user=fold.test_user, window_size=config.window_size,
-                        overlap=config.overlap, mode=mode,
-                        n_windows=len(instances), n_correct=0,
-                        per_activity_windows={a: 0 for a in valid_labels},
-                        per_activity_correct={a: 0 for a in valid_labels},
-                        self_updates=sum(rec.updated for rec in audit),
-                        empty=not instances)
-    for fv, pred in zip(instances, predictions):
-        result.per_activity_windows[fv.label] += 1
-        if pred.label == fv.label:
-            result.n_correct += 1
-            result.per_activity_correct[fv.label] += 1
+    audit, _ = classify(train_instances, tables[fold.test_user], mode, params,
+                        valid_labels)
+    windows = dict.fromkeys(valid_labels, 0)
+    correct = dict.fromkeys(valid_labels, 0)
+    for rec in audit:
+        windows[rec.true_label] += 1
+        correct[rec.true_label] += rec.predicted_label == rec.true_label
+    result = FoldResult(fold.test_user, config.window_size, config.overlap,
+                        mode, windows, correct,
+                        self_updates=sum(rec.updated for rec in audit))
     return result, audit
 
 
@@ -151,47 +153,42 @@ def evaluate_fold(streams_by_user, fold, config, mode,
 # Sweep with per-cell persistence
 
 
-def _cell_name(user, window_size, overlap, mode, params, purity,
-               valid_labels, stream_digests, seed):
-    """File name keyed by a sha256 of everything the cell's result depends on."""
-    key = {"user": user, "window_size": window_size, "overlap": repr(overlap),
-           "mode": mode, "params": asdict(params or LearnerParams()),
-           "purity": repr(purity), "labels": list(valid_labels),
-           "streams": stream_digests, "seed": seed}
+def _cell_name(key):
+    """File name of a cell: the sha256 of its key."""
     payload = json.dumps(key, sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest() + ".json"
 
 
-def _load_cell(path, user, window_size, overlap, mode):
-    """The persisted result of this cell, or None to compute it.
+def _load_cell(path, key):
+    """The persisted result of the cell with this key, or None to compute it.
 
-    A file that does not load as a FoldResult, or that holds another cell,
-    is reported on stderr and recomputed.
+    A file that does not load as {"key", "result"}, or whose stored key is
+    not this key, is reported on stderr and recomputed.
     """
     try:
         with open(path) as fh:
-            result = FoldResult.from_dict(json.load(fh))
+            cell = json.load(fh)
+        stored, result = cell["key"], FoldResult.from_dict(cell["result"])
     except FileNotFoundError:
         return None
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         print(f"warning: recomputing unreadable cell {path}: {exc!r}",
               file=sys.stderr)
         return None
-    found = (result.user, result.window_size, result.overlap, result.mode)
-    if found != (user, window_size, overlap, mode):
-        print(f"warning: recomputing cell {path}: it holds {found}",
-              file=sys.stderr)
+    if stored != key:
+        print(f"warning: recomputing cell {path}: it was written for "
+              f"another configuration", file=sys.stderr)
         return None
     return result
 
 
 def _point_cells(streams, config, cells, params, purity, valid_labels):
-    """Featurize every user once, then yield each cell's (path, result)."""
+    """Featurize every user once, then yield (path, key, result) per cell."""
     tables = {s.user_id: pipeline_instances(s, config, purity, valid_labels)
               for s in streams}
-    for path, fold, mode in cells:
-        yield path, score_fold(tables, fold, config, mode, params,
-                               valid_labels)[0]
+    for path, key, fold, mode in cells:
+        yield path, key, score_fold(tables, fold, config, mode, params,
+                                    valid_labels)[0]
 
 
 def _score_point(args):
@@ -204,17 +201,20 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
           progress=None):
     """Evaluate the full (user x window x overlap x mode) grid.
 
-    Completed cells live in out_dir/cells/, one file per full cell
-    configuration, and are skipped on resume. Deterministic given the
-    inputs: any worker count writes the same bytes. Nothing random reads
-    the seed; it only namespaces the cell files.
+    Completed cells live in out_dir/cells/, one file per cell key (everything
+    the cell's result depends on), and are skipped on resume. Deterministic
+    given the inputs: any worker count writes the same bytes. Nothing random
+    reads the seed; it only namespaces the cell files.
     """
     if workers < 1:
         raise EvaluationError(f"workers must be >= 1, got {workers}")
+    Ensemble(valid_labels, params=params)  # bad params fail before any write
     folds = {f.test_user: f for f in louo_split(streams)}
-    stream_digests = sorted(
-        [s.user_id, hashlib.sha256(s.values).hexdigest()]
-        for s in streams)
+    base = {"params": asdict(params or LearnerParams()),
+            "purity": repr(purity), "labels": list(valid_labels),
+            "streams": sorted([s.user_id, hashlib.sha256(s.values).hexdigest()]
+                              for s in streams),
+            "seed": seed}
     cell_dir = os.path.join(out_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)
 
@@ -225,37 +225,31 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
             cells = []
             for user in sorted(folds):
                 for mode in modes:
-                    path = os.path.join(cell_dir, _cell_name(
-                        user, w, o, mode, params, purity, valid_labels,
-                        stream_digests, seed))
-                    done = _load_cell(path, user, w, o, mode) if resume \
-                        else None
+                    key = dict(base, user=user, window_size=w,
+                               overlap=repr(o), mode=mode)
+                    path = os.path.join(cell_dir, _cell_name(key))
+                    done = _load_cell(path, key) if resume else None
                     if done is None:
-                        cells.append((path, folds[user], mode))
+                        cells.append((path, key, folds[user], mode))
                     else:
                         results.append(done)
             if cells:
                 points.append((streams, WindowConfig(w, o), cells, params,
                                purity, valid_labels))
 
-    def finish(path, result):
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(result.to_dict(), fh, sort_keys=True)
-        os.replace(tmp, path)
-        results.append(result)
-        if progress:
-            progress(result)
-
-    if workers > 1 and points:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for scored in pool.map(_score_point, points):
-                for path, result in scored:
-                    finish(path, result)
-    else:
-        for point in points:
-            for path, result in _point_cells(*point):
-                finish(path, result)
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    with pool or nullcontext():  # in-process, each cell comes as it is scored
+        for cells in (pool.map(_score_point, points) if pool
+                      else starmap(_point_cells, points)):
+            for path, key, result in cells:
+                tmp = path + ".tmp"
+                with open(tmp, "w") as fh:
+                    json.dump({"key": key, "result": result.to_dict()}, fh,
+                              sort_keys=True)
+                os.replace(tmp, path)
+                results.append(result)
+                if progress:
+                    progress(result)
 
     results.sort(key=lambda r: (r.user, r.window_size, r.overlap, r.mode))
     return results

@@ -192,12 +192,10 @@ def _left_counts(leaf, features, present, thresholds):
 
 
 class _Node:
-    __slots__ = ("depth", "counts", "mean", "m2", "fmin", "fmax",
-                 "n_since_eval", "feature", "threshold", "left", "right",
-                 "n_at_split")
+    __slots__ = ("counts", "mean", "m2", "fmin", "fmax", "n_since_eval",
+                 "feature", "threshold", "left", "right")
 
-    def __init__(self, n_classes, n_features, depth):
-        self.depth = depth
+    def __init__(self, n_classes, n_features):
         self.counts = np.zeros(n_classes)
         self.mean = np.zeros((n_classes, n_features))
         self.m2 = np.zeros((n_classes, n_features))
@@ -208,7 +206,6 @@ class _Node:
         self.threshold = None
         self.left = None
         self.right = None
-        self.n_at_split = 0
 
     @property
     def is_leaf(self):
@@ -226,7 +223,7 @@ class HoeffdingTreeClassifier:
     """
 
     def __init__(self, classes, n_features, delta=1e-7, tie_threshold=0.05,
-                 grace_period=200, n_candidate_thresholds=10, max_depth=None):
+                 grace_period=200, n_candidate_thresholds=10):
         if not 0.0 < delta < 1.0:
             raise LearnerError(f"delta must be in (0, 1), got {delta}")
         if grace_period < 1 or n_candidate_thresholds < 1:
@@ -237,10 +234,9 @@ class HoeffdingTreeClassifier:
         self.tie_threshold = tie_threshold
         self.grace_period = grace_period
         self.n_candidate_thresholds = n_candidate_thresholds
-        self.max_depth = max_depth
         self.value_range = math.log2(max(2, len(self.classes)))
         self._class_index = {c: i for i, c in enumerate(self.classes)}
-        self.root = _Node(len(self.classes), n_features, depth=0)
+        self.root = _Node(len(self.classes), n_features)
         self.n_trained = 0
         self.n_splits = 0
 
@@ -285,8 +281,6 @@ class HoeffdingTreeClassifier:
     def _attempt_split(self, leaf):
         if np.count_nonzero(leaf.counts) < 2:
             return
-        if self.max_depth is not None and leaf.depth >= self.max_depth:
-            return
         best = second = (0.0, None, None)  # (gain, feature, threshold)
         for f, gain, threshold in zip(*self._split_candidates(leaf)):
             if gain > best[0]:
@@ -303,9 +297,8 @@ class HoeffdingTreeClassifier:
     def _split(self, leaf, feature, threshold):
         leaf.feature = feature
         leaf.threshold = threshold
-        leaf.n_at_split = int(leaf.counts.sum())
-        leaf.left = _Node(len(self.classes), self.n_features, leaf.depth + 1)
-        leaf.right = _Node(len(self.classes), self.n_features, leaf.depth + 1)
+        leaf.left = _Node(len(self.classes), self.n_features)
+        leaf.right = _Node(len(self.classes), self.n_features)
         # drop sufficient statistics now owned by the children
         leaf.counts = np.zeros(len(self.classes))
         leaf.mean = leaf.mean[:0]
@@ -327,16 +320,3 @@ class HoeffdingTreeClassifier:
             else:
                 stack.extend([node.left, node.right])
         return out
-
-    def instance_accounting(self):
-        """(instances held at leaves, instances absorbed by split nodes)."""
-        at_leaves = absorbed = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                at_leaves += int(node.counts.sum())
-            else:
-                absorbed += node.n_at_split
-                stack.extend([node.left, node.right])
-        return at_leaves, absorbed

@@ -22,7 +22,6 @@ from .dataset import PROTOCOL_ACTIVITIES
 from .features import extract
 from .windowing import DEFAULT_PURITY, labeled_windows
 
-PHASES = ("sampling", "features", "classification")
 _TIMER_RESOLUTION_WARN_NS = 1000  # warn above 1 us
 
 
@@ -108,19 +107,18 @@ def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
         t1 = time.perf_counter_ns()
         instances = [extract(w, i) for i, w in enumerate(windows)]
         t2 = time.perf_counter_ns()
-        predictions, _, classification_ns = evaluation.classify(
+        audit, classification_ns = evaluation.classify(
             train_instances, instances, mode, params, valid_labels)
         reps.append((t1 - t0, t2 - t1, classification_ns))
     return TimingBreakdown(
         sampling_ns=int(statistics.median(r[0] for r in reps)),
         feature_ns=int(statistics.median(r[1] for r in reps)),
         classification_ns=int(statistics.median(r[2] for r in reps)),
-        n_windows=len(instances),
+        n_windows=len(audit),
         window_size=config.window_size,
         overlap=config.overlap,
         repetitions=repetitions,
-        n_correct=sum(1 for fv, p in zip(instances, predictions)
-                      if p.label == fv.label),
+        n_correct=sum(rec.predicted_label == rec.true_label for rec in audit),
         per_rep_total_ns=[sum(r) for r in reps],
         warnings=warnings)
 

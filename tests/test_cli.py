@@ -40,6 +40,16 @@ class TestParser:
             run(["sweep", "--no-such-flag"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--user", "2", "--window", "50", "--overlap", "0.0"],
+        ["profile", "--out", "out"]], ids=["eval", "profile"])
+    def test_seed_only_on_sweep(self, capsys, spec_file, argv):
+        # nothing in eval or profile reads a seed, so they take none
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--synthetic", spec_file, "--seed", "0"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             run([])
@@ -182,6 +192,15 @@ class TestSweepCommand:
         assert code == cli.EXIT_BAD_GRID
         assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "cells").exists()
+
+    @pytest.mark.parametrize("flags", [["--k", "0"], ["--workers", "0"]],
+                             ids=["k0", "workers0"])
+    def test_rejected_sweep_leaves_no_out_dir(self, capsys, spec_file,
+                                              tmp_path, flags):
+        code = run(self.sweep_args(spec_file, tmp_path / "new") + flags)
+        assert code == cli.EXIT_BAD_GRID
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "new").exists()
 
     def test_unwritable_out_exits_four(self, capsys, spec_file, tmp_path):
         blocker = tmp_path / "file"

@@ -48,7 +48,6 @@ class TestLouoSplit:
 class TestFoldResult:
     def make(self, **kw):
         base = dict(user=1, window_size=100, overlap=0.5, mode="supervised_frozen",
-                    n_windows=10, n_correct=7,
                     per_activity_windows={1: 6, 2: 4},
                     per_activity_correct={1: 5, 2: 2})
         base.update(kw)
@@ -58,8 +57,7 @@ class TestFoldResult:
         assert self.make().accuracy == 0.7
 
     def test_empty_accuracy_is_none(self):
-        r = self.make(n_windows=0, n_correct=0, empty=True,
-                      per_activity_windows={}, per_activity_correct={})
+        r = self.make(per_activity_windows={}, per_activity_correct={})
         assert r.accuracy is None
 
     def test_dict_round_trip_restores_int_keys(self):
@@ -105,7 +103,7 @@ class TestEvaluateFold:
                                fold_for(small_streams, 1),
                                WindowConfig(10_000, 0.0), "supervised_frozen",
                                params=FAST, valid_labels=small_spec.class_labels)
-        assert result.empty and result.accuracy is None
+        assert result.n_windows == 0 and result.accuracy is None
 
     def test_matches_manual_pipeline(self, small_streams, small_spec):
         # the fold's test instances are exactly the test user's pipeline output
@@ -195,8 +193,7 @@ class TestSweep:
         first = sweep(small_streams, windows, [0.0], self.MODES, seed=0,
                       out_dir=str(tmp_path), params=FAST, valid_labels=labels)
         # drop half of the (50, 0.0) point's cells, then resume it
-        files = {_cell_key(FoldResult.from_dict(json.loads(p.read_text()))): p
-                 for p in (tmp_path / "cells").iterdir()}
+        files = _cell_files(tmp_path)
         dropped = [r for r in first if r.window_size == 50][::2]
         for r in dropped:
             files[_cell_key(r)].unlink()
@@ -212,7 +209,8 @@ class TestSweep:
                                      WindowConfig(r.window_size, r.overlap),
                                      r.mode, params=FAST, valid_labels=labels)
             assert r == expected
-        assert all(r.empty for r in results if r.window_size == 10_000)
+        assert all(r.n_windows == 0 for r in results
+                   if r.window_size == 10_000)
 
     def test_featurizes_each_user_once_per_point(self, small_streams,
                                                  small_spec, tmp_path,
@@ -256,6 +254,49 @@ class TestSweep:
             assert (bad / "cells" / path.name).read_bytes() == \
                 path.read_bytes()
 
+    def test_resume_recomputes_cell_of_other_params(self, small_streams,
+                                                    small_spec, tmp_path,
+                                                    capsys):
+        labels = small_spec.class_labels
+        mine, theirs = tmp_path / "mine", tmp_path / "theirs"
+        first = self.run(small_streams, labels, mine)
+        other = sweep(small_streams, self.WINDOWS, self.OVERLAPS, self.MODES,
+                      seed=0, out_dir=str(theirs), valid_labels=labels,
+                      params=LearnerParams(knn_capacity=500,
+                                           vfdt_grace_period=50,
+                                           confidence_threshold=0.5))
+        cell = next(_cell_key(a) for a, b in zip(first, other) if a != b)
+        # a cell run at another gate, copied under the name of this one
+        _cell_files(mine)[cell].write_bytes(
+            _cell_files(theirs)[cell].read_bytes())
+        capsys.readouterr()
+        recomputed = []
+        again = self.run(small_streams, labels, mine, resume=True,
+                         progress=recomputed.append)
+        assert [_cell_key(r) for r in recomputed] == [cell]
+        assert again == first
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1 and warnings[0].startswith("warning: ")
+
+    def test_resume_recomputes_bare_result_cell(self, small_streams,
+                                                small_spec, tmp_path, capsys):
+        labels = small_spec.class_labels
+        first = self.run(small_streams, labels, tmp_path)
+        path = sorted((tmp_path / "cells").iterdir())[0]
+        fresh = path.read_bytes()
+        r = FoldResult.from_dict(json.loads(fresh)["result"])
+        # the earlier format: the result alone, with its totals
+        path.write_text(json.dumps(dict(r.to_dict(), n_windows=r.n_windows,
+                                        n_correct=r.n_correct, empty=False)))
+        capsys.readouterr()
+        recomputed = []
+        again = self.run(small_streams, labels, tmp_path, resume=True,
+                         progress=recomputed.append)
+        assert recomputed == [r]
+        assert again == first
+        assert path.read_bytes() == fresh
+        assert capsys.readouterr().err.startswith("warning: ")
+
     def test_rerun_reports_byte_identical(self, small_streams, small_spec,
                                           tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -271,12 +312,17 @@ def _cell_key(r):
     return (r.user, r.window_size, r.overlap, r.mode)
 
 
+def _cell_files(out):
+    """(user, W, o, mode) -> path of each cell file under out/cells."""
+    cells = {p: json.loads(p.read_text())["result"]
+             for p in (out / "cells").iterdir()}
+    return {_cell_key(FoldResult.from_dict(r)): p for p, r in cells.items()}
+
+
 def result_cell(user, w, o, mode, n, correct):
     return FoldResult(user=user, window_size=w, overlap=o, mode=mode,
-                      n_windows=n, n_correct=correct,
                       per_activity_windows={1: n},
-                      per_activity_correct={1: correct},
-                      empty=n == 0)
+                      per_activity_correct={1: correct})
 
 
 class TestEmitReports:

@@ -213,15 +213,6 @@ class TestHoeffdingTree:
                            + right.sum() * _entropy(right)) / parent.sum()
         assert gain == pytest.approx(h_parent)
 
-    def test_leaf_instance_accounting(self):
-        rng = np.random.default_rng(6)
-        X, y = separable_stream(rng, 3000)
-        tree = HoeffdingTreeClassifier(classes=(0, 1), n_features=5)
-        for x, label in zip(X, y):
-            tree.train(x, int(label))
-        at_leaves, absorbed = tree.instance_accounting()
-        assert at_leaves + absorbed == tree.n_trained
-
     def test_predictions_are_distributions(self):
         rng = np.random.default_rng(7)
         tree = HoeffdingTreeClassifier(classes=(0, 1, 2), n_features=4,
@@ -230,15 +221,6 @@ class TestHoeffdingTree:
             x = rng.normal(size=4)
             tree.train(x, int(rng.integers(0, 3)))
             assert_valid_distribution(tree.predict(x))
-
-    def test_max_depth_limits_growth(self):
-        rng = np.random.default_rng(8)
-        tree = HoeffdingTreeClassifier(classes=(0, 1), n_features=2,
-                                       grace_period=20, max_depth=1)
-        for _ in range(5000):
-            x = rng.normal(size=2)
-            tree.train(x, int(x[0] > 0) if x[1] > 0 else int(x[0] < 0))
-        assert all(leaf.depth <= 1 for leaf in tree.leaves())
 
     @pytest.mark.parametrize("kw", [{"delta": 0.0}, {"delta": 1.0},
                                     {"delta": float("nan")},

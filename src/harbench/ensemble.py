@@ -61,16 +61,15 @@ class AuditRecord:
 class Ensemble:
     """Three-member ensemble with confidence-gated self-training."""
 
-    def __init__(self, classes, n_features=N_FEATURES, params=None):
+    def __init__(self, classes, params=None):
         params = params or LearnerParams()
         self.classes = tuple(classes)
-        self.params = params
         self.confidence_threshold = params.confidence_threshold
         self.members = [
-            KnnClassifier(classes, n_features, k=params.k,
+            KnnClassifier(classes, N_FEATURES, k=params.k,
                           capacity=params.knn_capacity),
-            GaussianNbClassifier(classes, n_features),
-            HoeffdingTreeClassifier(classes, n_features,
+            GaussianNbClassifier(classes, N_FEATURES),
+            HoeffdingTreeClassifier(classes, N_FEATURES,
                                     delta=params.vfdt_delta,
                                     tie_threshold=params.vfdt_tie_threshold,
                                     grace_period=params.vfdt_grace_period),
@@ -87,18 +86,15 @@ class Ensemble:
             [(m.__class__.__name__, m.__dict__) for m in self.members])
         return hashlib.sha256(payload).hexdigest()
 
-    def train_instance(self, fv):
-        for member in self.members:
-            member.train(fv.values, fv.label)
-        self._trained = True
-
     def train_offline(self, instances):
         """Fit all members on labeled instances, in stream order."""
         instances = list(instances)
         if not instances:
             raise EnsembleError("empty training set")
         for fv in instances:
-            self.train_instance(fv)
+            for member in self.members:
+                member.train(fv.values, fv.label)
+        self._trained = True
         return self
 
     def classify(self, fv) -> Prediction:

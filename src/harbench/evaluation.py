@@ -14,18 +14,18 @@ import hashlib
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from itertools import starmap
+from itertools import groupby, starmap
 
 import numpy as np
 
 from .dataset import PROTOCOL_ACTIVITIES
-from .ensemble import Ensemble, LearnerParams
-from .features import N_FEATURES, extract_stream
-from .windowing import DEFAULT_PURITY, WindowConfig, labeled_windows
+from .ensemble import MODES, Ensemble, LearnerParams
+from .features import extract_stream
+from .windowing import (DEFAULT_PURITY, WindowConfig, check_purity,
+                        labeled_windows)
 
 STUDY_WINDOWS = tuple(range(100, 1001, 100))
 STUDY_OVERLAPS = tuple(round(0.1 * i, 1) for i in range(10))
@@ -44,6 +44,8 @@ class Fold:
     def __post_init__(self):
         if self.test_user in self.train_users:
             raise EvaluationError("test user leaked into training set")
+        if len(set(self.train_users)) < len(self.train_users):
+            raise EvaluationError(f"duplicate training users {self.train_users}")
 
 
 @dataclass
@@ -79,10 +81,8 @@ class FoldResult:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        d["per_activity_windows"] = {int(k): v for k, v
-                                     in d["per_activity_windows"].items()}
-        d["per_activity_correct"] = {int(k): v for k, v
-                                     in d["per_activity_correct"].items()}
+        for name in ("per_activity_windows", "per_activity_correct"):
+            d[name] = {int(k): v for k, v in d[name].items()}
         return cls(**d)
 
 
@@ -104,28 +104,24 @@ def pipeline_instances(stream, config, purity=DEFAULT_PURITY,
     return extract_stream(labeled_windows(stream, config, purity, valid_labels))
 
 
-def classify(train_instances, test_instances, mode, params=None,
-             valid_labels=PROTOCOL_ACTIVITIES):
-    """(audit, ns) of a fresh ensemble run online on the test instances; it
-    is trained, untimed, only when there are any."""
-    model = Ensemble(valid_labels, n_features=N_FEATURES, params=params)
-    if not test_instances:  # built first, so bad params fail on any data
-        return [], 0
-    model.train_offline(train_instances)
-    t0 = time.perf_counter_ns()
-    _, audit = model.run_online(test_instances, mode)
-    return audit, time.perf_counter_ns() - t0
-
-
-def score_fold(tables, fold, config, mode, params=None,
-               valid_labels=PROTOCOL_ACTIVITIES):
-    """(FoldResult, audit) of one cell; tables: user -> pipeline_instances.
-    Every count comes from the audit records."""
+def fold_model(tables, fold, params=None, valid_labels=PROTOCOL_ACTIVITIES):
+    """The fold's ensemble, trained offline on its training users' instances
+    only when the test user has any; tables: user -> pipeline_instances.
+    Built first, so bad params fail on any data."""
+    model = Ensemble(valid_labels, params=params)
     train_instances = [fv for user in fold.train_users for fv in tables[user]]
     if any(fv.user_id == fold.test_user for fv in train_instances):
         raise EvaluationError("test-user instance in training data")
-    audit, _ = classify(train_instances, tables[fold.test_user], mode, params,
-                        valid_labels)
+    if tables[fold.test_user]:
+        model.train_offline(train_instances)
+    return model
+
+
+def score_fold(model, tables, fold, config, mode,
+               valid_labels=PROTOCOL_ACTIVITIES):
+    """(FoldResult, audit) of one cell: the fold's model run online on the
+    test user's instances. Every count comes from the audit records."""
+    _, audit = model.run_online(tables[fold.test_user], mode)
     windows = dict.fromkeys(valid_labels, 0)
     correct = dict.fromkeys(valid_labels, 0)
     for rec in audit:
@@ -144,8 +140,8 @@ def evaluate_fold(streams_by_user, fold, config, mode,
     tables = {user: pipeline_instances(streams_by_user[user], config, purity,
                                        valid_labels)
               for user in (*fold.train_users, fold.test_user)}
-    result, audit = score_fold(tables, fold, config, mode, params,
-                               valid_labels)
+    model = fold_model(tables, fold, params, valid_labels)
+    result, audit = score_fold(model, tables, fold, config, mode, valid_labels)
     return (result, audit) if return_audit else result
 
 
@@ -183,12 +179,16 @@ def _load_cell(path, key):
 
 
 def _point_cells(streams, config, cells, params, purity, valid_labels):
-    """Featurize every user once, then yield (path, key, result) per cell."""
+    """Featurize every user once, then yield (path, key, result) per cell.
+    A fold's cells come together, frozen first, so its model is trained once
+    and serves both modes: a frozen run leaves it unchanged."""
     tables = {s.user_id: pipeline_instances(s, config, purity, valid_labels)
               for s in streams}
-    for path, key, fold, mode in cells:
-        yield path, key, score_fold(tables, fold, config, mode, params,
-                                    valid_labels)[0]
+    for fold, fold_cells in groupby(cells, key=lambda cell: cell[2]):
+        model = fold_model(tables, fold, params, valid_labels)
+        for path, key, _, mode in fold_cells:
+            yield path, key, score_fold(model, tables, fold, config, mode,
+                                        valid_labels)[0]
 
 
 def _score_point(args):
@@ -208,7 +208,11 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
     """
     if workers < 1:
         raise EvaluationError(f"workers must be >= 1, got {workers}")
+    ordered = [m for m in MODES if m in modes]  # frozen first: _point_cells
+    if len(ordered) != len(modes):
+        raise EvaluationError(f"modes must be distinct, of {MODES}: {modes}")
     Ensemble(valid_labels, params=params)  # bad params fail before any write
+    check_purity(purity)
     folds = {f.test_user: f for f in louo_split(streams)}
     base = {"params": asdict(params or LearnerParams()),
             "purity": repr(purity), "labels": list(valid_labels),
@@ -224,7 +228,7 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
         for o in overlaps:
             cells = []
             for user in sorted(folds):
-                for mode in modes:
+                for mode in ordered:
                     key = dict(base, user=user, window_size=w,
                                overlap=repr(o), mode=mode)
                     path = os.path.join(cell_dir, _cell_name(key))
@@ -291,23 +295,15 @@ def emit_reports(results, out_dir, include_single_activity_user=False,
     windows = sorted({r.window_size for r in results})
     overlaps = sorted({r.overlap for r in results})
     cells = {(r.user, r.mode, r.window_size, r.overlap): r for r in results}
-    for user in sorted({r.user for r in results}):
-        for mode in sorted({r.mode for r in results}):
-            rows = [["window_size"] + [f"o={o}" for o in overlaps]]
-            any_cell = False
-            for w in windows:
-                row = [w]
-                for o in overlaps:
-                    r = cells.get((user, mode, w, o))
-                    row.append(_fmt(r.accuracy if r else None))
-                    any_cell = any_cell or r is not None
-                rows.append(row)
-            if not any_cell:
-                continue
-            path = os.path.join(out_dir, f"heatmap_user{user}_{mode}.csv")
-            with open(path, "w", newline="") as fh:
-                csv.writer(fh).writerows(rows)
-            written.append(path)
+    for user, mode in sorted({(r.user, r.mode) for r in results}):
+        rows = [["window_size"] + [f"o={o}" for o in overlaps]]
+        for w in windows:
+            row = [cells.get((user, mode, w, o)) for o in overlaps]
+            rows.append([w] + [_fmt(r.accuracy if r else None) for r in row])
+        path = os.path.join(out_dir, f"heatmap_user{user}_{mode}.csv")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        written.append(path)
 
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w", newline="") as fh:

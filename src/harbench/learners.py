@@ -153,6 +153,8 @@ class GaussianNbClassifier:
 # ---------------------------------------------------------------------------
 # Hoeffding tree (VFDT)
 
+N_CANDIDATE_THRESHOLDS = 10  # evenly spaced inside a feature's range per leaf
+
 
 def hoeffding_bound(value_range, delta, n):
     """Deviation bound sqrt(R^2 * ln(1/delta) / (2n))."""
@@ -223,17 +225,16 @@ class HoeffdingTreeClassifier:
     """
 
     def __init__(self, classes, n_features, delta=1e-7, tie_threshold=0.05,
-                 grace_period=200, n_candidate_thresholds=10):
+                 grace_period=200):
         if not 0.0 < delta < 1.0:
             raise LearnerError(f"delta must be in (0, 1), got {delta}")
-        if grace_period < 1 or n_candidate_thresholds < 1:
-            raise LearnerError("grace_period and n_candidate_thresholds must be >= 1")
+        if grace_period < 1:
+            raise LearnerError(f"grace_period must be >= 1, got {grace_period}")
         self.classes = tuple(classes)
         self.n_features = n_features
         self.delta = delta
         self.tie_threshold = tie_threshold
         self.grace_period = grace_period
-        self.n_candidate_thresholds = n_candidate_thresholds
         self.value_range = math.log2(max(2, len(self.classes)))
         self._class_index = {c: i for i, c in enumerate(self.classes)}
         self.root = _Node(len(self.classes), n_features)
@@ -267,7 +268,7 @@ class HoeffdingTreeClassifier:
         features = np.flatnonzero(leaf.fmax > leaf.fmin)
         present = np.flatnonzero(leaf.counts > 0)
         thresholds = np.linspace(leaf.fmin[features], leaf.fmax[features],
-                                 self.n_candidate_thresholds + 2, axis=1)[:, 1:-1]
+                                 N_CANDIDATE_THRESHOLDS + 2, axis=1)[:, 1:-1]
         left = np.zeros(thresholds.shape + leaf.counts.shape)
         left[..., present] = _left_counts(leaf, features, present, thresholds)
         right = leaf.counts - left

@@ -3,10 +3,9 @@
 Mirrors the three-phase breakdown used in the accuracy/energy trade-off
 study: sampling (window instantiation), feature extraction and
 classification. Features are timed one `extract` call per window, as a
-device featurizes each window when it closes. Classification is
-evaluation.classify, the same step that scores every evaluation cell.
-Energy comes from a constant watts-per-phase model. Profiling must run
-single-threaded; do not overlap it with parallel sweep jobs.
+device featurizes each window when it closes; classification is the online
+run of the fold's model. Energy comes from a constant watts-per-phase model.
+Profiling must run single-threaded; do not overlap it with parallel sweeps.
 """
 
 from __future__ import annotations
@@ -84,16 +83,16 @@ def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
     """Median per-phase times of one pass over the test stream.
 
     Each repetition times labeled_windows (sampling), one extract call per
-    window (features) and the online run of evaluation.classify
-    (classification).
-    Offline training is rebuilt per repetition but not timed.
+    window (features) and run_online (classification) on an untimed clone of
+    the model evaluation.fold_model trains once, untimed. Training streams
+    of the test user, or two of one user, raise EvaluationError.
     """
     if repetitions < 1:
         raise ProfilingError("repetitions must be >= 1")
-    train_instances = []
-    for stream in train_streams:
-        train_instances.extend(evaluation.pipeline_instances(
-            stream, config, purity, valid_labels))
+    fold = evaluation.Fold(test_stream.user_id,
+                           tuple(s.user_id for s in train_streams))
+    tables = {s.user_id: evaluation.pipeline_instances(
+        s, config, purity, valid_labels) for s in train_streams}
 
     warnings = []
     res = time.get_clock_info("perf_counter").resolution
@@ -101,15 +100,19 @@ def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
         warnings.append(f"timer resolution {res}s is coarser than 1us")
 
     reps = []
-    for _ in range(repetitions):
+    for rep in range(repetitions):
         t0 = time.perf_counter_ns()
         windows = labeled_windows(test_stream, config, purity, valid_labels)
         t1 = time.perf_counter_ns()
         instances = [extract(w, i) for i, w in enumerate(windows)]
         t2 = time.perf_counter_ns()
-        audit, classification_ns = evaluation.classify(
-            train_instances, instances, mode, params, valid_labels)
-        reps.append((t1 - t0, t2 - t1, classification_ns))
+        if rep == 0:
+            tables[fold.test_user] = instances
+            model = evaluation.fold_model(tables, fold, params, valid_labels)
+        run = model.clone()
+        t3 = time.perf_counter_ns()
+        _, audit = run.run_online(instances, mode)
+        reps.append((t1 - t0, t2 - t1, time.perf_counter_ns() - t3))
     return TimingBreakdown(
         sampling_ns=int(statistics.median(r[0] for r in reps)),
         feature_ns=int(statistics.median(r[1] for r in reps)),

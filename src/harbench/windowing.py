@@ -104,12 +104,16 @@ def label_window(candidate, purity_threshold=DEFAULT_PURITY,
                   float(purity))
 
 
-def labeled_windows(stream, config, purity_threshold=DEFAULT_PURITY,
-                    valid_labels=PROTOCOL_ACTIVITIES):
-    """Segment then label, dropping discarded windows."""
+def check_purity(purity_threshold):
     if not 0.0 <= purity_threshold <= 1.0:
         raise WindowingError(
             f"purity must be in [0, 1], got {purity_threshold}")
+
+
+def labeled_windows(stream, config, purity_threshold=DEFAULT_PURITY,
+                    valid_labels=PROTOCOL_ACTIVITIES):
+    """Segment then label, dropping discarded windows."""
+    check_purity(purity_threshold)
     out = []
     for cand in segment(stream, config):
         win = label_window(cand, purity_threshold, valid_labels)

@@ -31,6 +31,21 @@ def small_streams(small_spec):
     return generate_synthetic(small_spec)
 
 
+@pytest.fixture(scope="session")
+def hard_spec():
+    """Close, noisy classes and shifted users: self-updates change scores."""
+    return SyntheticSpec.default(class_count=3, samples_per_class=600,
+                                 users=(1, 2, 3), class_sep=0.3,
+                                 noise_sigma=1.0,
+                                 user_offsets={1: 0.0, 2: 0.3, 3: -0.3},
+                                 seed=7)
+
+
+@pytest.fixture(scope="session")
+def hard_streams(hard_spec):
+    return generate_synthetic(hard_spec)
+
+
 class FakeWindow:
     """Minimal window stand-in: direct channel data, no stream backing."""
 

@@ -193,8 +193,9 @@ class TestSweepCommand:
         assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "cells").exists()
 
-    @pytest.mark.parametrize("flags", [["--k", "0"], ["--workers", "0"]],
-                             ids=["k0", "workers0"])
+    @pytest.mark.parametrize("flags", [["--k", "0"], ["--workers", "0"],
+                                       ["--purity", "1.5"]],
+                             ids=["k0", "workers0", "purity1.5"])
     def test_rejected_sweep_leaves_no_out_dir(self, capsys, spec_file,
                                               tmp_path, flags):
         code = run(self.sweep_args(spec_file, tmp_path / "new") + flags)

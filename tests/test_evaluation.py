@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from harbench import evaluation
-from harbench.ensemble import LearnerParams
+from harbench.ensemble import Ensemble, LearnerParams
 from harbench.evaluation import (EvaluationError, Fold, FoldResult,
                                  SINGLE_ACTIVITY_USER, emit_reports,
                                  evaluate_fold, louo_split,
@@ -14,6 +14,9 @@ from harbench.evaluation import (EvaluationError, Fold, FoldResult,
 from harbench.windowing import WindowConfig
 
 FAST = LearnerParams(knn_capacity=500, vfdt_grace_period=50)
+# a low gate, so semi-supervised runs update their model
+GATE_05 = LearnerParams(knn_capacity=500, vfdt_grace_period=50,
+                        confidence_threshold=0.5)
 
 
 def by_user(streams):
@@ -43,6 +46,10 @@ class TestLouoSplit:
     def test_fold_leakage_guard(self):
         with pytest.raises(EvaluationError):
             Fold(test_user=1, train_users=(1, 2))
+
+    def test_fold_repeated_training_user_rejected(self):
+        with pytest.raises(EvaluationError):
+            Fold(test_user=3, train_users=(1, 2, 1))
 
 
 class TestFoldResult:
@@ -226,6 +233,91 @@ class TestSweep:
         self.run(small_streams, small_spec.class_labels, tmp_path)
         assert calls == {(u, w, o): 1 for u in (1, 2, 3)
                          for w in self.WINDOWS for o in self.OVERLAPS}
+
+    def test_trains_each_fold_once_per_point(self, small_streams,
+                                             small_spec, tmp_path,
+                                             monkeypatch):
+        trained = []
+        original = Ensemble.train_offline
+
+        def counting(model, instances):
+            instances = list(instances)
+            trained.append(frozenset(fv.user_id for fv in instances))
+            return original(model, instances)
+
+        monkeypatch.setattr(Ensemble, "train_offline", counting)
+        first = self.run(small_streams, small_spec.class_labels, tmp_path)
+        # 3 users x 2 points, each fold's model serving both modes
+        assert len(trained) == 6
+        assert Counter(trained) == {frozenset({2, 3}): 2,
+                                    frozenset({1, 3}): 2,
+                                    frozenset({1, 2}): 2}
+        files = _cell_files(tmp_path)
+        files[(1, 50, 0.0, "semi_supervised")].unlink()
+        files[(2, 50, 0.5, "supervised_frozen")].unlink()
+        files[(2, 50, 0.5, "semi_supervised")].unlink()
+        trained.clear()
+        again = self.run(small_streams, small_spec.class_labels, tmp_path)
+        assert sorted(trained, key=sorted) == [frozenset({1, 3}),
+                                               frozenset({2, 3})]
+        assert again == first
+
+    def test_reversed_modes_write_same_bytes(self, hard_streams, hard_spec,
+                                             tmp_path):
+        labels = hard_spec.class_labels
+        outputs = []
+        for name, modes in (("fwd", self.MODES), ("rev", self.MODES[::-1])):
+            out = tmp_path / name
+            results = sweep(hard_streams, self.WINDOWS, self.OVERLAPS, modes,
+                            seed=0, out_dir=str(out), params=GATE_05,
+                            valid_labels=labels)
+            emit_reports(results, str(out / "reports"), valid_labels=labels)
+            outputs.append({
+                path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()})
+        assert outputs[0] == outputs[1]
+        # the semi-supervised cells did update and score differently
+        semi = {_cell_key(r)[:3]: r for r in results
+                if r.mode == "semi_supervised"}
+        assert all(r.self_updates > 0 for r in semi.values())
+        assert any(semi[_cell_key(r)[:3]].n_correct != r.n_correct
+                   for r in results if r.mode == "supervised_frozen")
+
+    def test_every_run_starts_from_the_trained_model(self, hard_streams,
+                                                     hard_spec, tmp_path,
+                                                     monkeypatch):
+        trained, started = [], []
+        train, run_online = Ensemble.train_offline, Ensemble.run_online
+
+        def recording_train(model, instances):
+            train(model, instances)
+            trained.append(model.state_hash())
+            return model
+
+        def recording_run(model, instances, mode):
+            started.append((trained[-1], model.state_hash()))
+            return run_online(model, instances, mode)
+
+        monkeypatch.setattr(Ensemble, "train_offline", recording_train)
+        monkeypatch.setattr(Ensemble, "run_online", recording_run)
+        sweep(hard_streams, self.WINDOWS, self.OVERLAPS, self.MODES[::-1],
+              seed=0, out_dir=str(tmp_path), params=GATE_05,
+              valid_labels=hard_spec.class_labels)
+        assert len(started) == 2 * len(trained) == 12
+        assert all(fresh == start for fresh, start in started)
+
+    @pytest.mark.parametrize("modes", [
+        ["nonsense"], ["supervised_frozen", "supervised_frozen"],
+        ["semi_supervised", "supervised_frozen", "semi_supervised"],
+        ["supervised_frozen", "frozen"]],
+        ids=["unknown", "repeated", "repeated3", "one_unknown"])
+    def test_bad_modes_rejected_before_any_write(self, small_streams,
+                                                 small_spec, tmp_path, modes):
+        with pytest.raises(EvaluationError):
+            sweep(small_streams, self.WINDOWS, self.OVERLAPS, modes, seed=0,
+                  out_dir=str(tmp_path / "out"), params=FAST,
+                  valid_labels=small_spec.class_labels)
+        assert not (tmp_path / "out").exists()
 
     def test_resume_recomputes_bad_cells(self, small_streams, small_spec,
                                          tmp_path, capsys):

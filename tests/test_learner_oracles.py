@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harbench.learners import (GaussianNbClassifier, HoeffdingTreeClassifier,
-                               KnnClassifier, LearnerError, _entropy,
-                               hoeffding_bound)
+from harbench.learners import (N_CANDIDATE_THRESHOLDS, GaussianNbClassifier,
+                               HoeffdingTreeClassifier, KnnClassifier,
+                               _entropy, hoeffding_bound)
 
 
 def knn_oracle(knn, x):
@@ -44,7 +44,7 @@ def scalar_split_gains(tree, leaf, feature):
     lo, hi = leaf.fmin[feature], leaf.fmax[feature]
     if not (hi > lo):
         return None
-    thresholds = np.linspace(lo, hi, tree.n_candidate_thresholds + 2)[1:-1]
+    thresholds = np.linspace(lo, hi, N_CANDIDATE_THRESHOLDS + 2)[1:-1]
     h_parent = _entropy(leaf.counts)
     left = np.zeros((len(thresholds), len(leaf.counts)))
     for ci in np.nonzero(leaf.counts > 0)[0]:
@@ -194,9 +194,3 @@ class TestVfdtAgainstScalarSearch:
         for i in range(40):
             tree.train([1.0, 2.0, 3.0], i % 2)
         assert tree.n_splits == 0
-
-    @pytest.mark.parametrize("n_candidate_thresholds", [0, -1])
-    def test_threshold_count_checked(self, n_candidate_thresholds):
-        with pytest.raises(LearnerError):
-            HoeffdingTreeClassifier(classes=(0, 1), n_features=2,
-                                    n_candidate_thresholds=n_candidate_thresholds)

@@ -1,7 +1,8 @@
 import pytest
 
 from harbench import profiling
-from harbench.ensemble import LearnerParams
+from harbench.ensemble import Ensemble, LearnerParams
+from harbench.evaluation import EvaluationError, Fold, evaluate_fold
 from harbench.profiling import (PowerModel, ProfilingError, TimingBreakdown,
                                 emit_energy_heatmap, estimate_energy,
                                 timed_run)
@@ -94,6 +95,58 @@ class TestTimedRun:
                        valid_labels=small_spec.class_labels, repetitions=2)
         assert bd.n_windows > 0
         assert calls == list(range(bd.n_windows)) * 2
+
+    def test_trains_once_across_repetitions(self, small_streams, small_spec,
+                                            monkeypatch):
+        calls = []
+        original = Ensemble.train_offline
+
+        def counting(model, instances):
+            calls.append(1)
+            return original(model, instances)
+
+        monkeypatch.setattr(Ensemble, "train_offline", counting)
+        bd = timed_run(small_streams[:2], small_streams[2],
+                       WindowConfig(50, 0.5), params=FAST,
+                       valid_labels=small_spec.class_labels, repetitions=5)
+        assert bd.n_windows > 0
+        assert len(calls) == 1
+
+    def test_semi_supervised_reps_start_from_the_trained_model(
+            self, hard_streams, hard_spec, monkeypatch):
+        # a low gate, so each semi-supervised run updates its model
+        config = WindowConfig(50, 0.5)
+        labels = hard_spec.class_labels
+        params = LearnerParams(knn_capacity=500, vfdt_grace_period=50,
+                               confidence_threshold=0.5)
+        started = []
+        run_online = Ensemble.run_online
+
+        def recording_run(model, instances, mode):
+            started.append(model.state_hash())
+            return run_online(model, instances, mode)
+
+        monkeypatch.setattr(Ensemble, "run_online", recording_run)
+        bd = timed_run(hard_streams[:2], hard_streams[2], config,
+                       mode="semi_supervised", params=params,
+                       valid_labels=labels, repetitions=3)
+        assert len(started) == 3 and len(set(started)) == 1
+        # and every repetition scores as this fold's evaluation cell
+        cell = evaluate_fold({s.user_id: s for s in hard_streams},
+                             Fold(3, (1, 2)), config, "semi_supervised",
+                             params=params, valid_labels=labels)
+        assert cell.self_updates > 0
+        assert (bd.n_windows, bd.n_correct) == (cell.n_windows,
+                                                cell.n_correct)
+
+    @pytest.mark.parametrize("train", [(0, 1, 2), (0, 0)],
+                             ids=["test_user_in_training", "repeated_user"])
+    def test_bad_training_streams_rejected(self, small_streams, small_spec,
+                                           train):
+        with pytest.raises(EvaluationError):
+            timed_run([small_streams[i] for i in train], small_streams[2],
+                      WindowConfig(50, 0.5), params=FAST,
+                      valid_labels=small_spec.class_labels, repetitions=1)
 
     def test_bad_repetitions(self, small_streams, small_spec):
         with pytest.raises(ProfilingError):

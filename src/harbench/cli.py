@@ -10,7 +10,6 @@ parameters or power model file, 3 missing data or unreadable synthetic spec,
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -120,18 +119,6 @@ def _learner_params(args):
                          confidence_threshold=args.theta)
 
 
-def _ensure_out(path):
-    try:
-        os.makedirs(path, exist_ok=True)
-        probe = os.path.join(path, ".write_probe")
-        with open(probe, "w"):
-            pass
-        os.remove(probe)
-    except OSError as exc:
-        raise CliError(f"output directory not writable: {path}: {exc}",
-                       EXIT_UNWRITABLE) from exc
-
-
 def cmd_validate(args):
     data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
     pairs, missing = load_pamap2(data_dir)
@@ -200,7 +187,7 @@ def cmd_eval(args):
             name = ACTIVITY_NAMES.get(a, str(a))
             print(f"  {name}: n={n} accuracy={pa:.4f}")
     if args.out:
-        _ensure_out(args.out)
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"audit_u{args.user}.csv")
         write_audit_csv(audit, path)
         print("wrote", path)
@@ -213,7 +200,6 @@ def cmd_profile(args):
     power = (profiling.PowerModel.from_file(args.power_model)
              if args.power_model
              else profiling.PowerModel(1.0, 2.0, 1.5))
-    _ensure_out(args.out)
     users = sorted(s.user_id for s in streams)
     test_user = args.user if args.user is not None else users[-1]
     if test_user not in users:
@@ -221,43 +207,26 @@ def cmd_profile(args):
     train = [s for s in streams if s.user_id != test_user]
     test = next(s for s in streams if s.user_id == test_user)
 
-    entries = []
-    timing_path = os.path.join(args.out, "timing.csv")
-    with open(timing_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_size", "overlap", "n_windows",
-                         "sampling_ns", "feature_ns", "classification_ns",
-                         "rep_total_ns_list", "warnings"])
-        for w in windows:
-            for o in overlaps:
-                config = WindowConfig(w, o)
-                bd = profiling.timed_run(train, test, config,
-                                         mode=_modes(args.mode)[0],
-                                         purity=args.purity,
-                                         valid_labels=classes,
-                                         params=_learner_params(args),
-                                         repetitions=args.reps)
-                writer.writerow([w, o, bd.n_windows, bd.sampling_ns,
-                                 bd.feature_ns, bd.classification_ns,
-                                 ";".join(map(str, bd.per_rep_total_ns)),
-                                 ";".join(bd.warnings)])
-                acc = bd.n_correct / bd.n_windows if bd.n_windows else None
-                entries.append({"window_size": w, "overlap": o,
-                                "joules": profiling.estimate_energy(bd, power),
-                                "accuracy": acc, "n_windows": bd.n_windows})
-                print(f"W={w} o={o}: windows={bd.n_windows} "
-                      f"total={bd.total_ns / 1e6:.1f}ms "
-                      f"energy={entries[-1]['joules']:.4f}J")
-    heat_path = profiling.emit_energy_heatmap(
-        entries, os.path.join(args.out, "energy_heatmap.csv"))
-    print("wrote", timing_path)
-    print("wrote", heat_path)
+    breakdowns = []
+    for w in windows:
+        for o in overlaps:
+            bd = profiling.timed_run(train, test, WindowConfig(w, o),
+                                     mode=_modes(args.mode)[0],
+                                     purity=args.purity, valid_labels=classes,
+                                     params=_learner_params(args),
+                                     repetitions=args.reps)
+            breakdowns.append(bd)
+            print(f"W={w} o={o}: windows={bd.n_windows} "
+                  f"total={bd.total_ns / 1e6:.1f}ms "
+                  f"energy={profiling.estimate_energy(bd, power):.4f}J")
+    for path in profiling.write_profile(breakdowns, power, args.out):
+        print("wrote", path)
     return EXIT_OK
 
 
 def cmd_synth(args):
     spec = SyntheticSpec.from_file(args.spec)
-    _ensure_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     for stream in dataset.generate_synthetic(spec):
         path = os.path.join(args.out, f"synthetic{stream.user_id:03d}.dat")
         with open(path, "w") as fh:

@@ -45,9 +45,10 @@ class KnnClassifier:
         self.k = k
         self.capacity = capacity
         self._class_index = {c: i for i, c in enumerate(self.classes)}
-        self._X = np.empty((capacity, n_features))
-        self._y = np.empty(capacity, dtype=np.int64)
-        self._seq = np.empty(capacity, dtype=np.int64)  # insertion order
+        # zeroed, so the unfilled rows hash alike in Ensemble.state_hash
+        self._X = np.zeros((capacity, n_features))
+        self._y = np.zeros(capacity, dtype=np.int64)
+        self._seq = np.zeros(capacity, dtype=np.int64)  # insertion order
         self.n_trained = 0
         # running per-feature stats (Welford)
         self._mean = np.zeros(n_features)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -30,26 +31,21 @@ class ProfilingError(Exception):
 
 @dataclass
 class TimingBreakdown:
-    """Per-phase wall time in nanoseconds (medians over repetitions)."""
+    """Median per-phase wall times (ns) of one sweep cell, and its result."""
     sampling_ns: int
     feature_ns: int
     classification_ns: int
-    n_windows: int
-    window_size: int
-    overlap: float
-    repetitions: int
-    n_correct: int = 0
+    result: evaluation.FoldResult
     per_rep_total_ns: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
     @property
+    def n_windows(self):
+        return self.result.n_windows
+
+    @property
     def total_ns(self):
         return self.sampling_ns + self.feature_ns + self.classification_ns
-
-    def seconds(self, phase):
-        ns = {"sampling": self.sampling_ns, "features": self.feature_ns,
-              "classification": self.classification_ns}[phase]
-        return ns / 1e9
 
 
 @dataclass(frozen=True)
@@ -80,13 +76,12 @@ class PowerModel:
 def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
               purity=DEFAULT_PURITY, valid_labels=PROTOCOL_ACTIVITIES,
               params=None, repetitions=5) -> TimingBreakdown:
-    """Median per-phase times of one pass over the test stream.
-
-    Each repetition times labeled_windows (sampling), one extract call per
-    window (features) and run_online (classification) on an untimed clone of
-    the model evaluation.fold_model trains once, untimed. Training streams
-    of the test user, or two of one user, raise EvaluationError.
-    """
+    """Median per-phase times of one pass over the test stream, and the
+    cell's FoldResult (the sweep's). Each repetition times labeled_windows
+    (sampling), one extract call per window (features) and score_fold
+    (classification) on an untimed clone of the model evaluation.fold_model
+    trains once, untimed. Training streams of the test user, or two of one
+    user, raise EvaluationError."""
     if repetitions < 1:
         raise ProfilingError("repetitions must be >= 1")
     fold = evaluation.Fold(test_stream.user_id,
@@ -104,51 +99,56 @@ def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
         t0 = time.perf_counter_ns()
         windows = labeled_windows(test_stream, config, purity, valid_labels)
         t1 = time.perf_counter_ns()
-        instances = [extract(w, i) for i, w in enumerate(windows)]
+        tables[fold.test_user] = [extract(w, i) for i, w in enumerate(windows)]
         t2 = time.perf_counter_ns()
         if rep == 0:
-            tables[fold.test_user] = instances
             model = evaluation.fold_model(tables, fold, params, valid_labels)
         run = model.clone()
         t3 = time.perf_counter_ns()
-        _, audit = run.run_online(instances, mode)
+        result, _ = evaluation.score_fold(run, tables, fold, config, mode,
+                                          valid_labels)
         reps.append((t1 - t0, t2 - t1, time.perf_counter_ns() - t3))
     return TimingBreakdown(
         sampling_ns=int(statistics.median(r[0] for r in reps)),
         feature_ns=int(statistics.median(r[1] for r in reps)),
         classification_ns=int(statistics.median(r[2] for r in reps)),
-        n_windows=len(audit),
-        window_size=config.window_size,
-        overlap=config.overlap,
-        repetitions=repetitions,
-        n_correct=sum(rec.predicted_label == rec.true_label for rec in audit),
+        result=result,
         per_rep_total_ns=[sum(r) for r in reps],
         warnings=warnings)
 
 
 def estimate_energy(breakdown, power_model) -> float:
     """Joules under the phase-constant model: sum of watts x seconds."""
-    return (power_model.sampling_watts * breakdown.seconds("sampling")
-            + power_model.feature_watts * breakdown.seconds("features")
+    return (power_model.sampling_watts * (breakdown.sampling_ns / 1e9)
+            + power_model.feature_watts * (breakdown.feature_ns / 1e9)
             + power_model.classification_watts
-            * breakdown.seconds("classification"))
+            * (breakdown.classification_ns / 1e9))
 
 
-def emit_energy_heatmap(entries, path):
-    """Write the (W, o) -> (joules, accuracy) trade-off grid as CSV.
-
-    entries: iterable of dicts with window_size, overlap, joules, accuracy,
-    n_windows.
-    """
-    entries = sorted(entries, key=lambda e: (e["window_size"], e["overlap"]))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_size", "overlap", "joules", "accuracy",
-                         "n_windows"])
-        for e in entries:
-            acc = e.get("accuracy")
-            writer.writerow([e["window_size"], e["overlap"],
-                             repr(float(e["joules"])),
-                             "" if acc is None else repr(float(acc)),
-                             e["n_windows"]])
-    return path
+def write_profile(breakdowns, power_model, out_dir):
+    """Create out_dir and write timing.csv and energy_heatmap.csv, one row
+    per (W, o) point in (W, o) order; an empty cell's accuracy is an empty
+    field. Returns the two paths."""
+    breakdowns = sorted(breakdowns, key=lambda bd: (bd.result.window_size,
+                                                    bd.result.overlap))
+    timing = [["window_size", "overlap", "n_windows", "sampling_ns",
+               "feature_ns", "classification_ns", "rep_total_ns_list",
+               "warnings"]]
+    heat = [["window_size", "overlap", "joules", "accuracy", "n_windows"]]
+    for bd in breakdowns:
+        r = bd.result
+        timing.append([r.window_size, r.overlap, r.n_windows, bd.sampling_ns,
+                       bd.feature_ns, bd.classification_ns,
+                       ";".join(map(str, bd.per_rep_total_ns)),
+                       ";".join(bd.warnings)])
+        heat.append([r.window_size, r.overlap,
+                     repr(estimate_energy(bd, power_model)),
+                     "" if r.accuracy is None else repr(r.accuracy),
+                     r.n_windows])
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for name, rows in (("timing.csv", timing), ("energy_heatmap.csv", heat)):
+        paths.append(os.path.join(out_dir, name))
+        with open(paths[-1], "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    return paths

@@ -265,3 +265,32 @@ class TestProfileCommand:
         heat = (tmp_path / "energy_heatmap.csv").read_text().splitlines()
         assert heat[0].startswith("window_size,overlap,joules")
         assert len(heat) == 3
+
+    @pytest.mark.parametrize("flags,code", [
+        (["--k", "0"], cli.EXIT_BAD_GRID),
+        (["--purity", "1.5"], cli.EXIT_BAD_GRID),
+        (["--reps", "0"], cli.EXIT_BAD_GRID),
+        (["--user", "7"], cli.EXIT_MISSING_DATA)],
+        ids=["k0", "purity1.5", "reps0", "user7"])
+    def test_rejected_profile_leaves_no_out_dir(self, capsys, spec_file,
+                                                tmp_path, flags, code):
+        out = tmp_path / "new"
+        assert run(["profile", "--synthetic", spec_file, "--windows", "50",
+                    "--overlaps", "0.0", "--allow-any-grid",
+                    "--out", str(out)] + flags) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--synthetic", "SPEC", "--user", "2", "--window", "50",
+     "--overlap", "0.0"],
+    ["profile", "--synthetic", "SPEC", "--windows", "50", "--overlaps", "0.0",
+     "--allow-any-grid", "--reps", "1"],
+    ["synth", "--spec", "SPEC"]], ids=["eval", "profile", "synth"])
+def test_out_under_a_file_exits_four(capsys, spec_file, tmp_path, argv):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = [spec_file if a == "SPEC" else a for a in argv]
+    assert run(argv + ["--out", str(blocker / "sub")]) == cli.EXIT_UNWRITABLE
+    assert capsys.readouterr().err.startswith("error: ")

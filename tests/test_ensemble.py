@@ -218,6 +218,19 @@ class TestRunOnline:
         twin.run_online(make_instances(rng, 60), "semi_supervised")
         assert model.state_hash() == before
 
+    def test_equal_training_gives_equal_hash(self):
+        # a kNN store's unfilled rows must not hash stale memory: filled
+        # arrays of the store's sizes are freed before each model is built
+        rng = np.random.default_rng(10)
+        train = make_instances(rng, 50)
+        hashes = set()
+        for i in range(4):
+            for shape in [(500, N_FEATURES), (500,)] * 4:
+                np.full(shape, i + 0.5)
+            model = Ensemble((1, 2, 3), params=LearnerParams(knn_capacity=500))
+            hashes.add(model.train_offline(train).state_hash())
+        assert len(hashes) == 1
+
 
 def test_audit_csv(tmp_path):
     rng = np.random.default_rng(9)

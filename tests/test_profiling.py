@@ -2,22 +2,23 @@ import pytest
 
 from harbench import profiling
 from harbench.ensemble import Ensemble, LearnerParams
-from harbench.evaluation import EvaluationError, Fold, evaluate_fold
+from harbench.evaluation import EvaluationError, FoldResult, sweep
 from harbench.profiling import (PowerModel, ProfilingError, TimingBreakdown,
-                                emit_energy_heatmap, estimate_energy,
-                                timed_run)
+                                estimate_energy, timed_run, write_profile)
 from harbench.windowing import WindowConfig, classification_count
 
 FAST = LearnerParams(knn_capacity=500, vfdt_grace_period=50)
 
 
-def breakdown(sampling_s=1.0, features_s=1.0, classification_s=1.0, **kw):
-    base = dict(sampling_ns=int(sampling_s * 1e9),
-                feature_ns=int(features_s * 1e9),
-                classification_ns=int(classification_s * 1e9),
-                n_windows=10, window_size=100, overlap=0.0, repetitions=5)
-    base.update(kw)
-    return TimingBreakdown(**base)
+def breakdown(sampling_s=1.0, features_s=1.0, classification_s=1.0,
+              window_size=100, overlap=0.0, windows=None, correct=None, **kw):
+    result = FoldResult(3, window_size, overlap, "supervised_frozen",
+                        {1: 10} if windows is None else windows,
+                        {1: 9} if correct is None else correct)
+    return TimingBreakdown(sampling_ns=int(sampling_s * 1e9),
+                           feature_ns=int(features_s * 1e9),
+                           classification_ns=int(classification_s * 1e9),
+                           result=result, **kw)
 
 
 class TestPowerModel:
@@ -68,17 +69,14 @@ class TestTimedRun:
         assert run.feature_ns > 0
         assert run.classification_ns > 0
         assert len(run.per_rep_total_ns) == 5
+        assert run.total_ns == (run.sampling_ns + run.feature_ns
+                                + run.classification_ns)
         # each median is within the observed per-rep range
         assert run.total_ns <= 3 * max(run.per_rep_total_ns)
 
-    def test_seconds_accessor(self, run):
-        assert run.seconds("features") == run.feature_ns / 1e9
-        total = sum(run.seconds(p) for p in
-                    ("sampling", "features", "classification"))
-        assert total == pytest.approx(run.total_ns / 1e9)
-
     def test_accuracy_fields_consistent(self, run):
-        assert 0 <= run.n_correct <= run.n_windows
+        assert 0 <= run.result.n_correct <= run.n_windows
+        assert (run.result.window_size, run.result.overlap) == (50, 0.5)
 
     def test_features_timed_one_extract_per_window(self, small_streams,
                                                    small_spec, monkeypatch):
@@ -131,13 +129,20 @@ class TestTimedRun:
                        mode="semi_supervised", params=params,
                        valid_labels=labels, repetitions=3)
         assert len(started) == 3 and len(set(started)) == 1
-        # and every repetition scores as this fold's evaluation cell
-        cell = evaluate_fold({s.user_id: s for s in hard_streams},
-                             Fold(3, (1, 2)), config, "semi_supervised",
-                             params=params, valid_labels=labels)
-        assert cell.self_updates > 0
-        assert (bd.n_windows, bd.n_correct) == (cell.n_windows,
-                                                cell.n_correct)
+        assert bd.result.self_updates > 0
+
+    @pytest.mark.parametrize("mode", ["supervised_frozen", "semi_supervised"])
+    def test_result_is_the_sweep_cell(self, hard_streams, hard_spec,
+                                      tmp_path, mode):
+        params = LearnerParams(knn_capacity=500, vfdt_grace_period=50,
+                               confidence_threshold=0.5)
+        cells = sweep(hard_streams, [50], [0.5], [mode], seed=0,
+                      out_dir=str(tmp_path), params=params,
+                      valid_labels=hard_spec.class_labels)
+        bd = timed_run(hard_streams[:2], hard_streams[2],
+                       WindowConfig(50, 0.5), mode=mode, params=params,
+                       valid_labels=hard_spec.class_labels, repetitions=2)
+        assert bd.result == next(r for r in cells if r.user == 3)
 
     @pytest.mark.parametrize("train", [(0, 1, 2), (0, 0)],
                              ids=["test_user_in_training", "repeated_user"])
@@ -155,14 +160,23 @@ class TestTimedRun:
                       valid_labels=small_spec.class_labels)
 
 
-def test_energy_heatmap_csv(tmp_path):
-    entries = [{"window_size": 200, "overlap": 0.0, "joules": 2.0,
-                "accuracy": 0.9, "n_windows": 10},
-               {"window_size": 100, "overlap": 0.5, "joules": 1.0,
-                "accuracy": None, "n_windows": 0}]
-    path = emit_energy_heatmap(entries, tmp_path / "heat.csv")
-    lines = path.read_text().splitlines() if hasattr(path, "read_text") else \
-        open(path).read().splitlines()
-    assert lines[0] == "window_size,overlap,joules,accuracy,n_windows"
-    assert lines[1].startswith("100,0.5,1.0,,")   # sorted, missing accuracy empty
-    assert lines[2].startswith("200,0.0,2.0,0.9,")
+def test_write_profile_sorts_the_grid(tmp_path):
+    model = PowerModel(1.0, 2.0, 1.5)
+    grid = [breakdown(window_size=200, overlap=0.0, per_rep_total_ns=[4, 5],
+                      warnings=["coarse"]),
+            breakdown(window_size=100, overlap=0.5, windows={1: 0},
+                      correct={1: 0}),
+            breakdown(window_size=100, overlap=0.0, features_s=2.0)]
+    timing, heat = write_profile(grid, model, tmp_path / "new")
+    lines = open(timing).read().splitlines()
+    assert lines == [
+        "window_size,overlap,n_windows,sampling_ns,feature_ns,"
+        "classification_ns,rep_total_ns_list,warnings",
+        "100,0.0,10,1000000000,2000000000,1000000000,,",
+        "100,0.5,0,1000000000,1000000000,1000000000,,",
+        "200,0.0,10,1000000000,1000000000,1000000000,4;5,coarse"]
+    lines = open(heat).read().splitlines()
+    assert lines == ["window_size,overlap,joules,accuracy,n_windows",
+                     "100,0.0,6.5,0.9,10",
+                     "100,0.5,4.5,,0",   # an empty cell: no accuracy, not 0
+                     "200,0.0,4.5,0.9,10"]

@@ -16,7 +16,7 @@ import sys
 from . import dataset, evaluation, profiling
 from .dataset import (ACTIVITY_NAMES, PROTOCOL_ACTIVITIES, REFERENCE_COUNTS,
                       SyntheticSpec, TOTAL_RAW_SAMPLES, DatasetError)
-from .ensemble import EnsembleError, LearnerParams, write_audit_csv
+from .ensemble import EnsembleError, LearnerParams
 from .evaluation import STUDY_OVERLAPS, STUDY_WINDOWS, EvaluationError
 from .features import FeatureError
 from .learners import LearnerError
@@ -90,6 +90,9 @@ def _parse_grid(args):
             raise CliError(f"invalid grid: {exc}", EXIT_BAD_GRID) from exc
     if not windows or not overlaps:
         raise CliError("empty grid", EXIT_BAD_GRID)
+    if len(set(windows)) < len(windows) or len(set(overlaps)) < len(overlaps):
+        raise CliError(f"repeated grid value (windows {windows}, overlaps "
+                       f"{overlaps})", EXIT_BAD_GRID)
     for w in windows:
         for o in overlaps:
             WindowConfig(w, o)  # raises WindowingError (exit 2)
@@ -188,9 +191,8 @@ def cmd_eval(args):
             print(f"  {name}: n={n} accuracy={pa:.4f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"audit_u{args.user}.csv")
-        write_audit_csv(audit, path)
-        print("wrote", path)
+        print("wrote", evaluation.write_audit_csv(
+            audit, os.path.join(args.out, f"audit_u{args.user}.csv")))
     return EXIT_OK
 
 

@@ -250,6 +250,8 @@ class SyntheticSpec:
             raise DatasetError("synthetic spec needs at least 2 classes")
         if self.samples_per_class < 1:
             raise DatasetError("samples_per_class must be positive")
+        if not 0 < self.sample_rate < math.inf:
+            raise DatasetError("sample_rate must be positive and finite")
 
     @property
     def class_labels(self):
@@ -286,6 +288,8 @@ class SyntheticSpec:
                        for c in cfg["classes"]]
             user_offsets = {int(u["id"]): float(u.get("offset", 0.0))
                             for u in cfg["users"]}
+            if len(user_offsets) < len(cfg["users"]):
+                raise DatasetError(f"repeated user id in synthetic spec {path}")
             user_drifts = {int(u["id"]): float(u.get("drift", 0.0))
                            for u in cfg["users"]}
             return cls(classes=classes,

@@ -13,7 +13,6 @@ threshold (default 0.99).
 from __future__ import annotations
 
 import copy
-import csv
 import hashlib
 import pickle
 from dataclasses import dataclass
@@ -63,6 +62,8 @@ class Ensemble:
 
     def __init__(self, classes, params=None):
         params = params or LearnerParams()
+        if np.isnan(params.confidence_threshold):
+            raise EnsembleError("confidence_threshold must not be NaN")
         self.classes = tuple(classes)
         self.confidence_threshold = params.confidence_threshold
         self.members = [
@@ -145,13 +146,3 @@ class Ensemble:
                                      confidence=pred.confidence,
                                      updated=updated))
         return predictions, audit
-
-
-def write_audit_csv(audit, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "true_label", "predicted_label",
-                         "confidence", "updated"])
-        for rec in audit:
-            writer.writerow([rec.index, rec.true_label, rec.predicted_label,
-                             repr(rec.confidence), int(rec.updated)])

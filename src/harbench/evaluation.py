@@ -2,9 +2,9 @@
 
 A sweep's unit of work is one (window size, overlap) point: each user is
 featurized once per point. Finished cells are persisted as JSON so an
-interrupted sweep resumes without recomputation. Reports are plain CSV: a
-long-form per-activity table, one accuracy heat map per (user, mode), and a
-cross-user summary.
+interrupted sweep resumes without recomputation. Reports are plain CSV, each
+one list of rows handed to write_rows: a long-form per-activity table, one
+accuracy heat map per (user, mode), and a cross-user summary.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from itertools import groupby, starmap
+from itertools import groupby, product, starmap
 
 import numpy as np
 
@@ -211,6 +211,9 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
     ordered = [m for m in MODES if m in modes]  # frozen first: _point_cells
     if len(ordered) != len(modes):
         raise EvaluationError(f"modes must be distinct, of {MODES}: {modes}")
+    if len(set(windows)) < len(windows) or len(set(overlaps)) < len(overlaps):
+        raise EvaluationError(f"repeated grid value: windows {windows}, "
+                              f"overlaps {overlaps}")
     Ensemble(valid_labels, params=params)  # bad params fail before any write
     check_purity(purity)
     folds = {f.test_user: f for f in louo_split(streams)}
@@ -263,71 +266,73 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
 # Reports
 
 
-def _fmt(value):
-    return "" if value is None else repr(value)
+def write_rows(path, rows):
+    """Write rows as one CSV file and return its path. csv writes None as an
+    empty field, so a missing value is never 0, and a float by its repr."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def write_audit_csv(audit, path):
+    """One row per score_fold audit record, updated as 0 or 1 (not True)."""
+    rows = [[rec.index, rec.true_label, rec.predicted_label, rec.confidence,
+             int(rec.updated)] for rec in audit]
+    return write_rows(path, [["index", "true_label", "predicted_label",
+                              "confidence", "updated"]] + rows)
 
 
 def emit_reports(results, out_dir, include_single_activity_user=False,
                  valid_labels=PROTOCOL_ACTIVITIES):
-    """Write long.csv, per-(user, mode) heat maps, and summary.csv.
+    """Write long.csv, per-(user, mode) heat maps, and summary.csv from one
+    (user, mode, W, o) table; a repeated cell raises before any write.
 
     Missing cells (no test windows) are emitted as empty fields, never 0.
     Returns the list of written paths.
     """
     if not results:
         raise EvaluationError("no results to report")
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    long_path = os.path.join(out_dir, "long.csv")
-    with open(long_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "activity", "window_size", "overlap",
-                         "mode", "n_windows", "accuracy"])
-        for r in results:
-            per_acc = r.per_activity_accuracy()
-            for a in valid_labels:
-                n = r.per_activity_windows.get(a, 0)
-                writer.writerow([r.user, a, r.window_size, r.overlap,
-                                 r.mode, n, _fmt(per_acc.get(a))])
-    written.append(long_path)
-
+    cells = {}
+    groups = {}  # (mode, W, o) -> its scored users' results, in results order
+    for r in results:
+        key = (r.user, r.mode, r.window_size, r.overlap)
+        if key in cells:
+            raise EvaluationError(f"repeated cell (user, mode, W, o) {key}")
+        cells[key] = r
+        if r.accuracy is not None and (include_single_activity_user
+                                       or r.user != SINGLE_ACTIVITY_USER):
+            groups.setdefault(key[1:], []).append(r)
     windows = sorted({r.window_size for r in results})
     overlaps = sorted({r.overlap for r in results})
-    cells = {(r.user, r.mode, r.window_size, r.overlap): r for r in results}
+
+    long = [["user", "activity", "window_size", "overlap", "mode",
+             "n_windows", "accuracy"]]
+    for r in results:
+        per_acc = r.per_activity_accuracy()
+        long += [[r.user, a, r.window_size, r.overlap, r.mode,
+                  r.per_activity_windows.get(a, 0), per_acc.get(a)]
+                 for a in valid_labels]
+    reports = {"long.csv": long}
     for user, mode in sorted({(r.user, r.mode) for r in results}):
         rows = [["window_size"] + [f"o={o}" for o in overlaps]]
         for w in windows:
             row = [cells.get((user, mode, w, o)) for o in overlaps]
-            rows.append([w] + [_fmt(r.accuracy if r else None) for r in row])
-        path = os.path.join(out_dir, f"heatmap_user{user}_{mode}.csv")
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        written.append(path)
+            rows.append([w] + [c.accuracy if c else None for c in row])
+        reports[f"heatmap_user{user}_{mode}.csv"] = rows
 
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "window_size", "overlap", "n_users",
-                         "mean_accuracy", "var_accuracy",
-                         "weighted_mean_accuracy"])
-        for mode in sorted({r.mode for r in results}):
-            for w in windows:
-                for o in overlaps:
-                    group = [r for r in results
-                             if r.mode == mode and r.window_size == w
-                             and r.overlap == o and r.accuracy is not None
-                             and (include_single_activity_user
-                                  or r.user != SINGLE_ACTIVITY_USER)]
-                    if not group:
-                        writer.writerow([mode, w, o, 0, "", "", ""])
-                        continue
-                    accs = np.array([r.accuracy for r in group])
-                    weighted = (sum(r.n_correct for r in group)
-                                / sum(r.n_windows for r in group))
-                    writer.writerow([mode, w, o, len(group),
-                                     repr(float(accs.mean())),
-                                     repr(float(accs.var())),
-                                     repr(float(weighted))])
-    written.append(summary_path)
-    return written
+    summary = reports["summary.csv"] = [[
+        "mode", "window_size", "overlap", "n_users", "mean_accuracy",
+        "var_accuracy", "weighted_mean_accuracy"]]
+    for point in product(sorted({r.mode for r in results}), windows, overlaps):
+        group = groups.get(point, [])
+        stats = [None] * 3
+        if group:
+            accs = np.array([r.accuracy for r in group])
+            stats = [float(accs.mean()), float(accs.var()),
+                     sum(r.n_correct for r in group)
+                     / sum(r.n_windows for r in group)]
+        summary.append([*point, len(group), *stats])
+
+    os.makedirs(out_dir, exist_ok=True)
+    return [write_rows(os.path.join(out_dir, name), rows)
+            for name, rows in reports.items()]

@@ -231,6 +231,8 @@ class HoeffdingTreeClassifier:
             raise LearnerError(f"delta must be in (0, 1), got {delta}")
         if grace_period < 1:
             raise LearnerError(f"grace_period must be >= 1, got {grace_period}")
+        if math.isnan(tie_threshold):
+            raise LearnerError("tie_threshold must not be NaN")
         self.classes = tuple(classes)
         self.n_features = n_features
         self.delta = delta

@@ -10,8 +10,8 @@ Profiling must run single-threaded; do not overlap it with parallel sweeps.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 import os
 import statistics
 import time
@@ -58,8 +58,8 @@ class PowerModel:
     def __post_init__(self):
         for name in ("sampling_watts", "feature_watts",
                      "classification_watts"):
-            if getattr(self, name) < 0:
-                raise ProfilingError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ProfilingError(f"{name} must be finite and >= 0")
 
     @classmethod
     def from_file(cls, path):
@@ -141,14 +141,9 @@ def write_profile(breakdowns, power_model, out_dir):
                        bd.feature_ns, bd.classification_ns,
                        ";".join(map(str, bd.per_rep_total_ns)),
                        ";".join(bd.warnings)])
-        heat.append([r.window_size, r.overlap,
-                     repr(estimate_energy(bd, power_model)),
-                     "" if r.accuracy is None else repr(r.accuracy),
-                     r.n_windows])
+        heat.append([r.window_size, r.overlap, estimate_energy(bd, power_model),
+                     r.accuracy, r.n_windows])
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for name, rows in (("timing.csv", timing), ("energy_heatmap.csv", heat)):
-        paths.append(os.path.join(out_dir, name))
-        with open(paths[-1], "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-    return paths
+    return [evaluation.write_rows(os.path.join(out_dir, name), rows)
+            for name, rows in (("timing.csv", timing),
+                               ("energy_heatmap.csv", heat))]

@@ -24,6 +24,13 @@ def spec_file(tmp_path_factory):
     return str(path)
 
 
+# a valid synthetic spec, varied by the input-file tests
+SPEC = {"seed": 1, "samples_per_class": 50,
+        "classes": [{"label": 1, "frequency": 0.5, "mean": 2.0},
+                    {"label": 2, "frequency": 1.2, "mean": 4.0}],
+        "users": [{"id": 1, "offset": 0.0}, {"id": 2, "offset": 0.1}]}
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -106,6 +113,22 @@ class TestGridValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("grid", [
+        ["--windows", "50,50", "--overlaps", "0.5"],
+        ["--windows", "50", "--overlaps", "0.5,0.5"]],
+        ids=["windows", "overlaps"])
+    @pytest.mark.parametrize("command", [["sweep", "--seed", "0"],
+                                         ["profile"]], ids=["sweep", "profile"])
+    def test_repeated_grid_value_exits_two(self, capsys, spec_file, tmp_path,
+                                           command, grid):
+        out = tmp_path / "out"
+        code = run(command + ["--synthetic", spec_file, "--allow-any-grid",
+                              "--out", str(out)] + grid)
+        assert code == cli.EXIT_BAD_GRID
+        assert "repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSynth:
     def test_writes_one_file_per_user(self, capsys, spec_file, tmp_path):
         assert run(["synth", "--spec", spec_file,
@@ -136,8 +159,15 @@ class TestInputFiles:
         assert code == cli.EXIT_MISSING_DATA
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("content", [None, "not json {"],
-                             ids=["missing", "not-json"])
+    @pytest.mark.parametrize("content", [
+        None, "not json {",
+        json.dumps(dict(SPEC, sample_rate=0)),
+        json.dumps(dict(SPEC, sample_rate=-100.0)),
+        json.dumps(dict(SPEC, sample_rate=float("nan"))),
+        json.dumps(dict(SPEC, users=SPEC["users"] + [{"id": 1,
+                                                      "offset": 0.5}]))],
+        ids=["missing", "not-json", "rate0", "rate-negative", "rate-nan",
+             "repeated-user"])
     def test_synth_spec_exits_three(self, capsys, tmp_path, content):
         spec = tmp_path / "spec.json"
         if content is not None:
@@ -147,8 +177,13 @@ class TestInputFiles:
         assert code == cli.EXIT_MISSING_DATA
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("content", [None, "not json {"],
-                             ids=["missing", "not-json"])
+    @pytest.mark.parametrize("content", [
+        None, "not json {",
+        '{"sampling_watts": NaN, "feature_watts": 2.0, '
+        '"classification_watts": 1.5}',
+        '{"sampling_watts": 0.5, "feature_watts": Infinity, '
+        '"classification_watts": 1.5}'],
+        ids=["missing", "not-json", "nan", "inf"])
     def test_power_model_exits_two(self, capsys, spec_file, tmp_path,
                                    content):
         power = tmp_path / "power.json"
@@ -194,8 +229,11 @@ class TestSweepCommand:
         assert not (tmp_path / "cells").exists()
 
     @pytest.mark.parametrize("flags", [["--k", "0"], ["--workers", "0"],
-                                       ["--purity", "1.5"]],
-                             ids=["k0", "workers0", "purity1.5"])
+                                       ["--purity", "1.5"],
+                                       ["--theta", "nan"],
+                                       ["--tie-threshold", "nan"]],
+                             ids=["k0", "workers0", "purity1.5", "theta-nan",
+                                  "tie-nan"])
     def test_rejected_sweep_leaves_no_out_dir(self, capsys, spec_file,
                                               tmp_path, flags):
         code = run(self.sweep_args(spec_file, tmp_path / "new") + flags)
@@ -234,9 +272,11 @@ class TestEvalCommand:
                                        ["--grace-period", "0"],
                                        ["--grace-period", "-5"],
                                        ["--purity", "1.5"],
-                                       ["--purity", "-1"]],
+                                       ["--purity", "-1"],
+                                       ["--theta", "nan"],
+                                       ["--tie-threshold", "nan"]],
                              ids=["delta0", "delta0-no-windows", "grace0", "grace-5", "purity1.5",
-                                  "purity-1"])
+                                  "purity-1", "theta-nan", "tie-nan"])
     def test_out_of_range_parameter_exits_two(self, capsys, spec_file, flags):
         code = run(["eval", "--synthetic", spec_file, "--user", "2",
                     "--window", "50", "--overlap", "0.0"] + flags)

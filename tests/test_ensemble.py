@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from harbench.ensemble import (Ensemble, EnsembleError, LearnerParams,
-                               Prediction, write_audit_csv)
+                               Prediction)
+from harbench.evaluation import write_audit_csv
 from harbench.features import FeatureVector, N_FEATURES
 from harbench.learners import LearnerError
 
@@ -148,6 +149,14 @@ class TestSelfUpdate:
         assert model.self_updates == 0
         assert all(m.trained == [] for m in model.members)
 
+    def test_nan_gate_rejected(self):
+        # confidence <= nan is never true, so a NaN gate would train every
+        # instance back; a gate above 1 or below 0 is a valid setting
+        with pytest.raises(EnsembleError):
+            Ensemble((1, 2), LearnerParams(confidence_threshold=float("nan")))
+        for theta in (1.01, -0.5):
+            Ensemble((1, 2), LearnerParams(confidence_threshold=theta))
+
     def test_full_confidence_applies(self):
         model = stub_ensemble([[1.0, 0.0]] * 3)
         pred = model.classify(fv([0.0]))
@@ -241,3 +250,4 @@ def test_audit_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "index,true_label,predicted_label,confidence,updated"
     assert len(lines) == 31
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} <= {"0", "1"}

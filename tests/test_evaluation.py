@@ -319,6 +319,17 @@ class TestSweep:
                   valid_labels=small_spec.class_labels)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("windows,overlaps", [([50, 50], [0.0]),
+                                                  ([50], [0.5, 0.5])],
+                             ids=["window", "overlap"])
+    def test_repeated_grid_value_rejected_before_any_write(
+            self, small_streams, small_spec, tmp_path, windows, overlaps):
+        with pytest.raises(EvaluationError):
+            sweep(small_streams, windows, overlaps, self.MODES, seed=0,
+                  out_dir=str(tmp_path / "out"), params=FAST,
+                  valid_labels=small_spec.class_labels)
+        assert not (tmp_path / "out").exists()
+
     def test_resume_recomputes_bad_cells(self, small_streams, small_spec,
                                          tmp_path, capsys):
         labels = small_spec.class_labels
@@ -421,6 +432,13 @@ class TestEmitReports:
     def test_empty_results_rejected(self, tmp_path):
         with pytest.raises(EvaluationError):
             emit_reports([], str(tmp_path))
+
+    def test_repeated_cell_rejected_before_any_write(self, tmp_path):
+        # counted twice, one user's cell read as n_users 2
+        r = result_cell(1, 100, 0.0, "supervised_frozen", 10, 8)
+        with pytest.raises(EvaluationError):
+            emit_reports([r, r], str(tmp_path / "out"), valid_labels=(1,))
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_report_raises_os_error(self, tmp_path):
         # the CLI maps OSError to the unwritable-output exit code

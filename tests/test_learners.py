@@ -224,7 +224,8 @@ class TestHoeffdingTree:
 
     @pytest.mark.parametrize("kw", [{"delta": 0.0}, {"delta": 1.0},
                                     {"delta": float("nan")},
-                                    {"grace_period": 0}])
+                                    {"grace_period": 0},
+                                    {"tie_threshold": float("nan")}])
     def test_bad_parameters_rejected_at_construction(self, kw):
         with pytest.raises(LearnerError):
             HoeffdingTreeClassifier(classes=(0, 1), n_features=2, **kw)

@@ -37,6 +37,11 @@ class TestPowerModel:
         with pytest.raises(ProfilingError):
             PowerModel(1.0, -0.1, 1.0)
 
+    @pytest.mark.parametrize("watts", [float("nan"), float("inf")])
+    def test_non_finite_watts_rejected(self, watts):
+        with pytest.raises(ProfilingError):
+            PowerModel(1.0, watts, 1.0)
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "power.json"
         path.write_text('{"sampling_watts": 0.5, "feature_watts": 2.0, '

@@ -228,6 +228,14 @@ class ClassSpec:
     noise_sigma: float
     mean: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.frequency, self.amplitude,
+                                       self.noise_sigma, self.mean))):
+            raise DatasetError(f"class {self.label}: frequency, amplitude, "
+                               "noise_sigma and mean must be finite")
+        if self.noise_sigma < 0:
+            raise DatasetError(f"class {self.label}: noise_sigma must be >= 0")
+
 
 @dataclass
 class SyntheticSpec:
@@ -248,6 +256,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if len(self.classes) < 2:
             raise DatasetError("synthetic spec needs at least 2 classes")
+        if len(set(self.class_labels)) < len(self.classes):
+            raise DatasetError("repeated class label in synthetic spec")
         if self.samples_per_class < 1:
             raise DatasetError("samples_per_class must be positive")
         if not 0 < self.sample_rate < math.inf:

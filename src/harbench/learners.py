@@ -28,6 +28,28 @@ def _check_distribution(probs):
 # ---------------------------------------------------------------------------
 # kNN with bounded FIFO store and z-score normalization
 
+# Below this many stored rows every row is ranked exactly: the filter's extra
+# numpy calls cost more than the rows it would skip (measured crossover).
+KNN_FILTER_MIN_ROWS = 256
+
+_U = float(np.finfo(np.float64).eps) / 2  # unit roundoff
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)
+_SUBNORMAL_MIN = float(np.finfo(np.float64).smallest_subnormal)
+
+
+def _gamma(j):
+    """Higham's gamma_j = j u / (1 - j u)."""
+    return j * _U / (1 - j * _U)
+
+
+def _sq_distances(rows, x, scale):
+    """Squared z-scored distance from x to each row. A row's value has the
+    same bits whatever other rows share the array, so a candidate subset
+    ranks as the whole store would."""
+    diff = rows - x
+    diff /= scale
+    return np.einsum("ij,ij->i", diff, diff)
+
 
 class KnnClassifier:
     """Neighbor-vote classifier over a capacity-bounded FIFO instance store.
@@ -35,6 +57,11 @@ class KnnClassifier:
     Distances are Euclidean on z-scored features; the normalization statistics
     run over every instance ever trained, not just the current buffer.
     Distance ties prefer the instance inserted earlier.
+
+    Prediction is filter-and-refine (Seidl & Kriegel, "Optimal multi-step
+    k-nearest neighbor search", SIGMOD 1998): two BLAS products give every
+    row an interval that holds its exact distance, and only the rows whose
+    interval can reach the k-th smallest upper end are ranked exactly.
     """
 
     def __init__(self, classes, n_features, k=5, capacity=5000):
@@ -47,6 +74,7 @@ class KnnClassifier:
         self._class_index = {c: i for i, c in enumerate(self.classes)}
         # zeroed, so the unfilled rows hash alike in Ensemble.state_hash
         self._X = np.zeros((capacity, n_features))
+        self._X2 = np.zeros((capacity, n_features))  # _X squared, for the filter
         self._y = np.zeros(capacity, dtype=np.int64)
         self._seq = np.zeros(capacity, dtype=np.int64)  # insertion order
         self.n_trained = 0
@@ -64,6 +92,7 @@ class KnnClassifier:
             raise LearnerError(f"unknown class {label}")
         slot = self.n_trained % self.capacity  # overwrites the oldest
         self._X[slot] = x
+        self._X2[slot] = x * x
         self._y[slot] = self._class_index[label]
         self._seq[slot] = self.n_trained
         self.n_trained += 1
@@ -75,21 +104,68 @@ class KnnClassifier:
         std = np.sqrt(self._m2 / max(1, self.n_trained))
         return np.where(std > 0, std, 1.0)
 
+    def _candidates(self, x, scale, k):
+        """Rows that may be among the k nearest, or a slice of every row.
+
+        The margin is a rounding bound. For m features, u = 2^-53 and
+        gamma_j = j u / (1 - j u), a dot product of j terms is within
+        gamma_j of the sum of its absolute terms, in any order, with or
+        without fused multiply-adds (Higham, Accuracy and Stability of
+        Numerical Algorithms, 3.1). With w = 1/scale^2, a = sum(w x^2) and
+        c = sum(w q^2), the filter takes the distance as a - 2 sum(w x q) + c.
+        The absolute sums of its three parts are a, at most a + c (as
+        |2 w x q| <= w x^2 + w q^2) and c; rounding w, x^2 and w q adds 3 to
+        m and the two outer additions 2, so it is within 2 gamma_(m+5) (a + c)
+        of the real distance D. The exact path rounds x - q, the division,
+        the square and m - 1 additions of non-negative terms, so it is within
+        gamma_(m+4) D <= 2 gamma_(m+4) (a + c) of D. So they differ by at
+        most 4 gamma_(m+5) (a + c), and twice that also covers the rounding
+        of a, c and the margin itself. A product that underflows loses at most 2^-1075:
+        w_j 2^-1075 for a stored x^2, which w_j multiplies, and 2^-1075 for
+        the others once u more of the relative bound is spent, which the
+        doubling holds; 2^-1074 (sum(w) + 10 m) covers them all.
+
+        The bound needs a normal w and no overflow, which a finite upper end
+        rules out, as the exact sum cannot pass it. Otherwise, and below the
+        crossover, every row is ranked.
+        """
+        n = self.size
+        if n < KNN_FILTER_MIN_ROWS:
+            return slice(n)
+        w = 1.0 / (scale * scale)
+        if not _NORMAL_MIN <= w.min() <= w.max() <= 1.0 / _NORMAL_MIN:
+            return slice(n)
+        wq = w * x
+        c = wq @ x
+        a = self._X2[:n] @ w
+        approx = a - 2.0 * (self._X[:n] @ wq) + c
+        m = self.n_features
+        margin = (8.0 * _gamma(m + 5) * (a + c)
+                  + _SUBNORMAL_MIN * (w.sum() + 10 * m))
+        upper = approx + margin
+        if not np.isfinite(upper).all():  # then so are q and every approx
+            return slice(n)
+        # A row whose lower end lies above the k-th smallest upper end has
+        # k rows nearer than it, so it neither votes nor ties.
+        kth_upper = np.partition(upper, k - 1)[k - 1]
+        return np.flatnonzero(approx - margin <= kth_upper)
+
     def predict(self, x):
         n = self.size
         if n == 0:
             raise LearnerError("predict on empty kNN store")
         x = np.asarray(x, dtype=np.float64)
-        diff = self._X[:n] - x
-        diff /= self._scale()
-        dist = np.einsum("ij,ij->i", diff, diff)
+        scale = self._scale()
         k = min(self.k, n)
+        rows = self._candidates(x, scale, k)
+        dist = _sq_distances(self._X[rows], x, scale)
+        seq, y = self._seq[rows], self._y[rows]
         # Rows beyond the k-th smallest distance cannot vote; the rest go in
         # (distance, insertion) order, NaN distances kept and ranked last.
         kth = np.partition(dist, k - 1)[k - 1]
         near = np.flatnonzero(~(dist > kth))
-        order = near[np.lexsort((self._seq[near], dist[near]))]
-        votes = np.bincount(self._y[order[:k]], minlength=len(self.classes))
+        order = near[np.lexsort((seq[near], dist[near]))]
+        votes = np.bincount(y[order[:k]], minlength=len(self.classes))
         return votes / k
 
 

@@ -29,6 +29,15 @@ SPEC = {"seed": 1, "samples_per_class": 50,
         "classes": [{"label": 1, "frequency": 0.5, "mean": 2.0},
                     {"label": 2, "frequency": 1.2, "mean": 4.0}],
         "users": [{"id": 1, "offset": 0.0}, {"id": 2, "offset": 0.1}]}
+BAD_CLASS_FIELDS = [("noise_sigma", -1.0), ("noise_sigma", float("nan")),
+                    ("frequency", float("inf")), ("amplitude", float("nan")),
+                    ("mean", float("-inf"))]
+
+
+def _first_class(**fields):
+    """SPEC with some fields of its first class replaced."""
+    return dict(SPEC, classes=[dict(SPEC["classes"][0], **fields),
+                               *SPEC["classes"][1:]])
 
 
 def run(argv):
@@ -165,14 +174,31 @@ class TestInputFiles:
         json.dumps(dict(SPEC, sample_rate=-100.0)),
         json.dumps(dict(SPEC, sample_rate=float("nan"))),
         json.dumps(dict(SPEC, users=SPEC["users"] + [{"id": 1,
-                                                      "offset": 0.5}]))],
+                                                      "offset": 0.5}])),
+        *(json.dumps(_first_class(**{field: value}))
+          for field, value in BAD_CLASS_FIELDS),
+        json.dumps(_first_class(label=2))],
         ids=["missing", "not-json", "rate0", "rate-negative", "rate-nan",
-             "repeated-user"])
+             "repeated-user", *(f"{field}-{value}"
+                                for field, value in BAD_CLASS_FIELDS),
+             "repeated-label"])
     def test_synth_spec_exits_three(self, capsys, tmp_path, content):
         spec = tmp_path / "spec.json"
         if content is not None:
             spec.write_text(content)
         code = run(["synth", "--spec", str(spec),
+                    "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_MISSING_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("fields", [{"label": 2}, {"noise_sigma": -1.0}],
+                             ids=["repeated-label", "noise-negative"])
+    def test_eval_on_bad_class_spec_exits_three(self, capsys, tmp_path,
+                                                fields):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_first_class(**fields)))
+        code = run(["eval", "--synthetic", str(spec), "--user", "1",
+                    "--window", "50", "--overlap", "0.0",
                     "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_MISSING_DATA
         assert capsys.readouterr().err.startswith("error: ")

@@ -240,6 +240,23 @@ class TestRunOnline:
             hashes.add(model.train_offline(train).state_hash())
         assert len(hashes) == 1
 
+    def test_wrapped_store_keeps_its_squares_and_hash(self):
+        # the filter's squared store is written only by train: after the kNN
+        # store wraps it is still the store squared, row for row, and two
+        # ensembles that classified and self-updated alike hash alike
+        rng = np.random.default_rng(11)
+        train = make_instances(rng, 200)
+        stream = make_instances(rng, 400)
+        params = LearnerParams(knn_capacity=300, confidence_threshold=0.5)
+        models = [Ensemble((1, 2, 3), params=params).train_offline(train)
+                  for _ in range(2)]
+        audits = [m.run_online(stream, "semi_supervised")[1] for m in models]
+        knn = models[0].members[0]
+        assert knn.n_trained > knn.capacity
+        assert knn._X2.tobytes() == (knn._X * knn._X).tobytes()
+        assert audits[0] == audits[1]
+        assert models[0].state_hash() == models[1].state_hash()
+
 
 def test_audit_csv(tmp_path):
     rng = np.random.default_rng(9)

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harbench.learners import (N_CANDIDATE_THRESHOLDS, GaussianNbClassifier,
-                               HoeffdingTreeClassifier, KnnClassifier,
-                               _entropy, hoeffding_bound)
+from harbench.learners import (KNN_FILTER_MIN_ROWS, N_CANDIDATE_THRESHOLDS,
+                               GaussianNbClassifier, HoeffdingTreeClassifier,
+                               KnnClassifier, _entropy, _sq_distances,
+                               hoeffding_bound)
 
 
 def knn_oracle(knn, x):
@@ -86,24 +87,104 @@ def scalar_split_decision(tree, leaf):
     return None
 
 
+BAD_VALUE = st.one_of(st.none(), st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
 class TestKnnAgainstFullSort:
+    # inf rows and queries make inf - inf, which numpy warns about
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(1, 25),
-           k=st.integers(1, 8), n_train=st.integers(1, 60),
-           n_features=st.integers(1, 4), decimals=st.sampled_from([0, 1]))
+    @given(seed=st.integers(0, 2**32 - 1),
+           capacity=st.one_of(st.integers(1, 25),
+                              st.integers(KNN_FILTER_MIN_ROWS - 10, 600)),
+           k=st.integers(1, 8),
+           n_train=st.one_of(st.integers(1, 60),
+                             st.integers(KNN_FILTER_MIN_ROWS, 700)),
+           n_features=st.one_of(st.integers(1, 4), st.integers(5, 81)),
+           decimals=st.sampled_from([None, 0, 1]),
+           log_scale=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+           offset=st.sampled_from([0.0, 1e3, -1e6]),
+           n_duplicates=st.integers(0, 30),
+           bad_row=BAD_VALUE, bad_query=BAD_VALUE,
+           n_chunks=st.integers(1, 4))
     def test_votes_equal_the_full_sort(self, seed, capacity, k, n_train,
-                                       n_features, decimals):
-        # coarse rounding gives duplicate rows and distance ties; more rows
-        # than capacity wrap the FIFO store round
+                                       n_features, decimals, log_scale,
+                                       offset, n_duplicates, bad_row,
+                                       bad_query, n_chunks):
+        # Stores on both sides of the filter's crossover. Feature scales
+        # from 1e-3 to 1e3 and a large common offset make the filter's
+        # expansion cancel; coarse rounding and copied rows give duplicate
+        # rows and ties or near-ties across the k boundary; more rows than
+        # capacity wrap the FIFO store round; predictions run between
+        # chunks of training, so the store and its scale change in between.
         rng = np.random.default_rng(seed)
         knn = KnnClassifier(classes=(0, 1, 2), n_features=n_features, k=k,
                             capacity=capacity)
-        X = np.round(rng.normal(scale=2.0, size=(n_train, n_features)), decimals)
-        for x, label in zip(X, rng.integers(0, 3, size=n_train)):
-            knn.train(x, int(label))
-        queries = np.round(rng.normal(scale=2.0, size=(5, n_features)), decimals)
-        for q in [*queries, *X[-3:]]:
-            np.testing.assert_array_equal(knn.predict(q), knn_oracle(knn, q))
+        scales = 10.0 ** rng.uniform(min(log_scale), max(log_scale),
+                                     size=n_features)
+
+        def draw(n):
+            values = rng.normal(scale=2.0, size=(n, n_features)) * scales
+            values += offset
+            return values if decimals is None else np.round(values, decimals)
+
+        X = draw(n_train)
+        # copies of a few rows, half of them one ulp off in one feature,
+        # so distances tie or differ by less than the filter's rounding
+        sources = rng.integers(0, n_train, size=3)
+        copies = rng.integers(0, n_train, size=n_duplicates)
+        X[copies] = X[rng.choice(sources, size=n_duplicates)]
+        X[copies, rng.integers(n_features, size=n_duplicates)] *= np.where(
+            rng.random(n_duplicates) < 0.5, 1.0, 1.0 + 2.0 ** -52)
+        queries = np.vstack([draw(3), X[sources]])
+        for bad, values in [(bad_row, X), (bad_query, queries)]:
+            if bad is not None:
+                values[rng.integers(len(values)),
+                       rng.integers(n_features)] = bad
+        labels = rng.integers(0, 3, size=n_train)
+        cuts = np.sort(rng.integers(0, n_train + 1, size=n_chunks - 1))
+        for chunk in np.split(np.arange(n_train), cuts):
+            for i in chunk:
+                knn.train(X[i], int(labels[i]))
+            for q in [*queries, *X[chunk[-3:]]] if knn.size else []:
+                np.testing.assert_array_equal(knn.predict(q),
+                                              knn_oracle(knn, q))
+
+    def test_filter_ranks_only_the_nearest_rows(self):
+        # well-separated rows above the crossover: the filter's intervals
+        # leave just the k nearest, and the vote still equals the full sort
+        rng = np.random.default_rng(3)
+        knn = KnnClassifier(classes=(0, 1), n_features=81, k=5,
+                            capacity=KNN_FILTER_MIN_ROWS)
+        X = rng.normal(size=(KNN_FILTER_MIN_ROWS, 81)) + 50.0
+        for i, x in enumerate(X):
+            knn.train(x, i % 2)
+        q = X[7] + 0.01
+        rows = knn._candidates(q, knn._scale(), knn.k)
+        assert len(rows) == knn.k and 7 in rows
+        np.testing.assert_array_equal(knn.predict(q), knn_oracle(knn, q))
+        # one row fewer, and every row is ranked
+        small = KnnClassifier(classes=(0, 1), n_features=81, k=5,
+                              capacity=KNN_FILTER_MIN_ROWS - 1)
+        for i, x in enumerate(X[1:]):
+            small.train(x, i % 2)
+        assert small._candidates(q, small._scale(), 5) == slice(small.size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600),
+           n_features=st.integers(1, 81), n_rows=st.integers(1, 12))
+    def test_a_rows_distance_is_the_same_in_any_subset(self, seed, n,
+                                                       n_features, n_rows):
+        # the refine ranks the filter's candidates as the whole store would
+        # only if each row's distance has the same bits in either array
+        rng = np.random.default_rng(seed)
+        X = (rng.normal(size=(n, n_features))
+             * 10.0 ** rng.uniform(-3, 3, size=n_features) + 1e3)
+        q = rng.normal(size=n_features) + 1e3
+        scale = 10.0 ** rng.uniform(-3, 3, size=n_features)
+        rows = np.sort(rng.choice(n, size=min(n_rows, n), replace=False))
+        assert (_sq_distances(X[rows], q, scale).tobytes()
+                == _sq_distances(X, q, scale)[rows].tobytes())
 
     def test_tie_group_across_the_wrap_prefers_older(self):
         knn = KnnClassifier(classes=(0, 1, 2), n_features=1, k=2, capacity=3)

@@ -101,18 +101,16 @@ class Ensemble:
     def classify(self, fv) -> Prediction:
         if not self._trained:
             raise EnsembleError("classify on untrained ensemble")
-        dists = [_check_distribution(m.predict(fv.values)) for m in self.members]
-        votes = [int(np.argmax(d)) for d in dists]  # argmax = fixed class order
+        # members x classes; argmax = fixed class order
+        dists = np.stack([_check_distribution(m.predict(fv.values))
+                          for m in self.members])
+        votes = dists.argmax(axis=1)
         counts = np.bincount(votes, minlength=len(self.classes))
-        top = counts.max()
-        tied = np.nonzero(counts == top)[0]
-        if len(tied) > 1:
-            summed = sum(dists)
-            winner = int(tied[np.argmax(summed[tied])])
-        else:
-            winner = int(tied[0])
-        voting = [d[winner] for d, v in zip(dists, votes) if v == winner]
-        confidence = float(np.mean(voting) * len(voting) / len(self.members))
+        tied = np.flatnonzero(counts == counts.max())
+        # tied columns summed down the rows, in member order
+        winner = tied[dists[:, tied].sum(axis=0).argmax()]
+        voting = dists[votes == winner, winner]
+        confidence = float(voting.mean() * len(voting) / len(self.members))
         return Prediction(label=self.classes[winner], confidence=confidence,
                           member_distributions=tuple(dists))
 

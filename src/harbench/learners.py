@@ -31,6 +31,7 @@ def _check_distribution(probs):
 # Below this many stored rows every row is ranked exactly: the filter's extra
 # numpy calls cost more than the rows it would skip (measured crossover).
 KNN_FILTER_MIN_ROWS = 256
+KNN_FIRST_BLOCK = 256  # rows a store starts with; it grows to capacity once
 
 _U = float(np.finfo(np.float64).eps) / 2  # unit roundoff
 _NORMAL_MIN = float(np.finfo(np.float64).tiny)
@@ -73,10 +74,10 @@ class KnnClassifier:
         self.capacity = capacity
         self._class_index = {c: i for i, c in enumerate(self.classes)}
         # zeroed, so the unfilled rows hash alike in Ensemble.state_hash
-        self._X = np.zeros((capacity, n_features))
-        self._X2 = np.zeros((capacity, n_features))  # _X squared, for the filter
-        self._y = np.zeros(capacity, dtype=np.int64)
-        self._seq = np.zeros(capacity, dtype=np.int64)  # insertion order
+        rows = min(capacity, KNN_FIRST_BLOCK)
+        self._X = np.zeros((rows, n_features))
+        self._X2 = np.zeros((rows, n_features))  # _X squared, for the filter
+        self._y = np.zeros(rows, dtype=np.int64)
         self.n_trained = 0
         # running per-feature stats (Welford)
         self._mean = np.zeros(n_features)
@@ -91,10 +92,14 @@ class KnnClassifier:
         if label not in self._class_index:
             raise LearnerError(f"unknown class {label}")
         slot = self.n_trained % self.capacity  # overwrites the oldest
+        if slot == len(self._y):  # the first block is full: grow, zeroed
+            self._X, self._X2, self._y = (
+                np.concatenate([a, np.zeros((self.capacity - slot,)
+                                            + a.shape[1:], a.dtype)])
+                for a in (self._X, self._X2, self._y))
         self._X[slot] = x
         self._X2[slot] = x * x
         self._y[slot] = self._class_index[label]
-        self._seq[slot] = self.n_trained
         self.n_trained += 1
         delta = x - self._mean
         self._mean += delta / self.n_trained
@@ -159,13 +164,16 @@ class KnnClassifier:
         k = min(self.k, n)
         rows = self._candidates(x, scale, k)
         dist = _sq_distances(self._X[rows], x, scale)
-        seq, y = self._seq[rows], self._y[rows]
         # Rows beyond the k-th smallest distance cannot vote; the rest go in
         # (distance, insertion) order, NaN distances kept and ranked last.
+        # A slot's insertion rank is (slot - n_trained) mod capacity; a
+        # slice of candidates starts at slot 0.
         kth = np.partition(dist, k - 1)[k - 1]
         near = np.flatnonzero(~(dist > kth))
-        order = near[np.lexsort((seq[near], dist[near]))]
-        votes = np.bincount(y[order[:k]], minlength=len(self.classes))
+        slots = near if isinstance(rows, slice) else rows[near]
+        rank = (slots - self.n_trained) % self.capacity
+        order = slots[np.lexsort((rank, dist[near]))]
+        votes = np.bincount(self._y[order[:k]], minlength=len(self.classes))
         return votes / k
 
 
@@ -174,7 +182,7 @@ class KnnClassifier:
 
 
 class GaussianNbClassifier:
-    """Per-class Gaussian model with numerically stable running moments."""
+    """Per-class Gaussian model: running counts, mean and m2 (Welford)."""
 
     VAR_FLOOR = 1e-9
 
@@ -183,38 +191,44 @@ class GaussianNbClassifier:
         self.n_features = n_features
         self._class_index = {c: i for i, c in enumerate(self.classes)}
         c = len(self.classes)
-        self._count = np.zeros(c)
-        self._mean = np.zeros((c, n_features))
-        self._m2 = np.zeros((c, n_features))
+        self.counts = np.zeros(c)
+        self.mean = np.zeros((c, n_features))
+        self.m2 = np.zeros((c, n_features))
 
     @property
     def n_trained(self):
-        return int(self._count.sum())
+        return int(self.counts.sum())
+
+    def _index(self, label):
+        ci = self._class_index.get(label)
+        if ci is None:
+            raise LearnerError(f"unknown class {label}")
+        return ci
 
     def train(self, x, label):
         x = np.asarray(x, dtype=np.float64)
-        ci = self._class_index[label]
-        self._count[ci] += 1
-        delta = x - self._mean[ci]
-        self._mean[ci] += delta / self._count[ci]
-        self._m2[ci] += delta * (x - self._mean[ci])
+        ci = self._index(label)
+        self.counts[ci] += 1
+        delta = x - self.mean[ci]
+        self.mean[ci] += delta / self.counts[ci]
+        self.m2[ci] += delta * (x - self.mean[ci])
 
     def class_stats(self, label):
         """(count, mean, population variance) for one class."""
-        ci = self._class_index[label]
-        n = self._count[ci]
-        var = self._m2[ci] / n if n > 0 else np.zeros(self.n_features)
-        return n, self._mean[ci].copy(), var
+        ci = self._index(label)
+        n = self.counts[ci]
+        var = self.m2[ci] / n if n > 0 else np.zeros(self.n_features)
+        return n, self.mean[ci].copy(), var
 
     def log_posteriors(self, x):
-        total = self._count.sum()
+        total = self.counts.sum()
         if total == 0:
             raise LearnerError("predict before any NB update")
         x = np.asarray(x, dtype=np.float64)
-        seen = np.flatnonzero(self._count)
-        count = self._count[seen]
-        var = np.maximum(self._m2[seen] / count[:, None], self.VAR_FLOOR)
-        diff = x - self._mean[seen]
+        seen = np.flatnonzero(self.counts)
+        count = self.counts[seen]
+        var = np.maximum(self.m2[seen] / count[:, None], self.VAR_FLOOR)
+        diff = x - self.mean[seen]
         ll = -0.5 * (np.log(2 * math.pi * var) + diff * diff / var).sum(axis=1)
         log_post = np.full(len(self.classes), -np.inf)
         log_post[seen] = list(map(math.log, (count / total).tolist())) + ll
@@ -270,14 +284,11 @@ def _left_counts(leaf, features, present, thresholds):
     return n_c * (0.5 * (1.0 + erf.reshape(z.shape)))
 
 
-class _Node:
-    __slots__ = ("counts", "mean", "m2", "fmin", "fmax", "n_since_eval",
-                 "feature", "threshold", "left", "right")
+class _Node(GaussianNbClassifier):
+    """A tree node; a leaf's split search reads its naive Bayes statistics."""
 
-    def __init__(self, n_classes, n_features):
-        self.counts = np.zeros(n_classes)
-        self.mean = np.zeros((n_classes, n_features))
-        self.m2 = np.zeros((n_classes, n_features))
+    def __init__(self, classes, n_features):
+        super().__init__(classes, n_features)
         self.fmin = np.full(n_features, np.inf)
         self.fmax = np.full(n_features, -np.inf)
         self.n_since_eval = 0
@@ -294,11 +305,12 @@ class _Node:
 class HoeffdingTreeClassifier:
     """Binary-split VFDT with per-class Gaussian numeric attribute models.
 
-    Leaves accumulate per-(feature, class) Gaussian sufficient statistics;
-    every grace_period instances the best and second-best information gains
-    are compared against the Hoeffding bound (value range R = log2 of the
-    class count), splitting on the winner or on a tie when the bound falls
-    below tie_threshold.
+    Each leaf is a naive Bayes learner whose per-(feature, class) Gaussian
+    statistics are the split search's sufficient statistics (Gama, Rocha &
+    Medas, VFDTc, KDD 2003). Every grace_period instances the best and
+    second-best information gains are compared against the Hoeffding bound
+    (value range R = log2 of the class count), splitting on the winner or on
+    a tie when the bound falls below tie_threshold.
     """
 
     def __init__(self, classes, n_features, delta=1e-7, tie_threshold=0.05,
@@ -315,9 +327,7 @@ class HoeffdingTreeClassifier:
         self.tie_threshold = tie_threshold
         self.grace_period = grace_period
         self.value_range = math.log2(max(2, len(self.classes)))
-        self._class_index = {c: i for i, c in enumerate(self.classes)}
-        self.root = _Node(len(self.classes), n_features)
-        self.n_trained = 0
+        self.root = _Node(self.classes, n_features)
         self.n_splits = 0
 
     def _route(self, x):
@@ -328,22 +338,17 @@ class HoeffdingTreeClassifier:
 
     def train(self, x, label):
         x = np.asarray(x, dtype=np.float64)
-        ci = self._class_index[label]
         leaf = self._route(x)
-        leaf.counts[ci] += 1
-        delta = x - leaf.mean[ci]
-        leaf.mean[ci] += delta / leaf.counts[ci]
-        leaf.m2[ci] += delta * (x - leaf.mean[ci])
+        leaf.train(x, label)
         np.minimum(leaf.fmin, x, out=leaf.fmin)
         np.maximum(leaf.fmax, x, out=leaf.fmax)
         leaf.n_since_eval += 1
-        self.n_trained += 1
         if leaf.n_since_eval >= self.grace_period:
             leaf.n_since_eval = 0
             self._attempt_split(leaf)
 
     def _split_candidates(self, leaf):
-        """[features], [gains], [thresholds]: each ranged feature's best split."""
+        """features, gains, thresholds: each ranged feature's best split."""
         features = np.flatnonzero(leaf.fmax > leaf.fmin)
         present = np.flatnonzero(leaf.counts > 0)
         thresholds = np.linspace(leaf.fmin[features], leaf.fmax[features],
@@ -355,30 +360,26 @@ class HoeffdingTreeClassifier:
                  + right.sum(axis=2) * _row_entropies(right))
         gains = _entropy(leaf.counts) - split / leaf.counts.sum()
         rows, best = np.arange(len(features)), gains.argmax(axis=1)  # first max
-        return (features.tolist(), gains[rows, best].tolist(),
-                thresholds[rows, best].tolist())
+        return features, gains[rows, best], thresholds[rows, best]
 
     def _attempt_split(self, leaf):
         if np.count_nonzero(leaf.counts) < 2:
             return
-        best = second = (0.0, None, None)  # (gain, feature, threshold)
-        for f, gain, threshold in zip(*self._split_candidates(leaf)):
-            if gain > best[0]:
-                second = best
-                best = (gain, f, threshold)
-            elif gain > second[0]:
-                second = (gain, f, None)
-        if best[1] is None or best[0] <= 0.0:
+        features, gains, thresholds = self._split_candidates(leaf)
+        gains = np.where(gains > 0.0, gains, 0.0)  # NaN and losses never count
+        if not gains.any():
             return
+        best = gains.argmax()  # the first maximal gain
+        second = np.delete(gains, best).max(initial=0.0)
         eps = hoeffding_bound(self.value_range, self.delta, int(leaf.counts.sum()))
-        if best[0] - second[0] > eps or eps < self.tie_threshold:
-            self._split(leaf, best[1], best[2])
+        if gains[best] - second > eps or eps < self.tie_threshold:
+            self._split(leaf, int(features[best]), float(thresholds[best]))
 
     def _split(self, leaf, feature, threshold):
         leaf.feature = feature
         leaf.threshold = threshold
-        leaf.left = _Node(len(self.classes), self.n_features)
-        leaf.right = _Node(len(self.classes), self.n_features)
+        leaf.left = _Node(self.classes, self.n_features)
+        leaf.right = _Node(self.classes, self.n_features)
         # drop sufficient statistics now owned by the children
         leaf.counts = np.zeros(len(self.classes))
         leaf.mean = leaf.mean[:0]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harbench.ensemble import (Ensemble, EnsembleError, LearnerParams,
                                Prediction)
@@ -49,7 +50,56 @@ def make_instances(rng, n, classes=(1, 2, 3), sep=6.0, noise=0.5, shift=0.0):
     return out
 
 
+def list_vote(dists):
+    """The vote as a loop over members: (winner index, confidence)."""
+    votes = [int(np.argmax(d)) for d in dists]
+    counts = np.bincount(votes, minlength=len(dists[0]))
+    tied = np.nonzero(counts == counts.max())[0]
+    if len(tied) > 1:
+        summed = sum(dists)
+        winner = int(tied[np.argmax(summed[tied])])
+    else:
+        winner = int(tied[0])
+    voting = [d[winner] for d, v in zip(dists, votes) if v == winner]
+    return winner, float(np.mean(voting) * len(voting) / len(dists))
+
+
+@st.composite
+def member_posteriors(draw):
+    """Three posteriors over 2-12 classes; repeated rows, one-hot rows and
+    coarse weights make vote ties and summed-posterior ties common."""
+    n_classes = draw(st.integers(2, 12))
+    rows = []
+    for _ in range(3):
+        kind = draw(st.sampled_from(["weights", "floats", "one-hot", "copy"]))
+        if kind == "copy" and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+            continue
+        w = np.zeros(n_classes)
+        if kind == "weights":
+            w += draw(st.lists(st.integers(0, 3), min_size=n_classes,
+                               max_size=n_classes))
+        elif kind == "floats":
+            w += draw(st.lists(st.floats(0.0, 1.0), min_size=n_classes,
+                               max_size=n_classes))
+            decimals = draw(st.sampled_from([None, 0, 1, 2]))
+            if decimals is not None:
+                w = np.round(w, decimals)
+        w[draw(st.integers(0, n_classes - 1))] += 1.0  # a positive total
+        rows.append(w / w.sum())
+    return rows
+
+
 class TestClassify:
+    @settings(max_examples=400, deadline=None)
+    @given(dists=member_posteriors())
+    def test_matrix_vote_equals_the_list_vote(self, dists):
+        classes = tuple(range(10, 10 + len(dists[0])))
+        pred = stub_ensemble(dists, classes=classes).classify(fv([0.0]))
+        winner, confidence = list_vote(dists)
+        assert pred.label == classes[winner]
+        assert pred.confidence.hex() == confidence.hex()
+
     def test_unanimous_certainty(self):
         model = stub_ensemble([[1.0, 0.0]] * 3)
         pred = model.classify(fv([0.0]))

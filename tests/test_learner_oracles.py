@@ -17,12 +17,19 @@ from harbench.learners import (KNN_FILTER_MIN_ROWS, N_CANDIDATE_THRESHOLDS,
                                hoeffding_bound)
 
 
+def insertion_index(knn):
+    """Each slot's insertion index: the latest t < n_trained with
+    t = slot (mod capacity)."""
+    slots = np.arange(knn.size)
+    return slots + knn.capacity * ((knn.n_trained - 1 - slots) // knn.capacity)
+
+
 def knn_oracle(knn, x):
     """Vote of the k first rows of the whole store by (distance, insertion)."""
     n = knn.size
     diff = (knn._X[:n] - np.asarray(x, dtype=np.float64)) / knn._scale()
     dist = np.einsum("ij,ij->i", diff, diff)
-    order = np.lexsort((knn._seq[:n], dist))
+    order = np.lexsort((insertion_index(knn), dist))
     k = min(knn.k, n)
     return np.bincount(knn._y[order[:k]], minlength=len(knn.classes)) / k
 
@@ -31,12 +38,12 @@ def nb_oracle(nb, x):
     """Log posteriors, one seen class at a time; -inf for unseen classes."""
     x = np.asarray(x, dtype=np.float64)
     log_post = np.full(len(nb.classes), -np.inf)
-    total = nb._count.sum()
-    for ci in np.nonzero(nb._count > 0)[0]:
-        var = np.maximum(nb._m2[ci] / nb._count[ci], nb.VAR_FLOOR)
-        diff = x - nb._mean[ci]
+    total = nb.counts.sum()
+    for ci in np.nonzero(nb.counts > 0)[0]:
+        var = np.maximum(nb.m2[ci] / nb.counts[ci], nb.VAR_FLOOR)
+        diff = x - nb.mean[ci]
         ll = -0.5 * np.sum(np.log(2 * math.pi * var) + diff * diff / var)
-        log_post[ci] = math.log(nb._count[ci] / total) + ll
+        log_post[ci] = math.log(nb.counts[ci] / total) + ll
     return log_post
 
 
@@ -257,7 +264,7 @@ class TestVfdtAgainstScalarSearch:
         oracle = {f: scalar_split_gains(tree, leaf, f)
                   for f in range(n_features)}
         oracle = {f: r for f, r in oracle.items() if r is not None}
-        assert features == list(oracle)
+        assert list(features) == list(oracle)
         for f, gain, threshold in zip(features, gains, thresholds):
             assert threshold == oracle[f][1]
             assert abs(gain - oracle[f][0]) <= 1e-12

@@ -20,6 +20,17 @@ def test_check_distribution_rejects(probs):
         _check_distribution(probs)
 
 
+@pytest.mark.parametrize("make", [KnnClassifier, GaussianNbClassifier,
+                                  HoeffdingTreeClassifier])
+def test_unknown_class_raises_learner_error(make):
+    learner = make(classes=(1, 2), n_features=2)
+    with pytest.raises(LearnerError):
+        learner.train([0.0, 1.0], 3)
+    if isinstance(learner, GaussianNbClassifier):
+        with pytest.raises(LearnerError):
+            learner.class_stats(3)
+
+
 class TestKnn:
     def test_exact_match_single_instance(self):
         knn = KnnClassifier(classes=(1, 2), n_features=3, k=5)
@@ -77,6 +88,12 @@ class TestKnn:
         knn = KnnClassifier(classes=(1, 2), n_features=1)
         with pytest.raises(LearnerError):
             knn.predict([0.0])
+
+    def test_small_store_is_not_allocated_to_capacity(self):
+        knn = KnnClassifier(classes=(1, 2), n_features=3, capacity=5000)
+        for i in range(10):
+            knn.train([i, 0.0, 1.0], 1 + i % 2)
+        assert max(len(knn._X), len(knn._X2), len(knn._y)) <= 256
 
     def test_k_falls_back_to_store_size(self):
         knn = KnnClassifier(classes=(1, 2), n_features=1, k=10)
@@ -204,6 +221,17 @@ class TestHoeffdingTree:
                       for x, label in zip(Xh, yh))
         assert correct / len(yh) >= 0.99
 
+    def test_equal_gains_split_on_the_earlier_feature(self):
+        rng = np.random.default_rng(6)
+        X, y = separable_stream(rng, 400)
+        X[:, 3] = X[:, 0]  # equal statistics, so equal best gains
+        tree = HoeffdingTreeClassifier(classes=(0, 1), n_features=5,
+                                       tie_threshold=1.0, grace_period=400)
+        for x, label in zip(X, y):
+            tree.train(x, int(label))
+        assert tree.n_splits == 1
+        assert tree.root.feature == 0
+
     def test_pure_split_gain_equals_parent_entropy(self):
         parent = np.array([40.0, 60.0])
         left = np.array([40.0, 0.0])
@@ -212,6 +240,21 @@ class TestHoeffdingTree:
         gain = h_parent - (left.sum() * _entropy(left)
                            + right.sum() * _entropy(right)) / parent.sum()
         assert gain == pytest.approx(h_parent)
+
+    def test_unsplit_leaf_holds_the_naive_bayes_statistics(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(300, 4)) * [1.0, 1e3, 1e-3, 0.0]
+        y = rng.integers(0, 3, size=300)
+        tree = HoeffdingTreeClassifier(classes=(0, 1, 2), n_features=4,
+                                       grace_period=301)
+        nb = GaussianNbClassifier(classes=(0, 1, 2), n_features=4)
+        for x, label in zip(X, y):
+            tree.train(x, int(label))
+            nb.train(x, int(label))
+        assert tree.n_splits == 0
+        for name in ("counts", "mean", "m2"):
+            assert (getattr(tree.root, name).tobytes()
+                    == getattr(nb, name).tobytes())
 
     def test_predictions_are_distributions(self):
         rng = np.random.default_rng(7)

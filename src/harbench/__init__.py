@@ -10,8 +10,8 @@ from .dataset import (PROTOCOL_ACTIVITIES, SensorStream, SyntheticSpec,
                       filter_protocol_activities, generate_synthetic,
                       parse_subject_file, sample_counts)
 from .ensemble import Ensemble, LearnerParams, Prediction
-from .evaluation import (Fold, FoldResult, emit_reports, evaluate_fold,
-                         louo_split, sweep)
+from .evaluation import (FoldResult, emit_reports, evaluate_fold, louo_split,
+                         sweep)
 from .features import FeatureVector, extract, extract_stream
 from .learners import (GaussianNbClassifier, HoeffdingTreeClassifier,
                        KnnClassifier, hoeffding_bound)

@@ -88,14 +88,7 @@ def _parse_grid(args):
             overlaps = [float(o) for o in args.overlaps.split(",")]
         except (AttributeError, ValueError) as exc:
             raise CliError(f"invalid grid: {exc}", EXIT_BAD_GRID) from exc
-    if not windows or not overlaps:
-        raise CliError("empty grid", EXIT_BAD_GRID)
-    if len(set(windows)) < len(windows) or len(set(overlaps)) < len(overlaps):
-        raise CliError(f"repeated grid value (windows {windows}, overlaps "
-                       f"{overlaps})", EXIT_BAD_GRID)
-    for w in windows:
-        for o in overlaps:
-            WindowConfig(w, o)  # raises WindowingError (exit 2)
+    evaluation.check_grid(windows, overlaps)  # a repeated or bad value: exit 2
     if not args.allow_any_grid:
         bad_w = [w for w in windows if w not in STUDY_WINDOWS]
         bad_o = [o for o in overlaps if round(o, 1) not in STUDY_OVERLAPS
@@ -171,14 +164,12 @@ def cmd_sweep(args):
 def cmd_eval(args):
     streams, classes = _load_streams(args)
     config = WindowConfig(args.window, args.overlap)
-    folds = {f.test_user: f for f in evaluation.louo_split(streams)}
-    if args.user not in folds:
+    if args.user not in evaluation.louo_split(streams):
         raise CliError(f"user {args.user} not in data", EXIT_MISSING_DATA)
-    streams_by_user = {s.user_id: s for s in streams}
     result, audit = evaluation.evaluate_fold(
-        streams_by_user, folds[args.user], config, _modes(args.mode)[0],
-        params=_learner_params(args), purity=args.purity,
-        valid_labels=classes, return_audit=True)
+        {s.user_id: s for s in streams}, args.user, config,
+        _modes(args.mode)[0], params=_learner_params(args),
+        purity=args.purity, valid_labels=classes)
     acc = result.accuracy
     print(f"user {args.user} W={args.window} o={args.overlap} {result.mode}: "
           f"windows={result.n_windows} "
@@ -210,17 +201,16 @@ def cmd_profile(args):
     test = next(s for s in streams if s.user_id == test_user)
 
     breakdowns = []
-    for w in windows:
-        for o in overlaps:
-            bd = profiling.timed_run(train, test, WindowConfig(w, o),
-                                     mode=_modes(args.mode)[0],
-                                     purity=args.purity, valid_labels=classes,
-                                     params=_learner_params(args),
-                                     repetitions=args.reps)
-            breakdowns.append(bd)
-            print(f"W={w} o={o}: windows={bd.n_windows} "
-                  f"total={bd.total_ns / 1e6:.1f}ms "
-                  f"energy={profiling.estimate_energy(bd, power):.4f}J")
+    for config in evaluation.check_grid(windows, overlaps):
+        bd = profiling.timed_run(train, test, config,
+                                 mode=_modes(args.mode)[0],
+                                 purity=args.purity, valid_labels=classes,
+                                 params=_learner_params(args),
+                                 repetitions=args.reps)
+        breakdowns.append(bd)
+        print(f"W={config.window_size} o={config.overlap}: "
+              f"windows={bd.n_windows} total={bd.total_ns / 1e6:.1f}ms "
+              f"energy={profiling.estimate_energy(bd, power):.4f}J")
     for path in profiling.write_profile(breakdowns, power, args.out):
         print("wrote", path)
     return EXIT_OK
@@ -244,13 +234,19 @@ def _add_common(parser):
                         help="synthetic spec file instead of PAMAP2")
     parser.add_argument("--purity", type=float, default=DEFAULT_PURITY,
                         help="minimum modal-label fraction to keep a window")
-    parser.add_argument("--k", type=int, default=5, help="kNN neighbors")
-    parser.add_argument("--knn-capacity", type=int, default=5000)
-    parser.add_argument("--delta", type=float, default=1e-7,
+    learner = LearnerParams()
+    parser.add_argument("--k", type=int, default=learner.k,
+                        help="kNN neighbors")
+    parser.add_argument("--knn-capacity", type=int,
+                        default=learner.knn_capacity)
+    parser.add_argument("--delta", type=float, default=learner.vfdt_delta,
                         help="VFDT split confidence")
-    parser.add_argument("--tie-threshold", type=float, default=0.05)
-    parser.add_argument("--grace-period", type=int, default=200)
-    parser.add_argument("--theta", type=float, default=0.99,
+    parser.add_argument("--tie-threshold", type=float,
+                        default=learner.vfdt_tie_threshold)
+    parser.add_argument("--grace-period", type=int,
+                        default=learner.vfdt_grace_period)
+    parser.add_argument("--theta", type=float,
+                        default=learner.confidence_threshold,
                         help="self-update confidence gate (strict >)")
 
 

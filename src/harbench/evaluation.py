@@ -36,18 +36,6 @@ class EvaluationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Fold:
-    test_user: int
-    train_users: tuple
-
-    def __post_init__(self):
-        if self.test_user in self.train_users:
-            raise EvaluationError("test user leaked into training set")
-        if len(set(self.train_users)) < len(self.train_users):
-            raise EvaluationError(f"duplicate training users {self.train_users}")
-
-
 @dataclass
 class FoldResult:
     user: int
@@ -87,15 +75,23 @@ class FoldResult:
 
 
 def louo_split(streams) -> list:
-    """One fold per user: that user tests, all others train."""
+    """The sorted user ids, one fold each: that user tests, all others
+    train."""
     users = sorted(s.user_id for s in streams)
     if len(users) != len(set(users)):
         raise EvaluationError("duplicate user ids")
     if len(users) < 2:
         raise EvaluationError("leave-one-user-out needs at least 2 users")
-    return [Fold(test_user=u,
-                 train_users=tuple(v for v in users if v != u))
-            for u in users]
+    return users
+
+
+def check_grid(windows, overlaps) -> list:
+    """Every (W, o) point's WindowConfig, in grid order. A repeated value
+    raises EvaluationError, an invalid one WindowingError."""
+    if len(set(windows)) < len(windows) or len(set(overlaps)) < len(overlaps):
+        raise EvaluationError(f"repeated grid value: windows {windows}, "
+                              f"overlaps {overlaps}")
+    return [WindowConfig(w, o) for w in windows for o in overlaps]
 
 
 def pipeline_instances(stream, config, purity=DEFAULT_PURITY,
@@ -104,45 +100,48 @@ def pipeline_instances(stream, config, purity=DEFAULT_PURITY,
     return extract_stream(labeled_windows(stream, config, purity, valid_labels))
 
 
-def fold_model(tables, fold, params=None, valid_labels=PROTOCOL_ACTIVITIES):
-    """The fold's ensemble, trained offline on its training users' instances
-    only when the test user has any; tables: user -> pipeline_instances.
-    Built first, so bad params fail on any data."""
+def fold_model(tables, test_user, params=None,
+               valid_labels=PROTOCOL_ACTIVITIES):
+    """The fold's ensemble, trained offline on every other user's instances,
+    in sorted user order, only when the test user has any; tables: user ->
+    pipeline_instances. Built first, so bad params fail on any data."""
     model = Ensemble(valid_labels, params=params)
-    train_instances = [fv for user in fold.train_users for fv in tables[user]]
-    if any(fv.user_id == fold.test_user for fv in train_instances):
+    train_instances = [fv for user in sorted(tables) if user != test_user
+                       for fv in tables[user]]
+    if any(fv.user_id == test_user for fv in train_instances):
         raise EvaluationError("test-user instance in training data")
-    if tables[fold.test_user]:
+    if tables[test_user]:
         model.train_offline(train_instances)
     return model
 
 
-def score_fold(model, tables, fold, config, mode,
+def score_fold(model, tables, test_user, config, mode,
                valid_labels=PROTOCOL_ACTIVITIES):
     """(FoldResult, audit) of one cell: the fold's model run online on the
     test user's instances. Every count comes from the audit records."""
-    _, audit = model.run_online(tables[fold.test_user], mode)
+    _, audit = model.run_online(tables[test_user], mode)
     windows = dict.fromkeys(valid_labels, 0)
     correct = dict.fromkeys(valid_labels, 0)
     for rec in audit:
         windows[rec.true_label] += 1
         correct[rec.true_label] += rec.predicted_label == rec.true_label
-    result = FoldResult(fold.test_user, config.window_size, config.overlap,
+    result = FoldResult(test_user, config.window_size, config.overlap,
                         mode, windows, correct,
                         self_updates=sum(rec.updated for rec in audit))
     return result, audit
 
 
-def evaluate_fold(streams_by_user, fold, config, mode,
+def evaluate_fold(streams_by_user, test_user, config, mode,
                   params=None, purity=DEFAULT_PURITY,
-                  valid_labels=PROTOCOL_ACTIVITIES, return_audit=False):
-    """Train on the fold's training users, run the test user online."""
-    tables = {user: pipeline_instances(streams_by_user[user], config, purity,
-                                       valid_labels)
-              for user in (*fold.train_users, fold.test_user)}
-    model = fold_model(tables, fold, params, valid_labels)
-    result, audit = score_fold(model, tables, fold, config, mode, valid_labels)
-    return (result, audit) if return_audit else result
+                  valid_labels=PROTOCOL_ACTIVITIES):
+    """(FoldResult, audit) of one cell: train on every other user, run the
+    test user online."""
+    if test_user not in streams_by_user:
+        raise EvaluationError(f"no stream for user {test_user}")
+    tables = {user: pipeline_instances(stream, config, purity, valid_labels)
+              for user, stream in streams_by_user.items()}
+    model = fold_model(tables, test_user, params, valid_labels)
+    return score_fold(model, tables, test_user, config, mode, valid_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +179,14 @@ def _load_cell(path, key):
 
 def _point_cells(streams, config, cells, params, purity, valid_labels):
     """Featurize every user once, then yield (path, key, result) per cell.
-    A fold's cells come together, frozen first, so its model is trained once
-    and serves both modes: a frozen run leaves it unchanged."""
+    A user's cells come together, frozen first, so the fold's model is
+    trained once and serves both modes: a frozen run leaves it unchanged."""
     tables = {s.user_id: pipeline_instances(s, config, purity, valid_labels)
               for s in streams}
-    for fold, fold_cells in groupby(cells, key=lambda cell: cell[2]):
-        model = fold_model(tables, fold, params, valid_labels)
-        for path, key, _, mode in fold_cells:
-            yield path, key, score_fold(model, tables, fold, config, mode,
+    for user, user_cells in groupby(cells, key=lambda cell: cell[2]):
+        model = fold_model(tables, user, params, valid_labels)
+        for path, key, _, mode in user_cells:
+            yield path, key, score_fold(model, tables, user, config, mode,
                                         valid_labels)[0]
 
 
@@ -211,12 +210,10 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
     ordered = [m for m in MODES if m in modes]  # frozen first: _point_cells
     if len(ordered) != len(modes):
         raise EvaluationError(f"modes must be distinct, of {MODES}: {modes}")
-    if len(set(windows)) < len(windows) or len(set(overlaps)) < len(overlaps):
-        raise EvaluationError(f"repeated grid value: windows {windows}, "
-                              f"overlaps {overlaps}")
+    configs = check_grid(windows, overlaps)
     Ensemble(valid_labels, params=params)  # bad params fail before any write
     check_purity(purity)
-    folds = {f.test_user: f for f in louo_split(streams)}
+    users = louo_split(streams)
     base = {"params": asdict(params or LearnerParams()),
             "purity": repr(purity), "labels": list(valid_labels),
             "streams": sorted([s.user_id, hashlib.sha256(s.values).hexdigest()]
@@ -227,22 +224,21 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
 
     points = []
     results = []
-    for w in windows:
-        for o in overlaps:
-            cells = []
-            for user in sorted(folds):
-                for mode in ordered:
-                    key = dict(base, user=user, window_size=w,
-                               overlap=repr(o), mode=mode)
-                    path = os.path.join(cell_dir, _cell_name(key))
-                    done = _load_cell(path, key) if resume else None
-                    if done is None:
-                        cells.append((path, key, folds[user], mode))
-                    else:
-                        results.append(done)
-            if cells:
-                points.append((streams, WindowConfig(w, o), cells, params,
-                               purity, valid_labels))
+    for config in configs:
+        cells = []
+        for user in users:
+            for mode in ordered:
+                key = dict(base, user=user, window_size=config.window_size,
+                           overlap=repr(config.overlap), mode=mode)
+                path = os.path.join(cell_dir, _cell_name(key))
+                done = _load_cell(path, key) if resume else None
+                if done is None:
+                    cells.append((path, key, user, mode))
+                else:
+                    results.append(done)
+        if cells:
+            points.append((streams, config, cells, params, purity,
+                           valid_labels))
 
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
     with pool or nullcontext():  # in-process, each cell comes as it is scored

@@ -80,12 +80,13 @@ def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
     cell's FoldResult (the sweep's). Each repetition times labeled_windows
     (sampling), one extract call per window (features) and score_fold
     (classification) on an untimed clone of the model evaluation.fold_model
-    trains once, untimed. Training streams of the test user, or two of one
-    user, raise EvaluationError."""
+    trains once, untimed, in user order whatever the order of train_streams.
+    Training streams of the test user, two of one user, or none, raise
+    EvaluationError."""
     if repetitions < 1:
         raise ProfilingError("repetitions must be >= 1")
-    fold = evaluation.Fold(test_stream.user_id,
-                           tuple(s.user_id for s in train_streams))
+    evaluation.louo_split([*train_streams, test_stream])
+    test_user = test_stream.user_id
     tables = {s.user_id: evaluation.pipeline_instances(
         s, config, purity, valid_labels) for s in train_streams}
 
@@ -99,14 +100,15 @@ def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
         t0 = time.perf_counter_ns()
         windows = labeled_windows(test_stream, config, purity, valid_labels)
         t1 = time.perf_counter_ns()
-        tables[fold.test_user] = [extract(w, i) for i, w in enumerate(windows)]
+        tables[test_user] = [extract(w, i) for i, w in enumerate(windows)]
         t2 = time.perf_counter_ns()
         if rep == 0:
-            model = evaluation.fold_model(tables, fold, params, valid_labels)
+            model = evaluation.fold_model(tables, test_user, params,
+                                          valid_labels)
         run = model.clone()
         t3 = time.perf_counter_ns()
-        result, _ = evaluation.score_fold(run, tables, fold, config, mode,
-                                          valid_labels)
+        result, _ = evaluation.score_fold(run, tables, test_user, config,
+                                          mode, valid_labels)
         reps.append((t1 - t0, t2 - t1, time.perf_counter_ns() - t3))
     return TimingBreakdown(
         sampling_ns=int(statistics.median(r[0] for r in reps)),

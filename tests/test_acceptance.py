@@ -16,8 +16,7 @@ import pytest
 from harbench import cli, dataset
 from harbench.dataset import SyntheticSpec, generate_synthetic
 from harbench.ensemble import Ensemble, LearnerParams
-from harbench.evaluation import (emit_reports, evaluate_fold, louo_split,
-                                 sweep)
+from harbench.evaluation import emit_reports, evaluate_fold, sweep
 from harbench.features import FeatureVector, extract
 from harbench.learners import (GaussianNbClassifier, HoeffdingTreeClassifier,
                                KnnClassifier, hoeffding_bound)
@@ -187,12 +186,11 @@ def test_criterion_6_semi_supervised_benefit():
                                      noise_sigma=0.4, class_sep=2.0, seed=seed)
         streams = generate_synthetic(spec)
         by_user = {s.user_id: s for s in streams}
-        fold = next(f for f in louo_split(streams) if f.test_user == 4)
         for mode in accs:
             accs[mode].append([
-                evaluate_fold(by_user, fold, WindowConfig(25, o), mode,
+                evaluate_fold(by_user, 4, WindowConfig(25, o), mode,
                               params=params,
-                              valid_labels=spec.class_labels).accuracy
+                              valid_labels=spec.class_labels)[0].accuracy
                 for o in overlaps])
     semi = np.array(accs["semi_supervised"])
     sup = np.array(accs["supervised_frozen"])
@@ -212,13 +210,11 @@ def test_criterion_7_window_size_trend():
             pytest.skip(f"subject file for user {user} missing")
         streams[user] = dataset.filter_protocol_activities(
             dataset.parse_subject_file(path, user))
-    fold = next(f for f in louo_split(list(streams.values()))
-                if f.test_user == 6)
     acc = {}
     for w in (100, 500, 1000):
         for o in (0.0, 0.8):
-            result = evaluate_fold(streams, fold, WindowConfig(w, o),
-                                   "supervised_frozen")
+            result = evaluate_fold(streams, 6, WindowConfig(w, o),
+                                   "supervised_frozen")[0]
             acc[(w, o)] = result.accuracy
     assert acc[(1000, 0.0)] >= acc[(500, 0.0)]
     assert abs(acc[(500, 0.0)] - 0.85) <= 0.05

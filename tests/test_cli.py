@@ -4,6 +4,7 @@ import os
 import pytest
 
 from harbench import cli
+from harbench.ensemble import LearnerParams
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,15 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "eval", "profile"])
+    def test_learner_defaults_are_learner_params(self, command):
+        required = {"sweep": ["--seed", "0", "--out", "o"],
+                    "eval": ["--user", "1", "--window", "50",
+                             "--overlap", "0.0"],
+                    "profile": ["--out", "o"]}[command]
+        args = cli.build_parser().parse_args([command] + required)
+        assert cli._learner_params(args) == LearnerParams()
 
 
 class TestValidate:

@@ -7,11 +7,11 @@ import pytest
 
 from harbench import evaluation
 from harbench.ensemble import Ensemble, LearnerParams
-from harbench.evaluation import (EvaluationError, Fold, FoldResult,
+from harbench.evaluation import (EvaluationError, FoldResult,
                                  SINGLE_ACTIVITY_USER, emit_reports,
                                  evaluate_fold, louo_split,
                                  pipeline_instances, sweep)
-from harbench.windowing import WindowConfig
+from harbench.windowing import WindowConfig, WindowingError
 
 FAST = LearnerParams(knn_capacity=500, vfdt_grace_period=50)
 # a low gate, so semi-supervised runs update their model
@@ -23,17 +23,9 @@ def by_user(streams):
     return {s.user_id: s for s in streams}
 
 
-def fold_for(streams, test_user):
-    return next(f for f in louo_split(streams) if f.test_user == test_user)
-
-
 class TestLouoSplit:
     def test_one_fold_per_user(self, small_streams):
-        folds = louo_split(small_streams)
-        assert [f.test_user for f in folds] == [1, 2, 3]
-        for f in folds:
-            assert f.test_user not in f.train_users
-            assert len(f.train_users) == 2
+        assert louo_split(small_streams) == [1, 2, 3]
 
     def test_needs_two_users(self, small_streams):
         with pytest.raises(EvaluationError):
@@ -42,14 +34,6 @@ class TestLouoSplit:
     def test_duplicate_users_rejected(self, small_streams):
         with pytest.raises(EvaluationError):
             louo_split([small_streams[0], small_streams[0]])
-
-    def test_fold_leakage_guard(self):
-        with pytest.raises(EvaluationError):
-            Fold(test_user=1, train_users=(1, 2))
-
-    def test_fold_repeated_training_user_rejected(self):
-        with pytest.raises(EvaluationError):
-            Fold(test_user=3, train_users=(1, 2, 1))
 
 
 class TestFoldResult:
@@ -77,28 +61,26 @@ class TestFoldResult:
 
 class TestEvaluateFold:
     def test_per_activity_counts_recompose_totals(self, small_streams, small_spec):
-        result = evaluate_fold(by_user(small_streams),
-                               fold_for(small_streams, 3),
+        result = evaluate_fold(by_user(small_streams), 3,
                                WindowConfig(50, 0.5), "supervised_frozen",
-                               params=FAST, valid_labels=small_spec.class_labels)
+                               params=FAST,
+                               valid_labels=small_spec.class_labels)[0]
         assert sum(result.per_activity_windows.values()) == result.n_windows
         assert sum(result.per_activity_correct.values()) == result.n_correct
         assert result.n_windows > 0
 
     def test_frozen_mode_never_self_updates(self, small_streams, small_spec):
-        result = evaluate_fold(by_user(small_streams),
-                               fold_for(small_streams, 1),
+        result = evaluate_fold(by_user(small_streams), 1,
                                WindowConfig(50, 0.0), "supervised_frozen",
-                               params=FAST, valid_labels=small_spec.class_labels)
+                               params=FAST,
+                               valid_labels=small_spec.class_labels)[0]
         assert result.self_updates == 0
 
     def test_audit_covers_every_test_window(self, small_streams, small_spec):
-        result, audit = evaluate_fold(by_user(small_streams),
-                                      fold_for(small_streams, 2),
+        result, audit = evaluate_fold(by_user(small_streams), 2,
                                       WindowConfig(50, 0.5), "semi_supervised",
                                       params=FAST,
-                                      valid_labels=small_spec.class_labels,
-                                      return_audit=True)
+                                      valid_labels=small_spec.class_labels)
         assert len(audit) == result.n_windows
         assert sum(1 for rec in audit if rec.updated) == result.self_updates
         # the audit trail alone must reproduce the headline accuracy
@@ -106,10 +88,10 @@ class TestEvaluateFold:
         assert recount == result.n_correct
 
     def test_window_longer_than_stream_is_empty(self, small_streams, small_spec):
-        result = evaluate_fold(by_user(small_streams),
-                               fold_for(small_streams, 1),
+        result = evaluate_fold(by_user(small_streams), 1,
                                WindowConfig(10_000, 0.0), "supervised_frozen",
-                               params=FAST, valid_labels=small_spec.class_labels)
+                               params=FAST,
+                               valid_labels=small_spec.class_labels)[0]
         assert result.n_windows == 0 and result.accuracy is None
 
     def test_matches_manual_pipeline(self, small_streams, small_spec):
@@ -117,11 +99,16 @@ class TestEvaluateFold:
         config = WindowConfig(50, 0.0)
         manual = pipeline_instances(small_streams[2], config,
                                     valid_labels=small_spec.class_labels)
-        result = evaluate_fold(by_user(small_streams),
-                               fold_for(small_streams, 3), config,
+        result = evaluate_fold(by_user(small_streams), 3, config,
                                "supervised_frozen", params=FAST,
-                               valid_labels=small_spec.class_labels)
+                               valid_labels=small_spec.class_labels)[0]
         assert result.n_windows == len(manual)
+
+    def test_unknown_user_raises(self, small_streams, small_spec):
+        with pytest.raises(EvaluationError):
+            evaluate_fold(by_user(small_streams), 7, WindowConfig(50, 0.0),
+                          "supervised_frozen", params=FAST,
+                          valid_labels=small_spec.class_labels)
 
 
 class TestSweep:
@@ -211,10 +198,10 @@ class TestSweep:
         assert sorted(recomputed, key=_cell_key) == dropped
         assert len(results) == 3 * len(windows) * len(self.MODES)
         for r in results:
-            expected = evaluate_fold(by_user(small_streams),
-                                     fold_for(small_streams, r.user),
+            expected = evaluate_fold(by_user(small_streams), r.user,
                                      WindowConfig(r.window_size, r.overlap),
-                                     r.mode, params=FAST, valid_labels=labels)
+                                     r.mode, params=FAST,
+                                     valid_labels=labels)[0]
             assert r == expected
         assert all(r.n_windows == 0 for r in results
                    if r.window_size == 10_000)
@@ -325,6 +312,16 @@ class TestSweep:
     def test_repeated_grid_value_rejected_before_any_write(
             self, small_streams, small_spec, tmp_path, windows, overlaps):
         with pytest.raises(EvaluationError):
+            sweep(small_streams, windows, overlaps, self.MODES, seed=0,
+                  out_dir=str(tmp_path / "out"), params=FAST,
+                  valid_labels=small_spec.class_labels)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("windows,overlaps", [([1], [0.0]), ([50], [1.0])],
+                             ids=["window", "overlap"])
+    def test_invalid_grid_value_rejected_before_any_write(
+            self, small_streams, small_spec, tmp_path, windows, overlaps):
+        with pytest.raises(WindowingError):
             sweep(small_streams, windows, overlaps, self.MODES, seed=0,
                   out_dir=str(tmp_path / "out"), params=FAST,
                   valid_labels=small_spec.class_labels)

@@ -149,6 +149,22 @@ class TestTimedRun:
                        valid_labels=hard_spec.class_labels, repetitions=2)
         assert bd.result == next(r for r in cells if r.user == 3)
 
+    @pytest.mark.parametrize("mode", ["supervised_frozen", "semi_supervised"])
+    def test_result_is_the_sweep_cell_whatever_the_training_order(
+            self, hard_streams, hard_spec, tmp_path, mode):
+        # the fold trains in user order, as the sweep does, not in the order
+        # the training streams are given
+        params = LearnerParams(k=5, knn_capacity=300, vfdt_delta=0.05,
+                               vfdt_tie_threshold=0.5, vfdt_grace_period=50,
+                               confidence_threshold=0.65)
+        cells = sweep(hard_streams, [50], [0.5], [mode], seed=0,
+                      out_dir=str(tmp_path), params=params,
+                      valid_labels=hard_spec.class_labels)
+        bd = timed_run(hard_streams[1::-1], hard_streams[2],
+                       WindowConfig(50, 0.5), mode=mode, params=params,
+                       valid_labels=hard_spec.class_labels, repetitions=1)
+        assert bd.result == next(r for r in cells if r.user == 3)
+
     @pytest.mark.parametrize("train", [(0, 1, 2), (0, 0)],
                              ids=["test_user_in_training", "repeated_user"])
     def test_bad_training_streams_rejected(self, small_streams, small_spec,

@@ -47,13 +47,13 @@ def _subject_path(data_dir, user):
     return None
 
 
-def load_pamap2(data_dir, users=range(1, 10)):
-    """Parse and protocol-filter available subject files."""
+def load_pamap2(data_dir):
+    """Parse and protocol-filter the available subject files of users 1-9."""
     if not data_dir or not os.path.isdir(data_dir):
         raise CliError(f"data directory not found: {data_dir!r}",
                        EXIT_MISSING_DATA)
     streams, missing = [], []
-    for user in users:
+    for user in range(1, 10):
         path = _subject_path(data_dir, user)
         if path is None:
             missing.append(user)
@@ -178,7 +178,7 @@ def cmd_eval(args):
     for a, pa in sorted(result.per_activity_accuracy().items()):
         n = result.per_activity_windows[a]
         if n:
-            name = ACTIVITY_NAMES.get(a, str(a))
+            name = a if args.synthetic else ACTIVITY_NAMES[a]
             print(f"  {name}: n={n} accuracy={pa:.4f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -209,7 +209,7 @@ def cmd_profile(args):
                                  repetitions=args.reps)
         breakdowns.append(bd)
         print(f"W={config.window_size} o={config.overlap}: "
-              f"windows={bd.n_windows} total={bd.total_ns / 1e6:.1f}ms "
+              f"windows={bd.result.n_windows} total={bd.total_ns / 1e6:.1f}ms "
               f"energy={profiling.estimate_energy(bd, power):.4f}J")
     for path in profiling.write_profile(breakdowns, power, args.out):
         print("wrote", path)

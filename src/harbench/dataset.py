@@ -100,11 +100,8 @@ class DatasetError(Exception):
 
 
 class ParseError(DatasetError):
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+    def __init__(self, message, line_no):
+        super().__init__(f"line {line_no}: {message}")
 
 
 @dataclass
@@ -235,6 +232,9 @@ class ClassSpec:
                                "noise_sigma and mean must be finite")
         if self.noise_sigma < 0:
             raise DatasetError(f"class {self.label}: noise_sigma must be >= 0")
+        if self.label == TRANSIENT_ACTIVITY:  # labeling drops its windows
+            raise DatasetError(f"class label {TRANSIENT_ACTIVITY} is the "
+                               "transient marker")
 
 
 @dataclass
@@ -262,6 +262,8 @@ class SyntheticSpec:
             raise DatasetError("samples_per_class must be positive")
         if not 0 < self.sample_rate < math.inf:
             raise DatasetError("sample_rate must be positive and finite")
+        if self.seed < 0 or min(self.user_offsets, default=0) < 0:
+            raise DatasetError("seed and user ids must be >= 0")  # rng keys
 
     @property
     def class_labels(self):

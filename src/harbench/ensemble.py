@@ -50,7 +50,6 @@ class LearnerParams:
 
 @dataclass
 class AuditRecord:
-    index: int
     true_label: int
     predicted_label: int
     confidence: float
@@ -75,7 +74,6 @@ class Ensemble:
                                     tie_threshold=params.vfdt_tie_threshold,
                                     grace_period=params.vfdt_grace_period),
         ]
-        self.self_updates = 0
         self._trained = False
 
     def clone(self):
@@ -120,27 +118,23 @@ class Ensemble:
             return False
         for member in self.members:
             member.train(fv.values, prediction.label)
-        self.self_updates += 1
         return True
 
     def run_online(self, instances, mode):
-        """Classify a stream; in semi_supervised mode also self-update.
+        """The audit of a stream's classification: one record per instance,
+        in order; in semi_supervised mode each may self-update the model.
 
         True labels on the instances are never shown to the model; they are
         carried into the audit records for scoring only.
         """
         if mode not in MODES:
             raise EnsembleError(f"unknown mode {mode!r}, expected one of {MODES}")
-        predictions = []
         audit = []
-        for i, fv in enumerate(instances):
+        for fv in instances:
             pred = self.classify(fv)
-            updated = False
-            if mode == "semi_supervised":
-                updated = self.self_update(fv, pred)
-            predictions.append(pred)
-            audit.append(AuditRecord(index=i, true_label=fv.label,
+            updated = mode == "semi_supervised" and self.self_update(fv, pred)
+            audit.append(AuditRecord(true_label=fv.label,
                                      predicted_label=pred.label,
                                      confidence=pred.confidence,
                                      updated=updated))
-        return predictions, audit
+        return audit

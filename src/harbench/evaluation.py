@@ -119,7 +119,7 @@ def score_fold(model, tables, test_user, config, mode,
                valid_labels=PROTOCOL_ACTIVITIES):
     """(FoldResult, audit) of one cell: the fold's model run online on the
     test user's instances. Every count comes from the audit records."""
-    _, audit = model.run_online(tables[test_user], mode)
+    audit = model.run_online(tables[test_user], mode)
     windows = dict.fromkeys(valid_labels, 0)
     correct = dict.fromkeys(valid_labels, 0)
     for rec in audit:
@@ -271,9 +271,10 @@ def write_rows(path, rows):
 
 
 def write_audit_csv(audit, path):
-    """One row per score_fold audit record, updated as 0 or 1 (not True)."""
-    rows = [[rec.index, rec.true_label, rec.predicted_label, rec.confidence,
-             int(rec.updated)] for rec in audit]
+    """One row per score_fold audit record, numbered from 0 in order,
+    updated as 0 or 1 (not True)."""
+    rows = [[i, rec.true_label, rec.predicted_label, rec.confidence,
+             int(rec.updated)] for i, rec in enumerate(audit)]
     return write_rows(path, [["index", "true_label", "predicted_label",
                               "confidence", "updated"]] + rows)
 

@@ -195,10 +195,6 @@ class GaussianNbClassifier:
         self.mean = np.zeros((c, n_features))
         self.m2 = np.zeros((c, n_features))
 
-    @property
-    def n_trained(self):
-        return int(self.counts.sum())
-
     def _index(self, label):
         ci = self._class_index.get(label)
         if ci is None:

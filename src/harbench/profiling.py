@@ -40,10 +40,6 @@ class TimingBreakdown:
     warnings: list = field(default_factory=list)
 
     @property
-    def n_windows(self):
-        return self.result.n_windows
-
-    @property
     def total_ns(self):
         return self.sampling_ns + self.feature_ns + self.classification_ns
 

@@ -51,7 +51,6 @@ class Window:
     start: int
     size: int
     label: int | None = None
-    purity: float | None = None
 
     @property
     def user_id(self):
@@ -95,13 +94,11 @@ def label_window(candidate, purity_threshold=DEFAULT_PURITY,
                                           return_counts=True)
     order = np.lexsort((first_pos, -counts))  # max count, then earliest
     modal = int(labels[order[0]])
-    purity = counts[order[0]] / len(ids)
-    if purity < purity_threshold:
+    if counts[order[0]] / len(ids) < purity_threshold:
         return None
     if modal == TRANSIENT_ACTIVITY or modal not in valid_labels:
         return None
-    return Window(candidate.stream, candidate.start, candidate.size, modal,
-                  float(purity))
+    return Window(candidate.stream, candidate.start, candidate.size, modal)
 
 
 def check_purity(purity_threshold):

@@ -168,10 +168,11 @@ class TestCriterion5GateSoundness:
         gated = Ensemble((1, 2),
                          params=LearnerParams(confidence_threshold=1.01))
         gated.train_offline(train)
-        pf, _ = frozen.run_online(stream, "supervised_frozen")
-        pg, _ = gated.run_online(stream, "semi_supervised")
-        assert [p.label for p in pf] == [p.label for p in pg]
-        assert gated.self_updates == 0
+        af = frozen.run_online(stream, "supervised_frozen")
+        ag = gated.run_online(stream, "semi_supervised")
+        assert ([r.predicted_label for r in af]
+                == [r.predicted_label for r in ag])
+        assert sum(r.updated for r in ag) == 0
 
 
 def test_criterion_6_semi_supervised_benefit():
@@ -237,7 +238,8 @@ def test_criterion_8_profiling_trends():
         config = WindowConfig(100, o)
         bd = timed_run(streams[:2], streams[2], config, params=params,
                        valid_labels=spec.class_labels, repetitions=5)
-        assert bd.n_windows == classification_count(streams[2], config)
+        assert bd.result.n_windows == classification_count(streams[2],
+                                                           config)
         feature_ns.append(bd.feature_ns)
         joules.append(estimate_energy(bd, power))
     for series in (feature_ns, joules):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from harbench import cli
+from harbench import cli, dataset
 from harbench.ensemble import LearnerParams
 
 
@@ -156,7 +156,6 @@ class TestSynth:
         assert names == ["synthetic001.dat", "synthetic002.dat"]
 
     def test_round_trips_through_parser(self, spec_file, tmp_path):
-        from harbench import dataset
         run(["synth", "--spec", spec_file, "--out", str(tmp_path)])
         stream = dataset.parse_subject_file(
             str(tmp_path / "synthetic002.dat"), 2)
@@ -187,11 +186,14 @@ class TestInputFiles:
                                                       "offset": 0.5}])),
         *(json.dumps(_first_class(**{field: value}))
           for field, value in BAD_CLASS_FIELDS),
-        json.dumps(_first_class(label=2))],
+        json.dumps(_first_class(label=2)),
+        json.dumps(dict(SPEC, seed=-1)),
+        json.dumps(dict(SPEC, users=[{"id": -2, "offset": 0.0},
+                                     *SPEC["users"][1:]]))],
         ids=["missing", "not-json", "rate0", "rate-negative", "rate-nan",
              "repeated-user", *(f"{field}-{value}"
                                 for field, value in BAD_CLASS_FIELDS),
-             "repeated-label"])
+             "repeated-label", "seed-negative", "user-negative"])
     def test_synth_spec_exits_three(self, capsys, tmp_path, content):
         spec = tmp_path / "spec.json"
         if content is not None:
@@ -201,8 +203,10 @@ class TestInputFiles:
         assert code == cli.EXIT_MISSING_DATA
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("fields", [{"label": 2}, {"noise_sigma": -1.0}],
-                             ids=["repeated-label", "noise-negative"])
+    @pytest.mark.parametrize("fields", [{"label": 2}, {"noise_sigma": -1.0},
+                                        {"label": 0}],
+                             ids=["repeated-label", "noise-negative",
+                                  "transient-label"])
     def test_eval_on_bad_class_spec_exits_three(self, capsys, tmp_path,
                                                 fields):
         spec = tmp_path / "spec.json"
@@ -296,6 +300,26 @@ class TestEvalCommand:
         audit = (tmp_path / "audit_u2.csv").read_text().splitlines()
         assert audit[0] == "index,true_label,predicted_label,confidence,updated"
         assert len(audit) > 1
+
+    EVAL = ["eval", "--user", "2", "--window", "50", "--overlap", "0.5",
+            "--mode", "sup", "--knn-capacity", "500", "--grace-period", "50"]
+
+    def test_synthetic_classes_print_bare_labels(self, capsys, spec_file):
+        # a synthetic class is not the PAMAP2 activity of the same number
+        assert run(self.EVAL + ["--synthetic", spec_file]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split(":")[0] for line in lines] == ["  1", "  2", "  3"]
+
+    def test_pamap2_classes_print_activity_names(self, capsys, spec_file,
+                                                 tmp_path, monkeypatch):
+        streams = dataset.generate_synthetic(
+            dataset.SyntheticSpec.from_file(spec_file))
+        monkeypatch.setattr(cli, "load_pamap2",
+                            lambda data_dir: ([(s, s) for s in streams], []))
+        assert run(self.EVAL + ["--data-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert ([line.split(":")[0] for line in lines]
+                == ["  Lying", "  Sitting", "  Standing"])
 
     def test_bad_learner_param_exits_two(self, capsys, spec_file):
         code = run(["eval", "--synthetic", spec_file, "--user", "2",

@@ -196,7 +196,6 @@ class TestSelfUpdate:
         pred = Prediction(label=1, confidence=0.99,
                           member_distributions=(np.array([1.0, 0.0]),) * 3)
         assert model.self_update(fv([0.0]), pred) is False
-        assert model.self_updates == 0
         assert all(m.trained == [] for m in model.members)
 
     def test_nan_gate_rejected(self):
@@ -212,7 +211,6 @@ class TestSelfUpdate:
         pred = model.classify(fv([0.0]))
         assert pred.confidence == 1.0
         assert model.self_update(fv([0.0]), pred) is True
-        assert model.self_updates == 1
         assert all(m.trained == [1] for m in model.members)
 
     def test_histogram_recount_matches_updates(self):
@@ -220,9 +218,8 @@ class TestSelfUpdate:
         model = Ensemble((1, 2, 3), params=LearnerParams(knn_capacity=500))
         model.train_offline(make_instances(rng, 90))
         stream = make_instances(rng, 300)
-        _, audit = model.run_online(stream, "semi_supervised")
+        audit = model.run_online(stream, "semi_supervised")
         gate_count = sum(1 for rec in audit if rec.confidence > 0.99)
-        assert model.self_updates == gate_count
         assert sum(1 for rec in audit if rec.updated) == gate_count
 
 
@@ -248,10 +245,11 @@ class TestRunOnline:
         gated = Ensemble((1, 2, 3),
                          params=LearnerParams(confidence_threshold=1.01))
         gated.train_offline(train)
-        pf, _ = frozen.run_online(stream, "supervised_frozen")
-        pg, _ = gated.run_online(stream, "semi_supervised")
-        assert [p.label for p in pf] == [p.label for p in pg]
-        assert gated.self_updates == 0
+        af = frozen.run_online(stream, "supervised_frozen")
+        ag = gated.run_online(stream, "semi_supervised")
+        assert ([r.predicted_label for r in af]
+                == [r.predicted_label for r in ag])
+        assert sum(r.updated for r in ag) == 0
 
     def test_gate_soundness_state_hash(self):
         rng = np.random.default_rng(7)
@@ -300,7 +298,7 @@ class TestRunOnline:
         params = LearnerParams(knn_capacity=300, confidence_threshold=0.5)
         models = [Ensemble((1, 2, 3), params=params).train_offline(train)
                   for _ in range(2)]
-        audits = [m.run_online(stream, "semi_supervised")[1] for m in models]
+        audits = [m.run_online(stream, "semi_supervised") for m in models]
         knn = models[0].members[0]
         assert knn.n_trained > knn.capacity
         assert knn._X2.tobytes() == (knn._X * knn._X).tobytes()
@@ -311,10 +309,15 @@ class TestRunOnline:
 def test_audit_csv(tmp_path):
     rng = np.random.default_rng(9)
     model = Ensemble((1, 2, 3)).train_offline(make_instances(rng, 90))
-    _, audit = model.run_online(make_instances(rng, 30), "semi_supervised")
+    audit = model.run_online(make_instances(rng, 30), "semi_supervised")
     path = tmp_path / "audit.csv"
     write_audit_csv(audit, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "index,true_label,predicted_label,confidence,updated"
     assert len(lines) == 31
     assert {line.rsplit(",", 1)[1] for line in lines[1:]} <= {"0", "1"}
+    # row i is record i, numbered by its position in the audit
+    assert [line.split(",") for line in lines[1:]] == [
+        [str(i), str(rec.true_label), str(rec.predicted_label),
+         repr(rec.confidence), str(int(rec.updated))]
+        for i, rec in enumerate(audit)]

@@ -147,7 +147,7 @@ class TestGaussianNb:
             var = np.maximum(var, nb.VAR_FLOOR)
             density = np.prod(np.exp(-0.5 * (x - mean) ** 2 / var)
                               / np.sqrt(2 * math.pi * var))
-            direct.append(n / nb.n_trained * density)
+            direct.append(n / nb.counts.sum() * density)
         direct = np.array(direct) / sum(direct)
         np.testing.assert_allclose(nb.predict(x), direct, atol=1e-6)
 

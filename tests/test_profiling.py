@@ -66,8 +66,8 @@ def run(small_streams, small_spec):
 class TestTimedRun:
 
     def test_window_count_matches_formula(self, run, small_streams):
-        assert run.n_windows == classification_count(small_streams[2],
-                                                     WindowConfig(50, 0.5))
+        assert run.result.n_windows == classification_count(
+            small_streams[2], WindowConfig(50, 0.5))
 
     def test_phases_positive_and_bounded_by_reps(self, run):
         assert run.sampling_ns > 0
@@ -80,7 +80,7 @@ class TestTimedRun:
         assert run.total_ns <= 3 * max(run.per_rep_total_ns)
 
     def test_accuracy_fields_consistent(self, run):
-        assert 0 <= run.result.n_correct <= run.n_windows
+        assert 0 <= run.result.n_correct <= run.result.n_windows
         assert (run.result.window_size, run.result.overlap) == (50, 0.5)
 
     def test_features_timed_one_extract_per_window(self, small_streams,
@@ -96,8 +96,8 @@ class TestTimedRun:
         bd = timed_run(small_streams[:2], small_streams[2],
                        WindowConfig(50, 0.5), params=FAST,
                        valid_labels=small_spec.class_labels, repetitions=2)
-        assert bd.n_windows > 0
-        assert calls == list(range(bd.n_windows)) * 2
+        assert bd.result.n_windows > 0
+        assert calls == list(range(bd.result.n_windows)) * 2
 
     def test_trains_once_across_repetitions(self, small_streams, small_spec,
                                             monkeypatch):
@@ -112,7 +112,7 @@ class TestTimedRun:
         bd = timed_run(small_streams[:2], small_streams[2],
                        WindowConfig(50, 0.5), params=FAST,
                        valid_labels=small_spec.class_labels, repetitions=5)
-        assert bd.n_windows > 0
+        assert bd.result.n_windows > 0
         assert len(calls) == 1
 
     def test_semi_supervised_reps_start_from_the_trained_model(

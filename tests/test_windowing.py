@@ -108,12 +108,12 @@ class RecordingStream:
 class TestWindow:
     def test_segment_yields_unlabeled_views(self):
         wins = segment(id_stream([4] * 8), WindowConfig(4, 0.5))
-        assert all(w.label is None and w.purity is None for w in wins)
+        assert all(w.label is None for w in wins)
 
     def test_label_returns_labeled_copy(self):
         win = segment(id_stream([4] * 8), WindowConfig(4, 0.5))[1]
         kept = label_window(win)
-        assert kept == Window(win.stream, 2, 4, label=4, purity=1.0)
+        assert kept == Window(win.stream, 2, 4, label=4)
         assert win.label is None
 
     def test_accessors_match_stream_slices(self):
@@ -140,7 +140,7 @@ class TestWindow:
 class TestLabelWindow:
     def test_pure_window(self):
         win = label_window(segment(id_stream([4] * 10), WindowConfig(10, 0.0))[0])
-        assert win.label == 4 and win.purity == 1.0
+        assert win.label == 4
 
     def test_below_purity_discarded(self):
         ids = [4] * 79 + [3] * 21

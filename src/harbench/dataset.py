@@ -235,6 +235,11 @@ class ClassSpec:
         if self.label == TRANSIENT_ACTIVITY:  # labeling drops its windows
             raise DatasetError(f"class label {TRANSIENT_ACTIVITY} is the "
                                "transient marker")
+        # the activity column holds labels as float64 and windowing reads
+        # them back as int64, so a label must survive both
+        if not -2**63 <= self.label < 2**63 or float(self.label) != self.label:
+            raise DatasetError(f"class label {self.label} is not held "
+                               "exactly as float64 and int64")
 
 
 @dataclass
@@ -288,30 +293,40 @@ class SyntheticSpec:
 
     @classmethod
     def from_file(cls, path):
-        """Load a spec from its JSON config file (see README for the schema)."""
+        """Load a spec from its JSON config file (see README for the schema).
+        A label, user id, seed or samples_per_class must be integral."""
         try:
             with open(path) as fh:
                 cfg = json.load(fh)
-            classes = [ClassSpec(label=int(c["label"]),
+            classes = [ClassSpec(label=_integral(c["label"], "label"),
                                  frequency=float(c["frequency"]),
                                  amplitude=float(c.get("amplitude", 1.0)),
                                  noise_sigma=float(c.get("noise_sigma", 0.25)),
                                  mean=float(c["mean"]))
                        for c in cfg["classes"]]
-            user_offsets = {int(u["id"]): float(u.get("offset", 0.0))
-                            for u in cfg["users"]}
+            user_offsets = {_integral(u["id"], "user id"):
+                            float(u.get("offset", 0.0)) for u in cfg["users"]}
             if len(user_offsets) < len(cfg["users"]):
                 raise DatasetError(f"repeated user id in synthetic spec {path}")
             user_drifts = {int(u["id"]): float(u.get("drift", 0.0))
                            for u in cfg["users"]}
             return cls(classes=classes,
-                       samples_per_class=int(cfg["samples_per_class"]),
+                       samples_per_class=_integral(cfg["samples_per_class"],
+                                                   "samples_per_class"),
                        user_offsets=user_offsets,
-                       seed=int(cfg["seed"]),
+                       seed=_integral(cfg["seed"], "seed"),
                        sample_rate=float(cfg.get("sample_rate", 100.0)),
                        user_drifts=user_drifts)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"invalid synthetic spec {path}: {exc}") from exc
+
+
+def _integral(value, name):
+    """value as an int; a float with a fraction part (which int() would
+    truncate), or an infinite or NaN one, raises DatasetError."""
+    if isinstance(value, float) and not value.is_integer():
+        raise DatasetError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def generate_synthetic(spec) -> list:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .features import N_FEATURES
 from .learners import (GaussianNbClassifier, HoeffdingTreeClassifier,
-                       KnnClassifier, _check_distribution)
+                       KnnClassifier, _check_distribution, _check_rows,
+                       _row_chunks)
 
 MODES = ("supervised_frozen", "semi_supervised")
 
@@ -111,6 +112,34 @@ class Ensemble:
         confidence = float(voting.mean() * len(voting) / len(self.members))
         return Prediction(label=self.classes[winner], confidence=confidence,
                           member_distributions=tuple(dists))
+
+    def classify_rows(self, X):
+        """classify's label and confidence for each row of X, as two lists
+        in row order. Each member row is checked as classify checks it, and
+        the vote is the same, as array operations over a rows x members x
+        classes stack, a chunk of rows at a time."""
+        if not self._trained:
+            raise EnsembleError("classify on untrained ensemble")
+        X = np.asarray(X, dtype=np.float64)
+        n_members, n_classes = len(self.members), len(self.classes)
+        winners, confidences = [], []
+        for chunk in _row_chunks(len(X), n_members * n_classes):
+            rows = X[chunk]
+            dists = np.stack([_check_rows(m.predict_rows(rows))
+                              for m in self.members], axis=1)
+            votes = dists.argmax(axis=2)
+            counts = (votes[..., None] == np.arange(n_classes)).sum(axis=1)
+            tied = counts == counts.max(axis=1, keepdims=True)
+            # tied columns summed down each row's members, in member order
+            winner = np.where(tied, dists.sum(axis=1), -np.inf).argmax(axis=1)
+            voting = votes == winner[:, None]
+            n_voting = voting.sum(axis=1)
+            share = np.take_along_axis(dists, winner[:, None, None], axis=2)
+            # the voting members' mean share, as classify sums it
+            summed = np.where(voting, share[..., 0], 0.0).sum(axis=1)
+            winners += winner.tolist()
+            confidences += (summed / n_voting * n_voting / n_members).tolist()
+        return [self.classes[i] for i in winners], confidences
 
     def self_update(self, fv, prediction) -> bool:
         """Train the predicted label back in iff confidence beats the gate."""

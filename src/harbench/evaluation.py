@@ -17,12 +17,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from itertools import groupby, product, starmap
+from itertools import groupby, product
 
 import numpy as np
 
 from .dataset import PROTOCOL_ACTIVITIES
-from .ensemble import MODES, Ensemble, LearnerParams
+from .ensemble import MODES, AuditRecord, Ensemble, LearnerParams
 from .features import extract_stream
 from .windowing import (DEFAULT_PURITY, WindowConfig, check_purity,
                         labeled_windows)
@@ -115,20 +115,36 @@ def fold_model(tables, test_user, params=None,
     return model
 
 
-def score_fold(model, tables, test_user, config, mode,
-               valid_labels=PROTOCOL_ACTIVITIES):
-    """(FoldResult, audit) of one cell: the fold's model run online on the
-    test user's instances. Every count comes from the audit records."""
-    audit = model.run_online(tables[test_user], mode)
+def fold_result(audit, test_user, config, mode,
+                valid_labels=PROTOCOL_ACTIVITIES):
+    """The FoldResult of one cell's audit: every count comes from its
+    records."""
     windows = dict.fromkeys(valid_labels, 0)
     correct = dict.fromkeys(valid_labels, 0)
     for rec in audit:
         windows[rec.true_label] += 1
         correct[rec.true_label] += rec.predicted_label == rec.true_label
-    result = FoldResult(test_user, config.window_size, config.overlap,
-                        mode, windows, correct,
-                        self_updates=sum(rec.updated for rec in audit))
-    return result, audit
+    return FoldResult(test_user, config.window_size, config.overlap, mode,
+                      windows, correct,
+                      self_updates=sum(rec.updated for rec in audit))
+
+
+def score_fold(model, tables, test_user, config, mode,
+               valid_labels=PROTOCOL_ACTIVITIES):
+    """(FoldResult, audit) of one cell: the fold's model run on the test
+    user's instances. A frozen model never changes, so a frozen cell is one
+    Ensemble.classify_rows call over the instances' matrix; any other runs
+    online, one instance at a time."""
+    instances = tables[test_user]
+    if mode == "supervised_frozen" and instances:
+        labels, confidences = model.classify_rows(
+            np.stack([fv.values for fv in instances]))
+        audit = [AuditRecord(fv.label, label, confidence, False)
+                 for fv, label, confidence
+                 in zip(instances, labels, confidences)]
+    else:
+        audit = model.run_online(instances, mode)
+    return fold_result(audit, test_user, config, mode, valid_labels), audit
 
 
 def evaluate_fold(streams_by_user, test_user, config, mode,
@@ -177,7 +193,7 @@ def _load_cell(path, key):
     return result
 
 
-def _point_cells(streams, config, cells, params, purity, valid_labels):
+def _point_cells(streams, params, purity, valid_labels, config, cells):
     """Featurize every user once, then yield (path, key, result) per cell.
     A user's cells come together, frozen first, so the fold's model is
     trained once and serves both modes: a frozen run leaves it unchanged."""
@@ -190,8 +206,18 @@ def _point_cells(streams, config, cells, params, purity, valid_labels):
                                         valid_labels)[0]
 
 
-def _score_point(args):
-    return list(_point_cells(*args))
+_shared = ()  # a pool worker's (streams, params, purity, valid_labels)
+
+
+def _init_worker(*shared):
+    """Keep the sweep's inputs common to every point, sent once per
+    worker."""
+    global _shared
+    _shared = shared
+
+
+def _score_point(point):
+    return list(_point_cells(*_shared, *point))
 
 
 def sweep(streams, windows, overlaps, modes, seed, out_dir,
@@ -237,13 +263,14 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
                 else:
                     results.append(done)
         if cells:
-            points.append((streams, config, cells, params, purity,
-                           valid_labels))
+            points.append((config, cells))
 
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    shared = (streams, params, purity, valid_labels)
+    pool = (ProcessPoolExecutor(workers, initializer=_init_worker,
+                                initargs=shared) if workers > 1 else None)
     with pool or nullcontext():  # in-process, each cell comes as it is scored
-        for cells in (pool.map(_score_point, points) if pool
-                      else starmap(_point_cells, points)):
+        for cells in (pool.map(_score_point, points) if pool else
+                      (_point_cells(*shared, *point) for point in points)):
             for path, key, result in cells:
                 tmp = path + ".tmp"
                 with open(tmp, "w") as fh:

@@ -1,9 +1,10 @@
 """Three from-scratch incremental classifiers over a fixed class set.
 
-Each learner exposes train(x, label) for a single instance and
-predict(x) -> probability vector aligned with learner.classes. All three are
-single-writer: do not interleave predict with train on the same instance
-from different threads.
+Each learner exposes train(x, label) for a single instance,
+predict(x) -> probability vector aligned with learner.classes, and
+predict_rows(X) -> one such vector per row of X, with the same bits as
+predict on each row. All three are single-writer: do not interleave predict
+with train on the same instance from different threads.
 """
 
 from __future__ import annotations
@@ -17,12 +18,34 @@ class LearnerError(Exception):
     pass
 
 
+# float64 values in one temporary of a row-block prediction: 64 KiB, under
+# glibc's 128 KiB mmap threshold, so a block's arrays come from the heap
+_BLOCK_VALUES = 1 << 13
+
+
+def _row_chunks(n_rows, row_values):
+    """Slices of consecutive rows, each of about _BLOCK_VALUES values when
+    a row takes row_values, and at least one row."""
+    step = max(1, _BLOCK_VALUES // row_values)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
 def _check_distribution(probs):
     probs = np.asarray(probs, dtype=np.float64)
     # written so that NaN and infinite entries fail the test too
     if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-9):
         raise LearnerError(f"invalid class distribution: {probs}")
     return probs
+
+
+def _check_rows(rows):
+    """rows, if each passes _check_distribution's test, taken here on every
+    row at once; _check_distribution raises for the first row that fails.
+    The one-vector form stays apart as the cheaper one per window."""
+    ok = (rows >= 0).all(axis=-1) & (abs(rows.sum(axis=-1) - 1.0) <= 1e-9)
+    for row in rows[~ok]:
+        _check_distribution(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -44,12 +67,25 @@ def _gamma(j):
 
 
 def _sq_distances(rows, x, scale):
-    """Squared z-scored distance from x to each row. A row's value has the
-    same bits whatever other rows share the array, so a candidate subset
-    ranks as the whole store would."""
+    """Squared z-scored distances between rows and x, which broadcast
+    against each other, as a flat array: from one x to each row, from each
+    row of x to the same row of rows, or, with x of shape (q, 1, m), from
+    each of q queries to every row in turn. A row's value has the same bits
+    whatever other rows share the array, so a candidate subset ranks as the
+    whole store would."""
     diff = rows - x
     diff /= scale
+    diff = diff.reshape(-1, diff.shape[-1])
     return np.einsum("ij,ij->i", diff, diff)
+
+
+def _margin(a, c, w):
+    """The filter's rounding margin for rows of weighted squared norm a and
+    queries of c, with weights w; KnnClassifier._candidates derives it."""
+    m = len(w)
+    g = 8.0 * _gamma(m + 5)
+    # g a and g c apart, so a block's one (queries, rows) operation is the sum
+    return g * a + (g * c + _SUBNORMAL_MIN * (w.sum() + 10 * m))
 
 
 class KnnClassifier:
@@ -135,18 +171,14 @@ class KnnClassifier:
         crossover, every row is ranked.
         """
         n = self.size
-        if n < KNN_FILTER_MIN_ROWS:
-            return slice(n)
-        w = 1.0 / (scale * scale)
-        if not _NORMAL_MIN <= w.min() <= w.max() <= 1.0 / _NORMAL_MIN:
+        w = self._filter_weights(scale)
+        if w is None:
             return slice(n)
         wq = w * x
         c = wq @ x
         a = self._X2[:n] @ w
         approx = a - 2.0 * (self._X[:n] @ wq) + c
-        m = self.n_features
-        margin = (8.0 * _gamma(m + 5) * (a + c)
-                  + _SUBNORMAL_MIN * (w.sum() + 10 * m))
+        margin = _margin(a, c, w)
         upper = approx + margin
         if not np.isfinite(upper).all():  # then so are q and every approx
             return slice(n)
@@ -154,6 +186,23 @@ class KnnClassifier:
         # k rows nearer than it, so it neither votes nor ties.
         kth_upper = np.partition(upper, k - 1)[k - 1]
         return np.flatnonzero(approx - margin <= kth_upper)
+
+    def _filter_weights(self, scale):
+        """w = 1 / scale^2, or None when every row is to be ranked: below
+        the crossover, or when w is not normal."""
+        if self.size < KNN_FILTER_MIN_ROWS:
+            return None
+        w = 1.0 / (scale * scale)
+        if not _NORMAL_MIN <= w.min() <= w.max() <= 1.0 / _NORMAL_MIN:
+            return None
+        return w
+
+    def _nearest_first(self, slots, dist, *groups):
+        """The order of candidate slots by groups (the last first), then
+        distance, NaN last, then insertion rank, which is
+        (slot - n_trained) mod capacity."""
+        rank = (slots - self.n_trained) % self.capacity
+        return np.lexsort((rank, dist, *groups))
 
     def predict(self, x):
         n = self.size
@@ -165,16 +214,63 @@ class KnnClassifier:
         rows = self._candidates(x, scale, k)
         dist = _sq_distances(self._X[rows], x, scale)
         # Rows beyond the k-th smallest distance cannot vote; the rest go in
-        # (distance, insertion) order, NaN distances kept and ranked last.
-        # A slot's insertion rank is (slot - n_trained) mod capacity; a
-        # slice of candidates starts at slot 0.
+        # _nearest_first order. A slice of candidates starts at slot 0.
         kth = np.partition(dist, k - 1)[k - 1]
         near = np.flatnonzero(~(dist > kth))
         slots = near if isinstance(rows, slice) else rows[near]
-        rank = (slots - self.n_trained) % self.capacity
-        order = slots[np.lexsort((rank, dist[near]))]
+        order = slots[self._nearest_first(slots, dist[near])]
         votes = np.bincount(self._y[order[:k]], minlength=len(self.classes))
         return votes / k
+
+    def predict_rows(self, X):
+        """predict of each row of X, a chunk of queries at a time.
+
+        A chunk's filter is one matrix product under _candidates' margin,
+        and the flat indices of its keep mask give the (query, row) pairs
+        to refine. One _sq_distances call gives their distances, one
+        _nearest_first sort ranks them query by query, and each query takes
+        its first k. A query whose upper ends are not all finite keeps every
+        row, and so does every query when the filter cannot run. A chunk
+        holds about _BLOCK_VALUES values in a (queries, rows) temporary, or
+        in a (queries, rows, features) one when every row is a candidate.
+        """
+        n = self.size
+        if n == 0:
+            raise LearnerError("predict on empty kNN store")
+        X = np.asarray(X, dtype=np.float64)
+        scale = self._scale()
+        k = min(self.k, n)
+        n_classes = len(self.classes)
+        w = self._filter_weights(scale)
+        if w is not None:
+            a = self._X2[:n] @ w
+        out = np.empty((len(X), n_classes))
+        for chunk in _row_chunks(len(X), n * (self.n_features if w is None
+                                              else 1)):
+            Q = X[chunk]
+            # each (query, row) pair, by query, then slot
+            if w is None:  # every row, with no copy of the store
+                qi, rows = np.divmod(np.arange(len(Q) * n), n)
+                dist = _sq_distances(self._X[:n], Q[:, None], scale)
+            else:
+                wq = w * Q
+                c = np.einsum("ij,ij->i", wq, Q)[:, None]
+                approx = a - 2.0 * (wq @ self._X[:n].T) + c
+                margin = _margin(a, c, w)
+                upper = approx + margin
+                kth_upper = np.partition(upper, k - 1, axis=1)[:, k - 1:k]
+                keep = ((approx - margin <= kth_upper)
+                        | ~np.isfinite(upper).all(axis=1, keepdims=True))
+                qi, rows = np.divmod(np.flatnonzero(keep), n)
+                dist = _sq_distances(self._X[rows], Q[qi], scale)
+            order = self._nearest_first(rows, dist, qi)
+            # every query has at least k pairs, from its first one on
+            first = np.searchsorted(qi, np.arange(len(Q)))
+            labels = self._y[rows[order[first[:, None] + np.arange(k)]]]
+            labels += n_classes * np.arange(len(Q))[:, None]
+            votes = np.bincount(labels.ravel(), minlength=len(Q) * n_classes)
+            out[chunk] = votes.reshape(len(Q), n_classes) / k
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +312,22 @@ class GaussianNbClassifier:
         var = self.m2[ci] / n if n > 0 else np.zeros(self.n_features)
         return n, self.mean[ci].copy(), var
 
-    def log_posteriors(self, x):
+    def _seen(self):
+        """The trained classes, their log priors and floored variances."""
         total = self.counts.sum()
         if total == 0:
             raise LearnerError("predict before any NB update")
-        x = np.asarray(x, dtype=np.float64)
         seen = np.flatnonzero(self.counts)
         count = self.counts[seen]
         var = np.maximum(self.m2[seen] / count[:, None], self.VAR_FLOOR)
-        diff = x - self.mean[seen]
+        return seen, list(map(math.log, (count / total).tolist())), var
+
+    def log_posteriors(self, x):
+        seen, prior, var = self._seen()
+        diff = np.asarray(x, dtype=np.float64) - self.mean[seen]
         ll = -0.5 * (np.log(2 * math.pi * var) + diff * diff / var).sum(axis=1)
         log_post = np.full(len(self.classes), -np.inf)
-        log_post[seen] = list(map(math.log, (count / total).tolist())) + ll
+        log_post[seen] = prior + ll
         return log_post
 
     def predict(self, x):
@@ -235,6 +335,25 @@ class GaussianNbClassifier:
         log_post = log_post - log_post.max()
         probs = np.exp(log_post)
         return probs / probs.sum()
+
+    def predict_rows(self, X):
+        """predict of each row of X: log_posteriors and predict over a
+        chunk of rows at a time, whose (rows, classes, features) temporary
+        holds about _BLOCK_VALUES values. The one-row form stays apart, as
+        its leading-axis form cost each window a few microseconds."""
+        seen, prior, var = self._seen()
+        log_var = np.log(2 * math.pi * var)
+        X = np.asarray(X, dtype=np.float64)
+        out = np.empty((len(X), len(self.classes)))
+        for chunk in _row_chunks(len(X), var.size):
+            diff = X[chunk, None] - self.mean[seen]
+            ll = -0.5 * (log_var + diff * diff / var).sum(axis=2)
+            log_post = np.full((len(diff), out.shape[1]), -np.inf)
+            log_post[:, seen] = prior + ll
+            log_post -= log_post.max(axis=1, keepdims=True)
+            probs = np.exp(log_post)
+            out[chunk] = probs / probs.sum(axis=1, keepdims=True)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +501,29 @@ class HoeffdingTreeClassifier:
         leaf.m2 = leaf.m2[:0]
         self.n_splits += 1
 
-    def predict(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        leaf = self._route(x)
+    @staticmethod
+    def _leaf_distribution(leaf):
         smoothed = leaf.counts + 1.0
         return smoothed / smoothed.sum()
+
+    def predict(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        return self._leaf_distribution(self._route(x))
+
+    def predict_rows(self, X):
+        """predict of each row of X: the rows are routed a node at a time,
+        by _route's rule, so a NaN feature goes right."""
+        X = np.asarray(X, dtype=np.float64)
+        out = np.empty((len(X), len(self.classes)))
+        stack = [(self.root, np.arange(len(X)))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                out[rows] = self._leaf_distribution(node)
+            else:
+                left = X[rows, node.feature] <= node.threshold
+                stack += [(node.left, rows[left]), (node.right, rows[~left])]
+        return out
 
     def leaves(self):
         out, stack = [], [self.root]

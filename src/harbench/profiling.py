@@ -3,9 +3,11 @@
 Mirrors the three-phase breakdown used in the accuracy/energy trade-off
 study: sampling (window instantiation), feature extraction and
 classification. Features are timed one `extract` call per window, as a
-device featurizes each window when it closes; classification is the online
-run of the fold's model. Energy comes from a constant watts-per-phase model.
-Profiling must run single-threaded; do not overlap it with parallel sweeps.
+device featurizes each window when it closes, and classification is the
+fold's model run online, one classify call per window in either mode,
+though the sweep scores a frozen cell as one block of rows. Energy comes
+from a constant watts-per-phase model. Profiling must run single-threaded;
+do not overlap it with parallel sweeps.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
               params=None, repetitions=5) -> TimingBreakdown:
     """Median per-phase times of one pass over the test stream, and the
     cell's FoldResult (the sweep's). Each repetition times labeled_windows
-    (sampling), one extract call per window (features) and score_fold
+    (sampling), one extract call per window (features) and run_online
     (classification) on an untimed clone of the model evaluation.fold_model
     trains once, untimed, in user order whatever the order of train_streams.
     Training streams of the test user, two of one user, or none, raise
@@ -103,9 +105,10 @@ def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
                                           valid_labels)
         run = model.clone()
         t3 = time.perf_counter_ns()
-        result, _ = evaluation.score_fold(run, tables, test_user, config,
-                                          mode, valid_labels)
+        audit = run.run_online(tables[test_user], mode)
         reps.append((t1 - t0, t2 - t1, time.perf_counter_ns() - t3))
+    result = evaluation.fold_result(audit, test_user, config, mode,
+                                    valid_labels)
     return TimingBreakdown(
         sampling_ns=int(statistics.median(r[0] for r in reps)),
         feature_ns=int(statistics.median(r[1] for r in reps)),

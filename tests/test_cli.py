@@ -217,6 +217,34 @@ class TestInputFiles:
         assert code == cli.EXIT_MISSING_DATA
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("cfg", [
+        _first_class(label=3.7), _first_class(label=float("inf")),
+        _first_class(label=2**53 + 1), _first_class(label=2**63),
+        dict(SPEC, seed=1.5), dict(SPEC, samples_per_class=50.5),
+        dict(SPEC, users=[{"id": 1.5, "offset": 0.0}, *SPEC["users"][1:]])],
+        ids=["label-fraction", "label-inf", "label-past-float64",
+             "label-past-int64", "seed-fraction", "samples-fraction",
+             "user-fraction"])
+    def test_inexact_integer_exits_three(self, capsys, tmp_path, cfg):
+        # int() would truncate 3.7 to class 3, and 2**53 + 1 would be
+        # stored as 2**53 and its windows dropped as an unknown label
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(cfg))
+        code = run(["eval", "--synthetic", str(spec), "--user", "2",
+                    "--window", "10", "--overlap", "0.0",
+                    "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_MISSING_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_is_its_integer(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(_first_class(label=3.0), seed=1.0)))
+        assert run(["eval", "--synthetic", str(spec), "--user", "2",
+                    "--window", "10", "--overlap", "0.0"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "  3: n=5 " in out and "  2: n=5 " in out
+
     @pytest.mark.parametrize("content", [
         None, "not json {",
         '{"sampling_watts": NaN, "feature_watts": 2.0, '

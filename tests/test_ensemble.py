@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from harbench import learners
 from harbench.ensemble import (Ensemble, EnsembleError, LearnerParams,
                                Prediction)
 from harbench.evaluation import write_audit_csv
@@ -65,10 +68,10 @@ def list_vote(dists):
 
 
 @st.composite
-def member_posteriors(draw):
+def member_posteriors(draw, n_classes=None):
     """Three posteriors over 2-12 classes; repeated rows, one-hot rows and
     coarse weights make vote ties and summed-posterior ties common."""
-    n_classes = draw(st.integers(2, 12))
+    n_classes = n_classes or draw(st.integers(2, 12))
     rows = []
     for _ in range(3):
         kind = draw(st.sampled_from(["weights", "floats", "one-hot", "copy"]))
@@ -139,6 +142,78 @@ class TestClassify:
     def test_untrained_model_raises(self):
         with pytest.raises(EnsembleError):
             Ensemble((1, 2)).classify(fv([0.0]))
+
+
+class RowStub:
+    """Member whose posterior for a query is row int(x[0]) of a table."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=np.float64)
+
+    def predict(self, x):
+        return self.table[int(x[0])]
+
+    def predict_rows(self, X):
+        return self.table[X[:, 0].astype(int)]
+
+
+@st.composite
+def posterior_tables(draw):
+    """One member_posteriors draw per query, over one class count."""
+    n_classes = draw(st.integers(2, 12))
+    return draw(st.lists(member_posteriors(n_classes), min_size=1,
+                         max_size=30))
+
+
+def assert_rows_classify_alike(model, X, block=learners._BLOCK_VALUES):
+    with mock.patch.object(learners, "_BLOCK_VALUES", block):
+        labels, confidences = model.classify_rows(X)
+    preds = [model.classify(fv(x)) for x in X]
+    assert labels == [p.label for p in preds]
+    assert ([c.hex() for c in confidences]
+            == [p.confidence.hex() for p in preds])
+
+
+class TestClassifyRows:
+    @settings(max_examples=200, deadline=None)
+    @given(queries=posterior_tables(),
+           block=st.sampled_from([learners._BLOCK_VALUES, 1, 40]))
+    def test_block_vote_equals_classify(self, queries, block):
+        # vote ties, summed-posterior ties and every confidence, over
+        # chunks of one row, of a few rows with a ragged last one, or all
+        classes = tuple(range(10, 10 + len(queries[0][0])))
+        model = Ensemble(classes)
+        model.members = [RowStub([q[m] for q in queries]) for m in range(3)]
+        model._trained = True
+        X = np.zeros((len(queries), N_FEATURES))
+        X[:, 0] = np.arange(len(queries))
+        assert_rows_classify_alike(model, X, block)
+
+    @pytest.mark.parametrize("capacity", [100, 400])
+    def test_trained_members_and_state(self, capacity):
+        # stores on both sides of the kNN filter's crossover
+        rng = np.random.default_rng(12)
+        model = Ensemble((1, 2, 3),
+                         params=LearnerParams(knn_capacity=capacity,
+                                              vfdt_grace_period=50,
+                                              vfdt_tie_threshold=0.5))
+        model.train_offline(make_instances(rng, 450, noise=4.0))
+        assert model.members[2].n_splits > 0
+        before = model.state_hash()
+        X = np.array([i.values for i in make_instances(rng, 150, noise=4.0)])
+        assert_rows_classify_alike(model, X, block=100)
+        assert model.state_hash() == before
+
+    def test_invalid_row_rejected(self):
+        # as in classify, NaN posteriors never reach the vote
+        nan = fv(np.full(N_FEATURES, np.nan))
+        model = Ensemble((1, 2)).train_offline([nan])
+        with pytest.raises(LearnerError):
+            model.classify_rows(np.zeros((3, N_FEATURES)))
+
+    def test_untrained_model_raises(self):
+        with pytest.raises(EnsembleError):
+            Ensemble((1, 2)).classify_rows(np.zeros((1, N_FEATURES)))
 
 
 class TestTraining:

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -104,6 +105,28 @@ class TestEvaluateFold:
                                valid_labels=small_spec.class_labels)[0]
         assert result.n_windows == len(manual)
 
+    @pytest.mark.parametrize("capacity", [100, 500])
+    def test_frozen_block_is_the_online_run(self, hard_streams, hard_spec,
+                                            capacity):
+        # score_fold scores a frozen cell as one block of rows; it leaves the
+        # model unchanged and gives the audit of the per-window online run,
+        # with the kNN store on either side of the filter's crossover
+        labels = hard_spec.class_labels
+        config = WindowConfig(20, 0.8)
+        tables = {s.user_id: pipeline_instances(s, config, valid_labels=labels)
+                  for s in hard_streams}
+        model = evaluation.fold_model(
+            tables, 2, LearnerParams(knn_capacity=capacity), labels)
+        assert model.members[0].size == capacity
+        before = model.state_hash()
+        result, audit = evaluation.score_fold(model, tables, 2, config,
+                                              "supervised_frozen", labels)
+        assert model.state_hash() == before
+        online = model.run_online(tables[2], "supervised_frozen")
+        assert audit == online and len(audit) == result.n_windows > 0
+        assert result == evaluation.fold_result(online, 2, config,
+                                                "supervised_frozen", labels)
+
     def test_unknown_user_raises(self, small_streams, small_spec):
         with pytest.raises(EvaluationError):
             evaluate_fold(by_user(small_streams), 7, WindowConfig(50, 0.0),
@@ -180,6 +203,36 @@ class TestSweep:
         assert outputs[0] == outputs[1]
         assert len(outputs[0]) > len(os.listdir(tmp_path / "w1" / "cells"))
 
+    def test_pool_gets_the_streams_once_per_worker(self, small_streams,
+                                                   small_spec, tmp_path,
+                                                   monkeypatch):
+        # the streams go through the pool initializer; a point carries only
+        # its (W, o) and its cells, far fewer bytes than one stream
+        sent = []
+
+        class InlinePool:
+            def __init__(self, workers, initializer, initargs):
+                initializer(*pickle.loads(pickle.dumps(initargs)))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, points):
+                sent.extend(pickle.dumps(point) for point in points)
+                return map(fn, map(pickle.loads, sent))
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(evaluation, "_shared", ())
+        labels = small_spec.class_labels
+        pooled = self.run(small_streams, labels, tmp_path / "w2", workers=2)
+        assert pooled == self.run(small_streams, labels, tmp_path / "w1")
+        assert len(sent) == len(self.WINDOWS) * len(self.OVERLAPS)
+        assert max(map(len, sent)) < min(s.values.nbytes
+                                         for s in small_streams)
+
     def test_every_cell_equals_evaluate_fold(self, small_streams, small_spec,
                                              tmp_path):
         labels = small_spec.class_labels
@@ -249,6 +302,25 @@ class TestSweep:
                                                frozenset({2, 3})]
         assert again == first
 
+    def test_theta_above_one_semi_cells_are_frozen_cells(
+            self, hard_streams, hard_spec, tmp_path):
+        # no self-update passes a gate above 1, so every semi-supervised
+        # cell, run a window at a time, counts as its frozen cell, scored
+        # as one block of rows
+        params = LearnerParams(knn_capacity=500, vfdt_grace_period=50,
+                               confidence_threshold=1.5)
+        results = sweep(hard_streams, self.WINDOWS, self.OVERLAPS,
+                        self.MODES, seed=0, out_dir=str(tmp_path),
+                        params=params, valid_labels=hard_spec.class_labels)
+        cells = {_cell_key(r): r for r in results}
+        frozen = [r for r in results if r.mode == "supervised_frozen"]
+        assert len(frozen) == len(results) / 2 == 6
+        for r in frozen:
+            semi = cells[_cell_key(r)[:3] + ("semi_supervised",)]
+            assert r.n_windows > 0 and semi.self_updates == 0
+            assert ((semi.per_activity_windows, semi.per_activity_correct)
+                    == (r.per_activity_windows, r.per_activity_correct))
+
     def test_reversed_modes_write_same_bytes(self, hard_streams, hard_spec,
                                              tmp_path):
         labels = hard_spec.class_labels
@@ -273,20 +345,27 @@ class TestSweep:
     def test_every_run_starts_from_the_trained_model(self, hard_streams,
                                                      hard_spec, tmp_path,
                                                      monkeypatch):
+        # a frozen cell is one classify_rows call, a semi-supervised one
+        # a run_online call
         trained, started = [], []
-        train, run_online = Ensemble.train_offline, Ensemble.run_online
+        train = Ensemble.train_offline
+        run_online, classify_rows = Ensemble.run_online, Ensemble.classify_rows
 
         def recording_train(model, instances):
             train(model, instances)
             trained.append(model.state_hash())
             return model
 
-        def recording_run(model, instances, mode):
-            started.append((trained[-1], model.state_hash()))
-            return run_online(model, instances, mode)
+        def recording(run):
+            def start(model, *args):
+                started.append((trained[-1], model.state_hash()))
+                return run(model, *args)
+            return start
 
         monkeypatch.setattr(Ensemble, "train_offline", recording_train)
-        monkeypatch.setattr(Ensemble, "run_online", recording_run)
+        monkeypatch.setattr(Ensemble, "run_online", recording(run_online))
+        monkeypatch.setattr(Ensemble, "classify_rows",
+                            recording(classify_rows))
         sweep(hard_streams, self.WINDOWS, self.OVERLAPS, self.MODES[::-1],
               seed=0, out_dir=str(tmp_path), params=GATE_05,
               valid_labels=hard_spec.class_labels)

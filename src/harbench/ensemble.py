@@ -21,10 +21,11 @@ import numpy as np
 
 from .features import N_FEATURES
 from .learners import (GaussianNbClassifier, HoeffdingTreeClassifier,
-                       KnnClassifier, _check_distribution, _check_rows,
-                       _row_chunks)
+                       KnnClassifier, LearnerError, _check_distribution,
+                       _check_rows, _row_chunks)
 
 MODES = ("supervised_frozen", "semi_supervised")
+STREAK_ROWS, MAX_BLOCK_ROWS = 8, 4096  # run_blocks' streak gate
 
 
 class EnsembleError(Exception):
@@ -141,13 +142,18 @@ class Ensemble:
             confidences += (summed / n_voting * n_voting / n_members).tolist()
         return [self.classes[i] for i in winners], confidences
 
-    def self_update(self, fv, prediction) -> bool:
-        """Train the predicted label back in iff confidence beats the gate."""
-        if prediction.confidence <= self.confidence_threshold:
+    def _gate(self, values, label, confidence):
+        """The self-update rule: train label back into every member iff
+        confidence beats the gate."""
+        if confidence <= self.confidence_threshold:
             return False
         for member in self.members:
-            member.train(fv.values, prediction.label)
+            member.train(values, label)
         return True
+
+    def self_update(self, fv, prediction) -> bool:
+        """Train the predicted label back in iff confidence beats the gate."""
+        return self._gate(fv.values, prediction.label, prediction.confidence)
 
     def run_online(self, instances, mode):
         """The audit of a stream's classification: one record per instance,
@@ -156,14 +162,54 @@ class Ensemble:
         True labels on the instances are never shown to the model; they are
         carried into the audit records for scoring only.
         """
-        if mode not in MODES:
-            raise EnsembleError(f"unknown mode {mode!r}, expected one of {MODES}")
+        update = _updates(mode)
         audit = []
         for fv in instances:
             pred = self.classify(fv)
-            updated = mode == "semi_supervised" and self.self_update(fv, pred)
+            updated = update and self.self_update(fv, pred)
             audit.append(AuditRecord(true_label=fv.label,
                                      predicted_label=pred.label,
                                      confidence=pred.confidence,
                                      updated=updated))
         return audit
+
+    def run_blocks(self, instances, mode):
+        """run_online's audit and updates over a sequence of instances, in
+        speculative blocks: the model changes only at an update, so a block
+        scored by classify_rows is classify's up to and including the first
+        row that passes the gate, and scoring resumes after it. A frozen run
+        is one block (classify per row below STREAK_ROWS rows). A
+        semi-supervised one uses classify until STREAK_ROWS rows in a row
+        fail the gate, then blocks the size of that run, and classify again
+        after an update. A block that raises is scored again a window at a
+        time, to raise at run_online's row and state."""
+        update = _updates(mode)
+        audit, streak, careful = [], 0, 0
+        while len(audit) < len(instances):
+            i = len(audit)
+            size = min(streak, MAX_BLOCK_ROWS) if update else len(instances)
+            if i < careful or size < STREAK_ROWS:
+                pred = self.classify(instances[i])
+                rows = [(pred.label, pred.confidence)]
+            else:
+                try:
+                    rows = zip(*self.classify_rows(np.stack(
+                        [fv.values for fv in instances[i:i + size]])))
+                except LearnerError:
+                    careful = i + size
+                    continue
+            for label, confidence in rows:
+                fv = instances[len(audit)]
+                updated = update and self._gate(fv.values, label, confidence)
+                audit.append(AuditRecord(fv.label, label, confidence, updated))
+                streak = 0 if updated else streak + 1
+                if updated:
+                    break
+        return audit
+
+
+def _updates(mode):
+    """Whether an online run in this mode self-updates the model."""
+    if mode not in MODES:
+        raise EnsembleError(f"unknown mode {mode!r}, expected one of {MODES}")
+    return mode == "semi_supervised"

@@ -1,7 +1,8 @@
 """Leave-one-user-out evaluation and the window-size x overlap sweep.
 
 A sweep's unit of work is one (window size, overlap) point: each user is
-featurized once per point. Finished cells are persisted as JSON so an
+featurized once per point, and each cell scored in row blocks in either mode
+(Ensemble.run_blocks). Finished cells are persisted as JSON so an
 interrupted sweep resumes without recomputation. Reports are plain CSV, each
 one list of rows handed to write_rows: a long-form per-activity table, one
 accuracy heat map per (user, mode), and a cross-user summary.
@@ -22,7 +23,7 @@ from itertools import groupby, product
 import numpy as np
 
 from .dataset import PROTOCOL_ACTIVITIES
-from .ensemble import MODES, AuditRecord, Ensemble, LearnerParams
+from .ensemble import MODES, Ensemble, LearnerParams
 from .features import extract_stream
 from .windowing import (DEFAULT_PURITY, WindowConfig, check_purity,
                         labeled_windows)
@@ -132,26 +133,17 @@ def fold_result(audit, test_user, config, mode,
 def score_fold(model, tables, test_user, config, mode,
                valid_labels=PROTOCOL_ACTIVITIES):
     """(FoldResult, audit) of one cell: the fold's model run on the test
-    user's instances. A frozen model never changes, so a frozen cell is one
-    Ensemble.classify_rows call over the instances' matrix; any other runs
-    online, one instance at a time."""
-    instances = tables[test_user]
-    if mode == "supervised_frozen" and instances:
-        labels, confidences = model.classify_rows(
-            np.stack([fv.values for fv in instances]))
-        audit = [AuditRecord(fv.label, label, confidence, False)
-                 for fv, label, confidence
-                 in zip(instances, labels, confidences)]
-    else:
-        audit = model.run_online(instances, mode)
+    user's instances by Ensemble.run_blocks in either mode, which gives the
+    audit, and leaves the model, that run_online would."""
+    audit = model.run_blocks(tables[test_user], mode)
     return fold_result(audit, test_user, config, mode, valid_labels), audit
 
 
 def evaluate_fold(streams_by_user, test_user, config, mode,
                   params=None, purity=DEFAULT_PURITY,
                   valid_labels=PROTOCOL_ACTIVITIES):
-    """(FoldResult, audit) of one cell: train on every other user, run the
-    test user online."""
+    """(FoldResult, audit) of one cell: train on every other user, score
+    the test user as score_fold does."""
     if test_user not in streams_by_user:
         raise EvaluationError(f"no stream for user {test_user}")
     tables = {user: pipeline_instances(stream, config, purity, valid_labels)

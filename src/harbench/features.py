@@ -50,30 +50,30 @@ class FeatureVector:
             raise FeatureError(f"expected {N_FEATURES} features, got {self.values.shape}")
 
 
-def _fill_missing(channels):
-    """A C-ordered copy of a (W, 27) window with NaN runs interpolated per
-    channel (edge gaps extend the nearest value, a fully missing channel is
-    zeroed), and whether no channel was fully missing."""
-    filled = channels.copy()
-    idx = np.arange(len(filled))
-    for col in filled.T:
-        missing = np.isnan(col)
-        if missing.all():
-            col[:] = 0.0
-        elif missing.any():
-            col[missing] = np.interp(idx[missing], idx[~missing], col[~missing])
-    return filled, not np.isnan(channels).all(axis=0).any()
+def _fill_gaps(filled):
+    """Interpolate, in place, each NaN run of (n, W, 27) windows in its own
+    column (edge gaps extend the nearest value, a fully missing channel is
+    zeroed); returns whether no channel of each window was fully missing."""
+    missing = np.isnan(filled)
+    lost = missing.all(axis=1)
+    filled[missing & lost[:, None]] = 0.0
+    idx = np.arange(filled.shape[1])
+    for k, c in zip(*np.nonzero(missing.any(axis=1) & ~lost)):
+        col, gap = filled[k, :, c], missing[k, :, c]
+        col[gap] = np.interp(idx[gap], idx[~gap], col[~gap])
+    return ~lost.any(axis=1)
 
 
 def _kernel(block):
     """(n, 27, W) windows -> (n, 81) features.
 
     A NaN-free block is C-ordered, so its sums run pairwise along W as a
-    window's F-ordered channel slice summed them. A filled window comes as
-    `filled.T[None]`: its means and stds sum row by row, as reductions of
-    the C-ordered copy did, while each correlation centres a channel on its
-    own pairwise mean, hence the means of `np.ascontiguousarray(block)`. A
-    (1, W) @ (W, 1) matmul is the same dot product as a 1-D `a @ b`.
+    window's F-ordered channel slice summed them. Filled windows come as
+    `filled.transpose(0, 2, 1)` of their (n, W, 27) copy: their means and
+    stds sum row by row, as reductions of a window's C-ordered copy did,
+    while each correlation centres a channel on its own pairwise mean,
+    hence the means of `np.ascontiguousarray(block)`. A (1, W) @ (W, 1)
+    matmul is the same dot product as a 1-D `a @ b`.
     """
     means = block.mean(axis=2)
     stds = np.sqrt(np.mean((block - means[..., None]) ** 2, axis=2))
@@ -97,12 +97,15 @@ def _extract(windows, first_index, size=None):
         raise FeatureError(f"window sizes differ from {size}")
     block = np.stack(channels)
     values = _kernel(block)
-    quality = [True] * len(windows)
-    for k in np.flatnonzero(np.isnan(block).any(axis=(1, 2))):
-        filled, quality[k] = _fill_missing(block[k].T)
-        values[k] = _kernel(filled.T[None])[0]
+    quality = np.ones(len(windows), dtype=bool)
+    gapped = np.isnan(block).any(axis=(1, 2))
+    if gapped.any():  # one C-ordered (windows, W, 27) copy, filled
+        filled = np.ascontiguousarray(
+            block.transpose(0, 2, 1).compress(gapped, axis=0))
+        quality[gapped] = _fill_gaps(filled)
+        values[gapped] = _kernel(filled.transpose(0, 2, 1))
     return [FeatureVector(values=v, label=w.label, user_id=w.user_id,
-                          window_index=first_index + k, quality_ok=ok)
+                          window_index=first_index + k, quality_ok=bool(ok))
             for k, (w, v, ok) in enumerate(zip(windows, values, quality))]
 
 

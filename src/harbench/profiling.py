@@ -5,7 +5,7 @@ study: sampling (window instantiation), feature extraction and
 classification. Features are timed one `extract` call per window, as a
 device featurizes each window when it closes, and classification is the
 fold's model run online, one classify call per window in either mode,
-though the sweep scores a frozen cell as one block of rows. Energy comes
+though the sweep scores each cell in blocks of rows. Energy comes
 from a constant watts-per-phase model. Profiling must run single-threaded;
 do not overlap it with parallel sweeps.
 """

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harbench import learners
-from harbench.ensemble import (Ensemble, EnsembleError, LearnerParams,
-                               Prediction)
+from harbench.ensemble import (MODES, Ensemble, EnsembleError,
+                               LearnerParams, Prediction)
 from harbench.evaluation import write_audit_csv
 from harbench.features import FeatureVector, N_FEATURES
 from harbench.learners import LearnerError
@@ -379,6 +379,129 @@ class TestRunOnline:
         assert knn._X2.tobytes() == (knn._X * knn._X).tobytes()
         assert audits[0] == audits[1]
         assert models[0].state_hash() == models[1].state_hash()
+
+
+class TrainedRowStub(RowStub):
+    """RowStub that records the rows trained into it and, once trained,
+    reverses its posteriors, so a score taken before an update shows."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.trained = []
+
+    def predict(self, x):
+        return self.predict_rows(x[None])[0]
+
+    def predict_rows(self, X):
+        rows = super().predict_rows(X)
+        return rows[:, ::-1] if self.trained else rows
+
+    def train(self, x, label):
+        self.trained.append((int(x[0]), label))
+
+
+def assert_runs_alike(model, stream, mode="semi_supervised"):
+    """run_blocks and run_online on clones of model give equal audits and
+    leave equal models; returns the block run's model."""
+    online, blocks = model.clone(), model.clone()
+    assert blocks.run_blocks(stream, mode) == online.run_online(stream, mode)
+    assert blocks.state_hash() == online.state_hash()
+    return blocks
+
+
+def drawn_instances(rng, n, noise, classes=(1, 2, 3)):
+    """Instances of random labels around centres 1 apart: confidence moves
+    from row to row, so a gate fires in runs, now and then or not at all."""
+    labels = rng.choice(classes, size=n).tolist()
+    return [fv(rng.normal(classes.index(label), noise, size=N_FEATURES),
+               label=label, index=i) for i, label in enumerate(labels)]
+
+
+GATES = [1.5, 0.99, 0.65, 0.3]  # no, sparse, dense and nearly all updates
+
+
+class TestRunBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), theta=st.sampled_from(GATES),
+           mode=st.sampled_from(MODES), capacity=st.sampled_from([60, 300]),
+           noise=st.sampled_from([2.0, 4.0, 8.0]), n=st.integers(0, 300))
+    def test_audit_and_model_equal_run_online(self, seed, theta, mode,
+                                              capacity, noise, n):
+        # kNN stores that wrap in training or during the run, and a tree
+        # that may split between two updates
+        rng = np.random.default_rng(seed)
+        params = LearnerParams(knn_capacity=capacity, vfdt_grace_period=20,
+                               vfdt_tie_threshold=0.5,
+                               confidence_threshold=theta)
+        model = Ensemble((1, 2, 3), params=params)
+        model.train_offline(drawn_instances(rng, 240, noise))
+        assert_runs_alike(model, drawn_instances(rng, n, noise), mode)
+
+    @pytest.mark.parametrize("theta", [0.65, 0.3])
+    def test_wrapped_store_and_tree_split_mid_run(self, theta):
+        # updates fill the kNN store past its capacity and split the tree
+        rng = np.random.default_rng(13)
+        params = LearnerParams(knn_capacity=300, vfdt_grace_period=20,
+                               vfdt_tie_threshold=0.5,
+                               confidence_threshold=theta)
+        model = Ensemble((1, 2, 3), params=params)
+        model.train_offline(drawn_instances(rng, 240, 4.0))
+        splits = model.members[2].n_splits
+        after = assert_runs_alike(model, drawn_instances(rng, 400, 4.0))
+        assert after.members[0].n_trained > after.members[0].capacity
+        assert after.members[2].n_splits > splits
+
+    @pytest.mark.parametrize("update,blocks", [
+        (15, [list(range(8, 16))]),
+        (10, [list(range(8, 16)), [19]])], ids=["last_row", "mid_block"])
+    def test_update_in_a_block(self, update, blocks):
+        # 8 rejections, then a block of 8 whose last or third row passes
+        # the gate. The rows after it are scored again from the updated
+        # model, a window at a time, until 8 more have been rejected.
+        table = [[0.6, 0.4]] * 20
+        table[update] = [1.0, 0.0]
+        model = Ensemble((1, 2))
+        model.members = [TrainedRowStub(table) for _ in range(3)]
+        model._trained = True
+        scored = []
+        classify_rows = Ensemble.classify_rows
+
+        def recording(self, X):
+            scored.append(X[:, 0].astype(int).tolist())
+            return classify_rows(self, X)
+
+        stream = [fv([i], index=i) for i in range(20)]
+        with mock.patch.object(Ensemble, "classify_rows", recording):
+            after = assert_runs_alike(model, stream)
+        assert scored == blocks
+        assert all(m.trained == [(update, 1)] for m in after.members)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_instances(self, mode):
+        # as run_online, an untrained model scores no instances
+        assert Ensemble((1, 2)).run_blocks([], mode) == []
+        with pytest.raises(EnsembleError):
+            Ensemble((1, 2)).run_blocks([], "nonsense")
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bad", [0, 33, 55, 140, 199])
+    def test_non_finite_row_raises_where_run_online_does(self, mode, bad):
+        # the row fails the distribution check: both runs raise there, after
+        # the same updates. Semi-supervised, rows 33, 55 and 140 fall in a
+        # block, the last two after an update in that block.
+        rng = np.random.default_rng(14)
+        params = LearnerParams(knn_capacity=300, confidence_threshold=0.65)
+        model = Ensemble((1, 2, 3), params=params)
+        model.train_offline(drawn_instances(rng, 150, 8.0))
+        stream = drawn_instances(rng, 200, 8.0)
+        stream[bad] = fv(np.full(N_FEATURES, np.nan), index=bad)
+        online, blocks = model.clone(), model.clone()
+        with pytest.raises(LearnerError):
+            online.run_online(stream, mode)
+        with pytest.raises(LearnerError):
+            blocks.run_blocks(stream, mode)
+        assert blocks.state_hash() == online.state_hash()
 
 
 def test_audit_csv(tmp_path):

@@ -345,27 +345,21 @@ class TestSweep:
     def test_every_run_starts_from_the_trained_model(self, hard_streams,
                                                      hard_spec, tmp_path,
                                                      monkeypatch):
-        # a frozen cell is one classify_rows call, a semi-supervised one
-        # a run_online call
+        # every cell, in either mode, is one run_blocks call
         trained, started = [], []
-        train = Ensemble.train_offline
-        run_online, classify_rows = Ensemble.run_online, Ensemble.classify_rows
+        train, run_blocks = Ensemble.train_offline, Ensemble.run_blocks
 
         def recording_train(model, instances):
             train(model, instances)
             trained.append(model.state_hash())
             return model
 
-        def recording(run):
-            def start(model, *args):
-                started.append((trained[-1], model.state_hash()))
-                return run(model, *args)
-            return start
+        def recording_run(model, *args):
+            started.append((trained[-1], model.state_hash()))
+            return run_blocks(model, *args)
 
         monkeypatch.setattr(Ensemble, "train_offline", recording_train)
-        monkeypatch.setattr(Ensemble, "run_online", recording(run_online))
-        monkeypatch.setattr(Ensemble, "classify_rows",
-                            recording(classify_rows))
+        monkeypatch.setattr(Ensemble, "run_blocks", recording_run)
         sweep(hard_streams, self.WINDOWS, self.OVERLAPS, self.MODES[::-1],
               seed=0, out_dir=str(tmp_path), params=GATE_05,
               valid_labels=hard_spec.class_labels)

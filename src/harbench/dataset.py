@@ -304,19 +304,18 @@ class SyntheticSpec:
                                  noise_sigma=float(c.get("noise_sigma", 0.25)),
                                  mean=float(c["mean"]))
                        for c in cfg["classes"]]
-            user_offsets = {_integral(u["id"], "user id"):
-                            float(u.get("offset", 0.0)) for u in cfg["users"]}
-            if len(user_offsets) < len(cfg["users"]):
+            users = {_integral(u["id"], "user id"): u for u in cfg["users"]}
+            if len(users) < len(cfg["users"]):
                 raise DatasetError(f"repeated user id in synthetic spec {path}")
-            user_drifts = {int(u["id"]): float(u.get("drift", 0.0))
-                           for u in cfg["users"]}
             return cls(classes=classes,
                        samples_per_class=_integral(cfg["samples_per_class"],
                                                    "samples_per_class"),
-                       user_offsets=user_offsets,
+                       user_offsets={i: float(u.get("offset", 0.0))
+                                     for i, u in users.items()},
                        seed=_integral(cfg["seed"], "seed"),
                        sample_rate=float(cfg.get("sample_rate", 100.0)),
-                       user_drifts=user_drifts)
+                       user_drifts={i: float(u.get("drift", 0.0))
+                                    for i, u in users.items()})
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"invalid synthetic spec {path}: {exc}") from exc
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from .features import N_FEATURES
 from .learners import (GaussianNbClassifier, HoeffdingTreeClassifier,
-                       KnnClassifier, LearnerError, _check_distribution,
-                       _check_rows, _row_chunks)
+                       KnnClassifier, LearnerError, _check_rows, _row_chunks)
 
 MODES = ("supervised_frozen", "semi_supervised")
 STREAK_ROWS, MAX_BLOCK_ROWS = 8, 4096  # run_blocks' streak gate
@@ -102,8 +101,8 @@ class Ensemble:
         if not self._trained:
             raise EnsembleError("classify on untrained ensemble")
         # members x classes; argmax = fixed class order
-        dists = np.stack([_check_distribution(m.predict(fv.values))
-                          for m in self.members])
+        dists = _check_rows(np.stack([m.predict(fv.values)
+                                      for m in self.members]))
         votes = dists.argmax(axis=1)
         counts = np.bincount(votes, minlength=len(self.classes))
         tied = np.flatnonzero(counts == counts.max())

@@ -116,12 +116,11 @@ def fold_model(tables, test_user, params=None,
     return model
 
 
-def fold_result(audit, test_user, config, mode,
-                valid_labels=PROTOCOL_ACTIVITIES):
-    """The FoldResult of one cell's audit: every count comes from its
-    records."""
-    windows = dict.fromkeys(valid_labels, 0)
-    correct = dict.fromkeys(valid_labels, 0)
+def fold_result(audit, test_user, config, mode, classes):
+    """The FoldResult of one cell's audit over its model's classes: every
+    count comes from its records."""
+    windows = dict.fromkeys(classes, 0)
+    correct = dict.fromkeys(classes, 0)
     for rec in audit:
         windows[rec.true_label] += 1
         correct[rec.true_label] += rec.predicted_label == rec.true_label
@@ -130,13 +129,12 @@ def fold_result(audit, test_user, config, mode,
                       self_updates=sum(rec.updated for rec in audit))
 
 
-def score_fold(model, tables, test_user, config, mode,
-               valid_labels=PROTOCOL_ACTIVITIES):
+def score_fold(model, tables, test_user, config, mode):
     """(FoldResult, audit) of one cell: the fold's model run on the test
     user's instances by Ensemble.run_blocks in either mode, which gives the
     audit, and leaves the model, that run_online would."""
     audit = model.run_blocks(tables[test_user], mode)
-    return fold_result(audit, test_user, config, mode, valid_labels), audit
+    return fold_result(audit, test_user, config, mode, model.classes), audit
 
 
 def evaluate_fold(streams_by_user, test_user, config, mode,
@@ -149,25 +147,26 @@ def evaluate_fold(streams_by_user, test_user, config, mode,
     tables = {user: pipeline_instances(stream, config, purity, valid_labels)
               for user, stream in streams_by_user.items()}
     model = fold_model(tables, test_user, params, valid_labels)
-    return score_fold(model, tables, test_user, config, mode, valid_labels)
+    return score_fold(model, tables, test_user, config, mode)
 
 
 # ---------------------------------------------------------------------------
 # Sweep with per-cell persistence
 
 
-def _cell_name(key):
-    """File name of a cell: the sha256 of its key."""
-    payload = json.dumps(key, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest() + ".json"
+def _cell_path(cell_dir, key):
+    """A cell's file in cell_dir: the sha256 of its key."""
+    name = hashlib.sha256(json.dumps(key, sort_keys=True).encode())
+    return os.path.join(cell_dir, name.hexdigest() + ".json")
 
 
-def _load_cell(path, key):
+def _load_cell(cell_dir, key):
     """The persisted result of the cell with this key, or None to compute it.
 
     A file that does not load as {"key", "result"}, or whose stored key is
     not this key, is reported on stderr and recomputed.
     """
+    path = _cell_path(cell_dir, key)
     try:
         with open(path) as fh:
             cell = json.load(fh)
@@ -185,17 +184,16 @@ def _load_cell(path, key):
     return result
 
 
-def _point_cells(streams, params, purity, valid_labels, config, cells):
-    """Featurize every user once, then yield (path, key, result) per cell.
+def _point_cells(streams, params, purity, valid_labels, config, keys):
+    """Featurize every user once, then yield (key, result) per cell key.
     A user's cells come together, frozen first, so the fold's model is
     trained once and serves both modes: a frozen run leaves it unchanged."""
     tables = {s.user_id: pipeline_instances(s, config, purity, valid_labels)
               for s in streams}
-    for user, user_cells in groupby(cells, key=lambda cell: cell[2]):
+    for user, user_keys in groupby(keys, key=lambda key: key["user"]):
         model = fold_model(tables, user, params, valid_labels)
-        for path, key, _, mode in user_cells:
-            yield path, key, score_fold(model, tables, user, config, mode,
-                                        valid_labels)[0]
+        for key in user_keys:
+            yield key, score_fold(model, tables, user, config, key["mode"])[0]
 
 
 _shared = ()  # a pool worker's (streams, params, purity, valid_labels)
@@ -243,19 +241,18 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
     points = []
     results = []
     for config in configs:
-        cells = []
+        keys = []
         for user in users:
             for mode in ordered:
                 key = dict(base, user=user, window_size=config.window_size,
                            overlap=repr(config.overlap), mode=mode)
-                path = os.path.join(cell_dir, _cell_name(key))
-                done = _load_cell(path, key) if resume else None
+                done = _load_cell(cell_dir, key) if resume else None
                 if done is None:
-                    cells.append((path, key, user, mode))
+                    keys.append(key)
                 else:
                     results.append(done)
-        if cells:
-            points.append((config, cells))
+        if keys:
+            points.append((config, keys))
 
     shared = (streams, params, purity, valid_labels)
     pool = (ProcessPoolExecutor(workers, initializer=_init_worker,
@@ -263,7 +260,8 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
     with pool or nullcontext():  # in-process, each cell comes as it is scored
         for cells in (pool.map(_score_point, points) if pool else
                       (_point_cells(*shared, *point) for point in points)):
-            for path, key, result in cells:
+            for key, result in cells:
+                path = _cell_path(cell_dir, key)
                 tmp = path + ".tmp"
                 with open(tmp, "w") as fh:
                     json.dump({"key": key, "result": result.to_dict()}, fh,

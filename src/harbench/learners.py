@@ -30,21 +30,13 @@ def _row_chunks(n_rows, row_values):
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-def _check_distribution(probs):
-    probs = np.asarray(probs, dtype=np.float64)
-    # written so that NaN and infinite entries fail the test too
-    if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-9):
-        raise LearnerError(f"invalid class distribution: {probs}")
-    return probs
-
-
 def _check_rows(rows):
-    """rows, if each passes _check_distribution's test, taken here on every
-    row at once; _check_distribution raises for the first row that fails.
-    The one-vector form stays apart as the cheaper one per window."""
+    """rows, if each is a class distribution: no entry below 0, and a sum
+    within 1e-9 of 1, written so that NaN and infinite entries fail too.
+    Raises for the first row that is not."""
     ok = (rows >= 0).all(axis=-1) & (abs(rows.sum(axis=-1) - 1.0) <= 1e-9)
-    for row in rows[~ok]:
-        _check_distribution(row)
+    if not ok.all():
+        raise LearnerError(f"invalid class distribution: {rows[~ok][0]}")
     return rows
 
 
@@ -127,6 +119,8 @@ class KnnClassifier:
         x = np.asarray(x, dtype=np.float64)
         if label not in self._class_index:
             raise LearnerError(f"unknown class {label}")
+        if not np.isfinite(x).all():  # it would spoil the running scale
+            raise LearnerError("kNN row with a NaN or infinite value")
         slot = self.n_trained % self.capacity  # overwrites the oldest
         if slot == len(self._y):  # the first block is full: grow, zeroed
             self._X, self._X2, self._y = (
@@ -144,6 +138,14 @@ class KnnClassifier:
     def _scale(self):
         std = np.sqrt(self._m2 / max(1, self.n_trained))
         return np.where(std > 0, std, 1.0)
+
+    def _query_terms(self):
+        """(scale, k) of a prediction from the store, which must not be
+        empty; k is at most the number of stored rows."""
+        n = self.size
+        if n == 0:
+            raise LearnerError("predict on empty kNN store")
+        return self._scale(), min(self.k, n)
 
     def _candidates(self, x, scale, k):
         """Rows that may be among the k nearest, or a slice of every row.
@@ -205,12 +207,8 @@ class KnnClassifier:
         return np.lexsort((rank, dist, *groups))
 
     def predict(self, x):
-        n = self.size
-        if n == 0:
-            raise LearnerError("predict on empty kNN store")
+        scale, k = self._query_terms()
         x = np.asarray(x, dtype=np.float64)
-        scale = self._scale()
-        k = min(self.k, n)
         rows = self._candidates(x, scale, k)
         dist = _sq_distances(self._X[rows], x, scale)
         # Rows beyond the k-th smallest distance cannot vote; the rest go in
@@ -234,13 +232,9 @@ class KnnClassifier:
         holds about _BLOCK_VALUES values in a (queries, rows) temporary, or
         in a (queries, rows, features) one when every row is a candidate.
         """
-        n = self.size
-        if n == 0:
-            raise LearnerError("predict on empty kNN store")
+        scale, k = self._query_terms()
+        n, n_classes = self.size, len(self.classes)
         X = np.asarray(X, dtype=np.float64)
-        scale = self._scale()
-        k = min(self.k, n)
-        n_classes = len(self.classes)
         w = self._filter_weights(scale)
         if w is not None:
             a = self._X2[:n] @ w
@@ -522,7 +516,9 @@ class HoeffdingTreeClassifier:
                 out[rows] = self._leaf_distribution(node)
             else:
                 left = X[rows, node.feature] <= node.threshold
-                stack += [(node.left, rows[left]), (node.right, rows[~left])]
+                stack += [(child, part) for child, part in
+                          ((node.left, rows[left]), (node.right, rows[~left]))
+                          if len(part)]
         return out
 
     def leaves(self):

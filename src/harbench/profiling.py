@@ -108,7 +108,7 @@ def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
         audit = run.run_online(tables[test_user], mode)
         reps.append((t1 - t0, t2 - t1, time.perf_counter_ns() - t3))
     result = evaluation.fold_result(audit, test_user, config, mode,
-                                    valid_labels)
+                                    model.classes)
     return TimingBreakdown(
         sampling_ns=int(statistics.median(r[0] for r in reps)),
         feature_ns=int(statistics.median(r[1] for r in reps)),

@@ -133,11 +133,11 @@ class TestClassify:
             assert 0.0 <= pred.confidence <= 1.0
 
     def test_nan_trained_member_is_rejected(self):
-        # naive Bayes trained on an all-NaN instance has NaN posteriors; they
-        # must not reach the vote as confidence=nan
-        model = Ensemble((1, 2)).train_offline([fv(np.full(N_FEATURES, np.nan))])
+        # naive Bayes gives a NaN query NaN posteriors; they must not reach
+        # the vote as confidence=nan
+        model = Ensemble((1, 2)).train_offline([fv(np.zeros(N_FEATURES))])
         with pytest.raises(LearnerError):
-            model.classify(fv(np.zeros(N_FEATURES)))
+            model.classify(fv(np.full(N_FEATURES, np.nan)))
 
     def test_untrained_model_raises(self):
         with pytest.raises(EnsembleError):
@@ -206,10 +206,11 @@ class TestClassifyRows:
 
     def test_invalid_row_rejected(self):
         # as in classify, NaN posteriors never reach the vote
-        nan = fv(np.full(N_FEATURES, np.nan))
-        model = Ensemble((1, 2)).train_offline([nan])
+        model = Ensemble((1, 2)).train_offline([fv(np.zeros(N_FEATURES))])
+        X = np.zeros((3, N_FEATURES))
+        X[1] = np.nan
         with pytest.raises(LearnerError):
-            model.classify_rows(np.zeros((3, N_FEATURES)))
+            model.classify_rows(X)
 
     def test_untrained_model_raises(self):
         with pytest.raises(EnsembleError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pickle
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from harbench import evaluation
+from harbench.dataset import generate_synthetic
 from harbench.ensemble import Ensemble, LearnerParams
 from harbench.evaluation import (EvaluationError, FoldResult,
                                  SINGLE_ACTIVITY_USER, emit_reports,
@@ -120,7 +122,7 @@ class TestEvaluateFold:
         assert model.members[0].size == capacity
         before = model.state_hash()
         result, audit = evaluation.score_fold(model, tables, 2, config,
-                                              "supervised_frozen", labels)
+                                              "supervised_frozen")
         assert model.state_hash() == before
         online = model.run_online(tables[2], "supervised_frozen")
         assert audit == online and len(audit) == result.n_windows > 0
@@ -132,6 +134,34 @@ class TestEvaluateFold:
             evaluate_fold(by_user(small_streams), 7, WindowConfig(50, 0.0),
                           "supervised_frozen", params=FAST,
                           valid_labels=small_spec.class_labels)
+
+    @pytest.mark.parametrize("labels", [(1, 2, 3), (1, 8, 3)])
+    def test_cell_is_keyed_by_its_models_classes(self, small_spec, labels):
+        # score_fold takes the class set from the model, whatever classes
+        # it holds, in their order; none of them need be a PAMAP2 activity
+        spec = dataclasses.replace(small_spec, classes=[
+            dataclasses.replace(c, label=label)
+            for c, label in zip(small_spec.classes, labels)])
+        config = WindowConfig(50, 0.5)
+        tables = {s.user_id: pipeline_instances(s, config, valid_labels=labels)
+                  for s in generate_synthetic(spec)}
+        model = evaluation.fold_model(tables, 2, FAST, labels)
+        result, audit = evaluation.score_fold(model, tables, 2, config,
+                                              "semi_supervised")
+        assert tuple(result.per_activity_windows) == labels
+        assert tuple(result.per_activity_correct) == labels
+        assert min(result.per_activity_windows.values()) > 0
+        assert result.n_windows == len(audit)
+
+    def test_test_user_instance_in_training_data_raises(self, small_streams,
+                                                        small_spec):
+        labels = small_spec.class_labels
+        config = WindowConfig(50, 0.0)
+        tables = {s.user_id: pipeline_instances(s, config, valid_labels=labels)
+                  for s in small_streams}
+        tables[1] = tables[1] + tables[2][:1]  # a user 2 instance in user 1's
+        with pytest.raises(EvaluationError, match="test-user instance"):
+            evaluation.fold_model(tables, 2, FAST, labels)
 
 
 class TestSweep:

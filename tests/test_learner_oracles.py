@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from harbench.learners import (KNN_FILTER_MIN_ROWS, N_CANDIDATE_THRESHOLDS,
                                GaussianNbClassifier, HoeffdingTreeClassifier,
-                               KnnClassifier, _entropy, _sq_distances,
-                               hoeffding_bound)
+                               KnnClassifier, LearnerError, _entropy,
+                               _sq_distances, hoeffding_bound)
 
 
 def insertion_index(knn):
@@ -98,7 +98,7 @@ BAD_VALUE = st.one_of(st.none(), st.sampled_from([np.nan, np.inf, -np.inf]))
 
 
 class TestKnnAgainstFullSort:
-    # inf rows and queries make inf - inf, which numpy warns about
+    # inf queries make inf - inf, which numpy warns about
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -112,12 +112,11 @@ class TestKnnAgainstFullSort:
            log_scale=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
            offset=st.sampled_from([0.0, 1e3, -1e6]),
            n_duplicates=st.integers(0, 30),
-           bad_row=BAD_VALUE, bad_query=BAD_VALUE,
-           n_chunks=st.integers(1, 4))
+           bad_query=BAD_VALUE, n_chunks=st.integers(1, 4))
     def test_votes_equal_the_full_sort(self, seed, capacity, k, n_train,
                                        n_features, decimals, log_scale,
-                                       offset, n_duplicates, bad_row,
-                                       bad_query, n_chunks):
+                                       offset, n_duplicates, bad_query,
+                                       n_chunks):
         # Stores on both sides of the filter's crossover. Feature scales
         # from 1e-3 to 1e3 and a large common offset make the filter's
         # expansion cancel; coarse rounding and copied rows give duplicate
@@ -144,10 +143,9 @@ class TestKnnAgainstFullSort:
         X[copies, rng.integers(n_features, size=n_duplicates)] *= np.where(
             rng.random(n_duplicates) < 0.5, 1.0, 1.0 + 2.0 ** -52)
         queries = np.vstack([draw(3), X[sources]])
-        for bad, values in [(bad_row, X), (bad_query, queries)]:
-            if bad is not None:
-                values[rng.integers(len(values)),
-                       rng.integers(n_features)] = bad
+        if bad_query is not None:  # the store refuses such rows
+            queries[rng.integers(len(queries)),
+                    rng.integers(n_features)] = bad_query
         labels = rng.integers(0, 3, size=n_train)
         cuts = np.sort(rng.integers(0, n_train + 1, size=n_chunks - 1))
         for chunk in np.split(np.arange(n_train), cuts):
@@ -205,14 +203,20 @@ class TestKnnAgainstFullSort:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_nan_distance_ranks_last(self, k):
-        # the row with a NaN has a NaN distance; at k=3 it is the k-th one
+        # a row with a NaN would have a NaN distance; the store refuses it,
+        # so the other three rows fill it and none is overwritten
         knn = KnnClassifier(classes=(0, 1), n_features=2, k=k, capacity=3)
         for x, label in [([0.0, 0.0], 0), ([1.0, np.nan], 0), ([2.0, 1.0], 1),
                          ([0.5, 0.5], 1)]:
-            knn.train(x, label)  # the last row overwrites slot 0
+            if np.isnan(x).any():
+                with pytest.raises(LearnerError):
+                    knn.train(x, label)
+            else:
+                knn.train(x, label)
+        assert knn.n_trained == 3
         probs = knn.predict([0.0, 0.0])
         np.testing.assert_array_equal(probs, knn_oracle(knn, [0.0, 0.0]))
-        np.testing.assert_array_equal(probs, [0.0, 1.0] if k == 2 else [1 / 3, 2 / 3])
+        np.testing.assert_array_equal(probs, [0.5, 0.5] if k == 2 else [1 / 3, 2 / 3])
 
 
 class TestNbAgainstClassLoop:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from harbench.learners import (GaussianNbClassifier, HoeffdingTreeClassifier,
-                               KnnClassifier, LearnerError, _check_distribution,
+                               KnnClassifier, LearnerError, _check_rows,
                                _entropy, hoeffding_bound)
 
 
@@ -16,8 +16,11 @@ def assert_valid_distribution(probs):
 @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 1.0],
                                    [np.inf, 0.0], [1.5, -0.5]])
 def test_check_distribution_rejects(probs):
-    with pytest.raises(LearnerError):
-        _check_distribution(probs)
+    rows = np.array([[0.25, 0.75], probs, [np.nan, 0.0]])
+    with pytest.raises(LearnerError) as err:
+        _check_rows(rows)
+    # the first row that fails is named
+    assert str(err.value) == f"invalid class distribution: {rows[1]}"
 
 
 @pytest.mark.parametrize("make", [KnnClassifier, GaussianNbClassifier,
@@ -94,6 +97,22 @@ class TestKnn:
         for i in range(10):
             knn.train([i, 0.0, 1.0], 1 + i % 2)
         assert max(len(knn._X), len(knn._X2), len(knn._y)) <= 256
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_refused(self, bad):
+        # a stored NaN or inf would make the running mean and m2 NaN for good
+        rng = np.random.default_rng(4)
+        knn = KnnClassifier(classes=(1, 2), n_features=3, k=3)
+        twin = KnnClassifier(classes=(1, 2), n_features=3, k=3)
+        for i, x in enumerate(rng.normal(size=(20, 3))):
+            knn.train(x, 1 + i % 2)
+            twin.train(x, 1 + i % 2)
+        with pytest.raises(LearnerError):
+            knn.train([0.0, bad, 1.0], 1)
+        assert knn.n_trained == twin.n_trained
+        for q in rng.normal(size=(5, 3)):
+            np.testing.assert_array_equal(knn.predict(q), twin.predict(q))
+        np.testing.assert_array_equal(knn._scale(), twin._scale())
 
     def test_k_falls_back_to_store_size(self):
         knn = KnnClassifier(classes=(1, 2), n_features=1, k=10)

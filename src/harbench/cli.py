@@ -153,9 +153,10 @@ def cmd_sweep(args):
             f"user {r.user} W={r.window_size} o={r.overlap} {r.mode}: "
             f"acc={'n/a' if r.accuracy is None else f'{r.accuracy:.4f}'}"))
         if args.verbose else None)
-    paths = evaluation.emit_reports(results, args.out,
-                                    include_single_activity_user=args.include_user9,
-                                    valid_labels=classes)
+    # user 9 is PAMAP2's rope-jumping-only subject; a synthetic one is not
+    paths = evaluation.emit_reports(
+        results, args.out, valid_labels=classes,
+        include_single_activity_user=args.include_user9 or bool(args.synthetic))
     for p in paths:
         print("wrote", p)
     return EXIT_OK
@@ -283,7 +284,8 @@ def build_parser():
     p.add_argument("--resume", action="store_true",
                    help="skip cells already persisted in --out")
     p.add_argument("--include-user9", action="store_true",
-                   help="include the single-activity user in summaries")
+                   help="include PAMAP2's single-activity user 9 in "
+                        "summaries (a synthetic sweep always does)")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_sweep)
 

@@ -7,7 +7,7 @@ posterior of the members voting for the winner, scaled by the fraction of
 members that voted for it, so it reaches 1.0 only under unanimous, fully
 confident agreement. During online semi-supervised runs an instance is
 trained back into all members iff its confidence is strictly above the gate
-threshold (default 0.99).
+threshold (default 0.99); self_update is that rule's one entry.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class EnsembleError(Exception):
 class Prediction:
     label: int
     confidence: float
-    member_distributions: tuple  # one probability vector per member, for audit
+    member_distributions: np.ndarray  # members x classes posteriors, for audit
 
 
 @dataclass
@@ -92,10 +92,15 @@ class Ensemble:
         if not instances:
             raise EnsembleError("empty training set")
         for fv in instances:
-            for member in self.members:
-                member.train(fv.values, fv.label)
+            self._learn(fv.values, fv.label)
         self._trained = True
         return self
+
+    def _learn(self, values, label):
+        """Train one row into every member, kNN first: it refuses a row
+        with a NaN or infinite value before any member has changed."""
+        for member in self.members:
+            member.train(values, label)
 
     def classify(self, fv) -> Prediction:
         if not self._trained:
@@ -111,18 +116,18 @@ class Ensemble:
         voting = dists[votes == winner, winner]
         confidence = float(voting.mean() * len(voting) / len(self.members))
         return Prediction(label=self.classes[winner], confidence=confidence,
-                          member_distributions=tuple(dists))
+                          member_distributions=dists)
 
     def classify_rows(self, X):
-        """classify's label and confidence for each row of X, as two lists
-        in row order. Each member row is checked as classify checks it, and
-        the vote is the same, as array operations over a rows x members x
-        classes stack, a chunk of rows at a time."""
+        """classify's Prediction for each row of X, with the same bits.
+        Each member row is checked as classify checks it, and the vote is
+        the same, as array operations over a rows x members x classes
+        stack, a chunk of rows at a time."""
         if not self._trained:
             raise EnsembleError("classify on untrained ensemble")
         X = np.asarray(X, dtype=np.float64)
         n_members, n_classes = len(self.members), len(self.classes)
-        winners, confidences = [], []
+        predictions = []
         for chunk in _row_chunks(len(X), n_members * n_classes):
             rows = X[chunk]
             dists = np.stack([_check_rows(m.predict_rows(rows))
@@ -137,40 +142,32 @@ class Ensemble:
             share = np.take_along_axis(dists, winner[:, None, None], axis=2)
             # the voting members' mean share, as classify sums it
             summed = np.where(voting, share[..., 0], 0.0).sum(axis=1)
-            winners += winner.tolist()
-            confidences += (summed / n_voting * n_voting / n_members).tolist()
-        return [self.classes[i] for i in winners], confidences
-
-    def _gate(self, values, label, confidence):
-        """The self-update rule: train label back into every member iff
-        confidence beats the gate."""
-        if confidence <= self.confidence_threshold:
-            return False
-        for member in self.members:
-            member.train(values, label)
-        return True
+            confidences = summed / n_voting * n_voting / n_members
+            labels = [self.classes[i] for i in winner.tolist()]
+            predictions += map(Prediction, labels, confidences.tolist(), dists)
+        return predictions
 
     def self_update(self, fv, prediction) -> bool:
-        """Train the predicted label back in iff confidence beats the gate."""
-        return self._gate(fv.values, prediction.label, prediction.confidence)
+        """Train the predicted label back in iff confidence beats the gate:
+        the one update entry of run_online and run_blocks."""
+        if prediction.confidence <= self.confidence_threshold:
+            return False
+        self._learn(fv.values, prediction.label)
+        return True
+
+    def _step(self, fv, prediction, update):
+        """A scored row's audit record, after its self-update when the run
+        updates: each run's one step per row."""
+        return AuditRecord(fv.label, prediction.label, prediction.confidence,
+                           update and self.self_update(fv, prediction))
 
     def run_online(self, instances, mode):
         """The audit of a stream's classification: one record per instance,
         in order; in semi_supervised mode each may self-update the model.
-
-        True labels on the instances are never shown to the model; they are
-        carried into the audit records for scoring only.
-        """
+        An instance's true label goes into its audit record only, never
+        into the model."""
         update = _updates(mode)
-        audit = []
-        for fv in instances:
-            pred = self.classify(fv)
-            updated = update and self.self_update(fv, pred)
-            audit.append(AuditRecord(true_label=fv.label,
-                                     predicted_label=pred.label,
-                                     confidence=pred.confidence,
-                                     updated=updated))
-        return audit
+        return [self._step(fv, self.classify(fv), update) for fv in instances]
 
     def run_blocks(self, instances, mode):
         """run_online's audit and updates over a sequence of instances, in
@@ -188,22 +185,20 @@ class Ensemble:
             i = len(audit)
             size = min(streak, MAX_BLOCK_ROWS) if update else len(instances)
             if i < careful or size < STREAK_ROWS:
-                pred = self.classify(instances[i])
-                rows = [(pred.label, pred.confidence)]
+                preds = [self.classify(instances[i])]
             else:
                 try:
-                    rows = zip(*self.classify_rows(np.stack(
-                        [fv.values for fv in instances[i:i + size]])))
+                    preds = self.classify_rows(np.stack(
+                        [fv.values for fv in instances[i:i + size]]))
                 except LearnerError:
                     careful = i + size
                     continue
-            for label, confidence in rows:
-                fv = instances[len(audit)]
-                updated = update and self._gate(fv.values, label, confidence)
-                audit.append(AuditRecord(fv.label, label, confidence, updated))
-                streak = 0 if updated else streak + 1
-                if updated:
+            for fv, pred in zip(instances[i:i + len(preds)], preds):
+                audit.append(self._step(fv, pred, update))
+                if audit[-1].updated:
+                    streak = 0
                     break
+                streak += 1
         return audit
 
 

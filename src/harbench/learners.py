@@ -40,6 +40,13 @@ def _check_rows(rows):
     return rows
 
 
+def _welford(mean, m2, x, n):
+    """Welford's in-place update of mean and m2 by x, the n-th value."""
+    delta = x - mean
+    mean += delta / n
+    m2 += delta * (x - mean)
+
+
 # ---------------------------------------------------------------------------
 # kNN with bounded FIFO store and z-score normalization
 
@@ -131,9 +138,7 @@ class KnnClassifier:
         self._X2[slot] = x * x
         self._y[slot] = self._class_index[label]
         self.n_trained += 1
-        delta = x - self._mean
-        self._mean += delta / self.n_trained
-        self._m2 += delta * (x - self._mean)
+        _welford(self._mean, self._m2, x, self.n_trained)
 
     def _scale(self):
         std = np.sqrt(self._m2 / max(1, self.n_trained))
@@ -295,9 +300,7 @@ class GaussianNbClassifier:
         x = np.asarray(x, dtype=np.float64)
         ci = self._index(label)
         self.counts[ci] += 1
-        delta = x - self.mean[ci]
-        self.mean[ci] += delta / self.counts[ci]
-        self.m2[ci] += delta * (x - self.mean[ci])
+        _welford(self.mean[ci], self.m2[ci], x, self.counts[ci])
 
     def class_stats(self, label):
         """(count, mean, population variance) for one class."""
@@ -368,10 +371,7 @@ def hoeffding_bound(value_range, delta, n):
 
 
 def _entropy(counts):
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts[counts > 0] / total
+    p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log2(p)).sum())
 
 

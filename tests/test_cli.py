@@ -1,10 +1,13 @@
+import csv
 import json
 import os
 
 import pytest
 
-from harbench import cli, dataset
+from harbench import cli, dataset, evaluation
 from harbench.ensemble import LearnerParams
+
+from conftest import make_line
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +95,56 @@ class TestValidate:
         assert run(["validate", "--data-dir", str(tmp_path)]) == \
             cli.EXIT_MISSING_DATA
 
+    @staticmethod
+    def fake_data_dir(path, users):
+        """Subject files of four samples each (Lying, Lying, transient,
+        Sitting), user 2's under Protocol/ as in the PAMAP2 archive."""
+        for user in users:
+            where = path / "Protocol" if user == 2 else path
+            where.mkdir(exist_ok=True)
+            lines = [make_line(0.01 * (i + 1), a)
+                     for i, a in enumerate([1, 1, 0, 2])]
+            (where / f"subject10{user}.dat").write_text("\n".join(lines))
+
+    def test_counts_off_the_reference_fail(self, capsys, tmp_path):
+        self.fake_data_dir(tmp_path, [1, 2])
+        assert run(["validate", "--data-dir", str(tmp_path)]) == cli.EXIT_ERROR
+        out = capsys.readouterr().out.splitlines()
+        assert [f"user {u}: MISSING subject file" for u in range(3, 10)] \
+            == out[:7]
+        ref = dataset.REFERENCE_COUNTS[2]
+        user2 = out.index("user 2: raw=4 filtered=3 FAIL")
+        assert out[user2 + 1:user2 + 4] == [
+            f"  Lying: got 2, expected {ref[1]}",
+            f"  Sitting: got 1, expected {ref[2]}",
+            f"  Standing: got 0, expected {ref[3]}"]
+        assert "user 1: raw=4 filtered=3 FAIL" in out
+        assert out[-2:] == [f"total raw samples: 8 (reference "
+                            f"{dataset.TOTAL_RAW_SAMPLES})", "RESULT: FAIL"]
+
+    def test_counts_equal_to_the_reference_pass(self, capsys, tmp_path,
+                                               monkeypatch):
+        self.fake_data_dir(tmp_path, range(1, 10))
+        counts = dict.fromkeys(dataset.PROTOCOL_ACTIVITIES, 0)
+        counts.update({1: 2, 2: 1})
+        monkeypatch.setattr(cli, "REFERENCE_COUNTS",
+                            dict.fromkeys(range(1, 10), counts))
+        monkeypatch.setattr(cli, "TOTAL_RAW_SAMPLES", 36)
+        assert run(["validate", "--data-dir", str(tmp_path)]) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"user {u}: raw=4 filtered=3 PASS"
+                       for u in range(1, 10)] + [
+            "total raw samples: 36 (reference 36)", "RESULT: PASS"]
+
 
 class TestGridValidation:
+    def test_study_grid(self):
+        args = cli.build_parser().parse_args(
+            ["sweep", "--seed", "0", "--out", "o", "--grid", "study",
+             "--windows", "73"])  # the study grid ignores --windows
+        assert cli._parse_grid(args) == (list(evaluation.STUDY_WINDOWS),
+                                         list(evaluation.STUDY_OVERLAPS))
+
     def test_off_grid_window_rejected(self, capsys, spec_file, tmp_path):
         code = run(["sweep", "--synthetic", spec_file, "--seed", "0",
                     "--windows", "73", "--overlaps", "0.0",
@@ -189,11 +240,14 @@ class TestInputFiles:
         json.dumps(_first_class(label=2)),
         json.dumps(dict(SPEC, seed=-1)),
         json.dumps(dict(SPEC, users=[{"id": -2, "offset": 0.0},
-                                     *SPEC["users"][1:]]))],
+                                     *SPEC["users"][1:]])),
+        json.dumps(dict(SPEC, classes=SPEC["classes"][:1])),
+        json.dumps(dict(SPEC, samples_per_class=0))],
         ids=["missing", "not-json", "rate0", "rate-negative", "rate-nan",
              "repeated-user", *(f"{field}-{value}"
                                 for field, value in BAD_CLASS_FIELDS),
-             "repeated-label", "seed-negative", "user-negative"])
+             "repeated-label", "seed-negative", "user-negative", "one-class",
+             "samples0"])
     def test_synth_spec_exits_three(self, capsys, tmp_path, content):
         spec = tmp_path / "spec.json"
         if content is not None:
@@ -314,6 +368,33 @@ class TestSweepCommand:
         blocker.write_text("")
         code = run(self.sweep_args(spec_file, blocker / "sub"))
         assert code == cli.EXIT_UNWRITABLE
+
+    @staticmethod
+    def summary_users(out):
+        with open(out / "summary.csv", newline="") as fh:
+            return [int(row["n_users"]) for row in csv.DictReader(fh)]
+
+    def test_synthetic_user_9_is_summarized(self, capsys, tmp_path,
+                                            monkeypatch):
+        # A synthetic user 9 holds every class, so only PAMAP2's user 9,
+        # which recorded rope jumping alone, leaves the summary by default.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(SPEC, users=[
+            *SPEC["users"], {"id": 9, "offset": 0.2}])))
+        grid = ["--seed", "0", "--windows", "10", "--overlaps", "0.0,0.5",
+                "--allow-any-grid", "--mode", "both"]
+        assert run(["sweep", "--synthetic", str(spec), *grid,
+                    "--out", str(tmp_path / "synthetic")]) == cli.EXIT_OK
+        assert self.summary_users(tmp_path / "synthetic") == [3] * 4
+        streams = dataset.generate_synthetic(
+            dataset.SyntheticSpec.from_file(str(spec)))
+        monkeypatch.setattr(cli, "load_pamap2",
+                            lambda data_dir: ([(s, s) for s in streams], []))
+        for flags, n_users in [([], 2), (["--include-user9"], 3)]:
+            out = tmp_path / f"pamap2_{n_users}"
+            assert run(["sweep", "--data-dir", str(tmp_path), *grid, *flags,
+                        "--out", str(out)]) == cli.EXIT_OK
+            assert self.summary_users(out) == [n_users] * 4
 
 
 class TestEvalCommand:

@@ -64,6 +64,16 @@ def test_parse_infinite_values_report_first_line():
         parse_subject_file([lines[0], "", "", lines[3], ""], 1)
 
 
+@pytest.mark.parametrize("ts,activity,message", [
+    ("NaN", 1, "missing timestamp"), (0.03, "NaN", "missing activity id")],
+    ids=["timestamp", "activity"])
+def test_parse_nan_key_column_reports_line(ts, activity, message):
+    lines = [make_line(0.01, 1), "", make_line(0.02, 1),
+             make_line(ts, activity)]
+    with pytest.raises(ParseError, match=rf"line 4: {message}"):
+        parse_subject_file(lines, 1)
+
+
 def test_parse_non_monotone_timestamp():
     with pytest.raises(ParseError, match="non-monotone"):
         parse_subject_file([make_line(0.02, 1), make_line(0.01, 1)], 1)
@@ -157,6 +167,13 @@ def test_stream_values_are_c_ordered():
     stream = SensorStream(1, values)
     assert stream.values.flags.c_contiguous
     assert np.array_equal(stream.values, values)
+
+
+@pytest.mark.parametrize("shape", [(3, dataset.N_COLUMNS - 1),
+                                   (dataset.N_COLUMNS,), (1, 3, 42)])
+def test_stream_refuses_other_shapes(shape):
+    with pytest.raises(DatasetError, match=r"stream array must be \(n, 42\)"):
+        SensorStream(1, np.zeros(shape))
 
 
 def test_stream_leaves_the_callers_array_writable():

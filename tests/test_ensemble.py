@@ -159,35 +159,51 @@ class RowStub:
 
 @st.composite
 def posterior_tables(draw):
-    """One member_posteriors draw per query, over one class count."""
+    """member_posteriors draws over one class count, one per query: up to
+    90 queries picked from up to 30 draws, so that 40-row chunks can end
+    in a ragged one."""
     n_classes = draw(st.integers(2, 12))
-    return draw(st.lists(member_posteriors(n_classes), min_size=1,
-                         max_size=30))
+    table = draw(st.lists(member_posteriors(n_classes), min_size=1,
+                          max_size=30))
+    picks = draw(st.lists(st.integers(0, len(table) - 1), min_size=1,
+                          max_size=90))
+    return [table[i] for i in picks]
 
 
-def assert_rows_classify_alike(model, X, block=learners._BLOCK_VALUES):
+def assert_rows_classify_alike(model, X, chunk_rows=None):
+    """classify_rows(X), in chunks of chunk_rows rows or of the default
+    size, gives each row classify's Prediction: its label, and the bits of
+    its confidence and of every member posterior."""
+    block = learners._BLOCK_VALUES
+    if chunk_rows is not None:
+        block = chunk_rows * len(model.members) * len(model.classes)
     with mock.patch.object(learners, "_BLOCK_VALUES", block):
-        labels, confidences = model.classify_rows(X)
+        rows = model.classify_rows(X)
     preds = [model.classify(fv(x)) for x in X]
-    assert labels == [p.label for p in preds]
-    assert ([c.hex() for c in confidences]
+    assert all(type(row) is Prediction for row in rows)
+    assert [row.label for row in rows] == [p.label for p in preds]
+    assert ([row.confidence.hex() for row in rows]
             == [p.confidence.hex() for p in preds])
+    for row, p in zip(rows, preds):
+        assert row.member_distributions.shape == p.member_distributions.shape
+        assert (row.member_distributions.tobytes()
+                == p.member_distributions.tobytes())
 
 
 class TestClassifyRows:
     @settings(max_examples=200, deadline=None)
     @given(queries=posterior_tables(),
-           block=st.sampled_from([learners._BLOCK_VALUES, 1, 40]))
-    def test_block_vote_equals_classify(self, queries, block):
+           chunk_rows=st.sampled_from([None, 1, 40]))
+    def test_block_vote_equals_classify(self, queries, chunk_rows):
         # vote ties, summed-posterior ties and every confidence, over
-        # chunks of one row, of a few rows with a ragged last one, or all
+        # chunks of one row, of 40 rows with a ragged last one, or all
         classes = tuple(range(10, 10 + len(queries[0][0])))
         model = Ensemble(classes)
         model.members = [RowStub([q[m] for q in queries]) for m in range(3)]
         model._trained = True
         X = np.zeros((len(queries), N_FEATURES))
         X[:, 0] = np.arange(len(queries))
-        assert_rows_classify_alike(model, X, block)
+        assert_rows_classify_alike(model, X, chunk_rows)
 
     @pytest.mark.parametrize("capacity", [100, 400])
     def test_trained_members_and_state(self, capacity):
@@ -201,7 +217,7 @@ class TestClassifyRows:
         assert model.members[2].n_splits > 0
         before = model.state_hash()
         X = np.array([i.values for i in make_instances(rng, 150, noise=4.0)])
-        assert_rows_classify_alike(model, X, block=100)
+        assert_rows_classify_alike(model, X, chunk_rows=40)
         assert model.state_hash() == before
 
     def test_invalid_row_rejected(self):
@@ -270,7 +286,7 @@ class TestSelfUpdate:
     def test_gate_is_strict(self):
         model = stub_ensemble([[1.0, 0.0]] * 3)
         pred = Prediction(label=1, confidence=0.99,
-                          member_distributions=(np.array([1.0, 0.0]),) * 3)
+                          member_distributions=np.array([[1.0, 0.0]] * 3))
         assert model.self_update(fv([0.0]), pred) is False
         assert all(m.trained == [] for m in model.members)
 

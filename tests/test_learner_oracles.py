@@ -175,6 +175,25 @@ class TestKnnAgainstFullSort:
             small.train(x, i % 2)
         assert small._candidates(q, small._scale(), 5) == slice(small.size)
 
+    def test_a_weight_that_is_not_normal_ranks_every_row(self):
+        # Above the crossover, a feature spread 1.2e-154 about 0 has weight
+        # 1 / scale^2 ~ 7e307, past 1 / tiny: the margin's bound does not
+        # hold, so predict and predict_rows rank every row.
+        rng = np.random.default_rng(5)
+        n = KNN_FILTER_MIN_ROWS + 44
+        X = rng.normal(size=(n, 4))
+        X[:, 0] = np.where(np.arange(n) % 2, 1.2e-154, -1.2e-154)
+        knn = KnnClassifier(classes=(0, 1, 2), n_features=4, k=5, capacity=n)
+        for i, x in enumerate(X):
+            knn.train(x, i % 3)
+        assert knn._filter_weights(knn._scale()) is None
+        queries = X[:6] + [0.0, 0.5, -0.5, 0.25]
+        assert knn._candidates(queries[0], knn._scale(), 5) == slice(n)
+        expected = [knn_oracle(knn, q) for q in queries]
+        for q, want in zip(queries, expected):
+            np.testing.assert_array_equal(knn.predict(q), want)
+        np.testing.assert_array_equal(knn.predict_rows(queries), expected)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600),
            n_features=st.integers(1, 81), n_rows=st.integers(1, 12))

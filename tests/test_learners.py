@@ -275,6 +275,21 @@ class TestHoeffdingTree:
             assert (getattr(tree.root, name).tobytes()
                     == getattr(nb, name).tobytes())
 
+    def test_leaves_count_one_more_than_the_splits(self):
+        # every split turns one leaf into two
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(1500, 4))
+        y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0).astype(int)
+        tree = HoeffdingTreeClassifier(classes=(0, 1, 2), n_features=4,
+                                       tie_threshold=0.5, grace_period=50)
+        for x, label in zip(X, y):
+            tree.train(x, int(label))
+        leaves = tree.leaves()
+        assert tree.n_splits >= 2
+        assert len(leaves) == tree.n_splits + 1
+        assert len({id(leaf) for leaf in leaves}) == len(leaves)
+        assert all(leaf.is_leaf for leaf in leaves)
+
     def test_predictions_are_distributions(self):
         rng = np.random.default_rng(7)
         tree = HoeffdingTreeClassifier(classes=(0, 1, 2), n_features=4,

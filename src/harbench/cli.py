@@ -3,8 +3,8 @@
 Subcommands: validate (dataset count check), sweep (full grid evaluation),
 eval (single cell), profile (timing/energy grid), synth (write synthetic
 streams). Exit codes: 0 ok, 2 invalid grid, arguments, learner/ensemble
-parameters or power model file, 3 missing data or unreadable synthetic spec,
-4 unwritable output, 1 anything else.
+parameters or power model file, 3 missing or unreadable input (a subject
+file or synthetic spec), 4 unwritable output, 1 anything else.
 """
 
 from __future__ import annotations

@@ -136,11 +136,15 @@ def parse_subject_file(text_source, user_id) -> SensorStream:
     """Parse a PAMAP2 subject file (path, file object or iterable of lines).
 
     Raises ParseError with the offending line number on wrong column count,
-    unparsable or infinite tokens or non-monotone timestamps.
+    unparsable or infinite tokens or non-monotone timestamps, and
+    DatasetError naming a path it cannot open, read or decode.
     """
     if isinstance(text_source, (str, bytes)) or hasattr(text_source, "__fspath__"):
-        with open(text_source, "r") as fh:
-            return parse_subject_file(fh, user_id)
+        try:
+            with open(text_source, "r") as fh:
+                return parse_subject_file(fh, user_id)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DatasetError(f"cannot read {text_source}: {exc}") from exc
 
     kept = array("d")  # every line's stored columns, back to back
     blank = []  # line numbers of blank lines, to map rows back to lines

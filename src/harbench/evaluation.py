@@ -65,7 +65,8 @@ class FoldResult:
                 for a, n in self.per_activity_windows.items()}
 
     def to_dict(self):
-        return asdict(self)
+        """The fields as a dict, sharing the per-activity dicts."""
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d):
@@ -263,9 +264,9 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
             for key, result in cells:
                 path = _cell_path(cell_dir, key)
                 tmp = path + ".tmp"
-                with open(tmp, "w") as fh:
-                    json.dump({"key": key, "result": result.to_dict()}, fh,
-                              sort_keys=True)
+                cell = {"key": key, "result": result.to_dict()}
+                with open(tmp, "w") as fh:  # dumps: C; dump: Python encoder
+                    fh.write(json.dumps(cell, sort_keys=True))
                 os.replace(tmp, path)
                 results.append(result)
                 if progress:

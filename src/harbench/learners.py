@@ -50,10 +50,14 @@ def _welford(mean, m2, x, n):
 # ---------------------------------------------------------------------------
 # kNN with bounded FIFO store and z-score normalization
 
-# Below this many stored rows every row is ranked exactly: the filter's extra
-# numpy calls cost more than the rows it would skip (measured crossover).
+# Below this many stored rows predict ranks every row exactly: for one query
+# the filter's extra numpy calls cost more than the rows it would skip
+# (measured crossover). predict_rows filters at any size.
 KNN_FILTER_MIN_ROWS = 256
 KNN_FIRST_BLOCK = 256  # rows a store starts with; it grows to capacity once
+# stored rows predict_rows' filter reads at a time from a full chunk, which
+# holds _BLOCK_VALUES / _KNN_STORE_ROWS queries; a smaller chunk reads more
+_KNN_STORE_ROWS = 128
 
 _U = float(np.finfo(np.float64).eps) / 2  # unit roundoff
 _NORMAL_MIN = float(np.finfo(np.float64).tiny)
@@ -67,14 +71,12 @@ def _gamma(j):
 
 def _sq_distances(rows, x, scale):
     """Squared z-scored distances between rows and x, which broadcast
-    against each other, as a flat array: from one x to each row, from each
-    row of x to the same row of rows, or, with x of shape (q, 1, m), from
-    each of q queries to every row in turn. A row's value has the same bits
-    whatever other rows share the array, so a candidate subset ranks as the
-    whole store would."""
+    against each other: from one x to each row, or from each row of x to
+    the same row of rows. A row's value has the same bits whatever other
+    rows share the array, so a candidate subset ranks as the whole store
+    would."""
     diff = rows - x
     diff /= scale
-    diff = diff.reshape(-1, diff.shape[-1])
     return np.einsum("ij,ij->i", diff, diff)
 
 
@@ -83,7 +85,8 @@ def _margin(a, c, w):
     queries of c, with weights w; KnnClassifier._candidates derives it."""
     m = len(w)
     g = 8.0 * _gamma(m + 5)
-    # g a and g c apart, so a block's one (queries, rows) operation is the sum
+    # rounded g a plus a term without a: it grows with a, so predict_rows
+    # bounds every row's margin by the largest a's
     return g * a + (g * c + _SUBNORMAL_MIN * (w.sum() + 10 * m))
 
 
@@ -178,7 +181,7 @@ class KnnClassifier:
         crossover, every row is ranked.
         """
         n = self.size
-        w = self._filter_weights(scale)
+        w = None if n < KNN_FILTER_MIN_ROWS else self._filter_weights(scale)
         if w is None:
             return slice(n)
         wq = w * x
@@ -195,10 +198,8 @@ class KnnClassifier:
         return np.flatnonzero(approx - margin <= kth_upper)
 
     def _filter_weights(self, scale):
-        """w = 1 / scale^2, or None when every row is to be ranked: below
-        the crossover, or when w is not normal."""
-        if self.size < KNN_FILTER_MIN_ROWS:
-            return None
+        """w = 1 / scale^2, or None when w is not normal and every row is
+        to be ranked."""
         w = 1.0 / (scale * scale)
         if not _NORMAL_MIN <= w.min() <= w.max() <= 1.0 / _NORMAL_MIN:
             return None
@@ -225,47 +226,82 @@ class KnnClassifier:
         votes = np.bincount(self._y[order[:k]], minlength=len(self.classes))
         return votes / k
 
+    def _approx(self, wq2, c, a, rows):
+        """The filter's approximate distance of each (query, row) pair over
+        a slice of stored rows, a - 2 sum(w x q) + c as _candidates takes
+        it, from wq2 = -2 w q, a = _X2 @ w and c."""
+        approx = wq2 @ self._X[rows].T
+        approx += a[rows]
+        approx += c
+        return approx
+
     def predict_rows(self, X):
         """predict of each row of X, a chunk of queries at a time.
 
-        A chunk's filter is one matrix product under _candidates' margin,
-        and the flat indices of its keep mask give the (query, row) pairs
-        to refine. One _sq_distances call gives their distances, one
-        _nearest_first sort ranks them query by query, and each query takes
-        its first k. A query whose upper ends are not all finite keeps every
-        row, and so does every query when the filter cannot run. A chunk
-        holds about _BLOCK_VALUES values in a (queries, rows) temporary, or
-        in a (queries, rows, features) one when every row is a candidate.
+        A chunk's filter is _candidates' at any store size, with one margin
+        per query: _margin of the store's largest a, which is at least each
+        row's. Doubling w q rounds no worse than doubling the product, and
+        the margin covers both. No end overflows or is NaN while
+        4 (max a + c) is finite, as |approx| and each end stay below
+        3 (a + c); a query for which it is not keeps every row. When w is
+        not normal, zero weights give every pair the same ends, so every
+        row is kept.
+
+        The store is read in blocks of _BLOCK_VALUES / queries rows,
+        _KNN_STORE_ROWS for a full chunk, so that each (queries, rows)
+        temporary holds about _BLOCK_VALUES values. Pass one merges each
+        query's k smallest approximate distances block by block, and keeps
+        each block's least; the k-th plus the margin is an upper end that
+        k rows reach. Pass two reads again the blocks whose least, less the
+        margin, can reach it, for the queries that can, and keeps the
+        (query, row) pairs that do. _sq_distances gives their distances a
+        block of pairs at a time, one _nearest_first sort ranks them query
+        by query, and each query takes its first k.
         """
         scale, k = self._query_terms()
         n, n_classes = self.size, len(self.classes)
         X = np.asarray(X, dtype=np.float64)
         w = self._filter_weights(scale)
-        if w is not None:
-            a = self._X2[:n] @ w
+        w = np.zeros(self.n_features) if w is None else w
+        a = self._X2[:n] @ w
         out = np.empty((len(X), n_classes))
-        for chunk in _row_chunks(len(X), n * (self.n_features if w is None
-                                              else 1)):
+        for chunk in _row_chunks(len(X), min(n, _KNN_STORE_ROWS)):
             Q = X[chunk]
-            # each (query, row) pair, by query, then slot
-            if w is None:  # every row, with no copy of the store
-                qi, rows = np.divmod(np.arange(len(Q) * n), n)
-                dist = _sq_distances(self._X[:n], Q[:, None], scale)
-            else:
-                wq = w * Q
-                c = np.einsum("ij,ij->i", wq, Q)[:, None]
-                approx = a - 2.0 * (wq @ self._X[:n].T) + c
-                margin = _margin(a, c, w)
-                upper = approx + margin
-                kth_upper = np.partition(upper, k - 1, axis=1)[:, k - 1:k]
-                keep = ((approx - margin <= kth_upper)
-                        | ~np.isfinite(upper).all(axis=1, keepdims=True))
-                qi, rows = np.divmod(np.flatnonzero(keep), n)
-                dist = _sq_distances(self._X[rows], Q[qi], scale)
-            order = self._nearest_first(rows, dist, qi)
+            step = _BLOCK_VALUES // len(Q)  # longer for fewer queries
+            blocks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
+            wq = w * Q
+            c = np.einsum("ij,ij->i", wq, Q)[:, None]
+            wq2 = -2.0 * wq
+            margin = _margin(a.max(), c, w)
+            best = np.full((len(Q), k), np.inf)
+            least = np.empty((len(Q), len(blocks)))
+            for b, rows in enumerate(blocks):
+                approx = self._approx(wq2, c, a, rows)
+                least[:, b] = approx.min(axis=1)
+                # only a query with a distance below its k-th merges
+                sel = np.flatnonzero(least[:, b] < best[:, k - 1])
+                best[sel] = np.partition(np.hstack([best[sel], approx[sel]]),
+                                         k - 1, axis=1)[:, :k]
+            # A pair whose lower end lies above the k-th upper end has k
+            # rows nearer than it, so it neither votes nor ties.
+            kth = np.where(np.isfinite(4.0 * (a.max() + c)),
+                           best[:, k - 1:] + margin, np.inf)
+            hit = ~(least - margin > kth)
+            qi, slots = [], []
+            for b in np.flatnonzero(hit.any(axis=0)):
+                sel = np.flatnonzero(hit[:, b])
+                approx = self._approx(wq2[sel], c[sel], a, blocks[b])
+                i, j = np.nonzero(~(approx - margin[sel] > kth[sel]))
+                qi.append(sel[i])
+                slots.append(blocks[b].start + j)
+            qi, slots = np.concatenate(qi), np.concatenate(slots)
+            dist = np.concatenate([
+                _sq_distances(self._X[slots[p]], Q[qi[p]], scale)
+                for p in _row_chunks(len(qi), self.n_features)])
+            order = self._nearest_first(slots, dist, qi)
             # every query has at least k pairs, from its first one on
-            first = np.searchsorted(qi, np.arange(len(Q)))
-            labels = self._y[rows[order[first[:, None] + np.arange(k)]]]
+            first = np.searchsorted(qi[order], np.arange(len(Q)))
+            labels = self._y[slots[order[first[:, None] + np.arange(k)]]]
             labels += n_classes * np.arange(len(Q))[:, None]
             votes = np.bincount(labels.ravel(), minlength=len(Q) * n_classes)
             out[chunk] = votes.reshape(len(Q), n_classes) / k

@@ -95,6 +95,19 @@ class TestValidate:
         assert run(["validate", "--data-dir", str(tmp_path)]) == \
             cli.EXIT_MISSING_DATA
 
+    @pytest.mark.parametrize("kind", ["undecodable", "directory"])
+    def test_unreadable_subject_file_exits_three(self, capsys, tmp_path,
+                                                 kind):
+        # input, not output: exit 3, with the file named and no traceback
+        path = tmp_path / "subject101.dat"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe" + make_line(0.01, 1).encode())
+        assert run(["validate", "--data-dir", str(tmp_path)]) == \
+            cli.EXIT_MISSING_DATA
+        assert "subject101.dat" in capsys.readouterr().err
+
     @staticmethod
     def fake_data_dir(path, users):
         """Subject files of four samples each (Lying, Lying, transient,

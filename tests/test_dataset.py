@@ -55,6 +55,18 @@ def test_parse_unparsable_token_reports_line():
         parse_subject_file([make_line(0.01, 1), make_line(0.015, 1), bad], 1)
 
 
+@pytest.mark.parametrize("kind", ["undecodable", "directory"])
+def test_unreadable_subject_file_is_a_dataset_error(tmp_path, kind):
+    # a UTF-16 byte-order mark is no UTF-8; opening a directory is an OSError
+    path = tmp_path / "subject101.dat"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe" + make_line(0.01, 1).encode())
+    with pytest.raises(DatasetError, match="subject101.dat"):
+        parse_subject_file(path, user_id=1)
+
+
 def test_parse_infinite_values_report_first_line():
     inf_channel = make_line(0.02, 1).replace("1.0", "inf", 1)  # hand temp
     lines = [make_line(0.01, 1), "", inf_channel, make_line(0.03, 1, hr="-inf")]

@@ -178,6 +178,16 @@ class TestSweep:
         assert len(results) == 3 * len(self.WINDOWS) * len(self.OVERLAPS) * 2
         assert len(os.listdir(tmp_path / "cells")) == len(results)
 
+    def test_cell_file_is_dumps_of_its_key_and_result(
+            self, small_streams, small_spec, tmp_path):
+        # one json.dumps call writes the bytes json.dump wrote
+        results = self.run(small_streams, small_spec.class_labels, tmp_path)
+        files = _cell_files(tmp_path)
+        for r in results:
+            text = files[_cell_key(r)].read_text()
+            cell = {"key": json.loads(text)["key"], "result": r.to_dict()}
+            assert text == json.dumps(cell, sort_keys=True)
+
     def test_resume_skips_finished_cells(self, small_streams, small_spec,
                                          tmp_path):
         first = self.run(small_streams, small_spec.class_labels, tmp_path)

@@ -2,9 +2,11 @@
 
 Each learner's predict_rows scores a matrix of queries a chunk at a time;
 every row must get the bits predict gives it alone. A small block size in
-some examples makes many chunks and a ragged last one.
+some examples makes many chunks and a ragged last one, and makes the kNN
+filter read the store in many blocks.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,14 +20,18 @@ from harbench.learners import (KNN_FILTER_MIN_ROWS, GaussianNbClassifier,
 
 BAD_VALUE = st.one_of(st.none(), st.sampled_from([np.nan, np.inf, -np.inf]))
 BLOCK = st.sampled_from([learners._BLOCK_VALUES, 7, 300])
+STORE_ROWS = st.sampled_from([learners._KNN_STORE_ROWS, 1, 3, 7, 40])
 
 
-def assert_rows_equal(learner, queries, block):
-    with mock.patch.object(learners, "_BLOCK_VALUES", block):
+def assert_rows_equal(learner, queries, block,
+                      store_rows=learners._KNN_STORE_ROWS):
+    with mock.patch.object(learners, "_BLOCK_VALUES", block), \
+            mock.patch.object(learners, "_KNN_STORE_ROWS", store_rows):
         rows = learner.predict_rows(queries)
     single = np.array([learner.predict(q) for q in queries])
     assert rows.shape == (len(queries), len(learner.classes))
     assert rows.tobytes() == single.tobytes()
+    return rows
 
 
 def spoil(rng, values, bad):
@@ -51,17 +57,22 @@ def spoil(rng, values, bad):
        extreme=st.sampled_from([None, -200.0, 170.0]),
        offset=st.sampled_from([0.0, 1e3, -1e6]),
        n_duplicates=st.integers(0, 30),
-       bad_query=BAD_VALUE, n_queries=st.integers(1, 40), block=BLOCK)
+       bad_query=BAD_VALUE, n_queries=st.integers(1, 40), block=BLOCK,
+       store_rows=STORE_ROWS)
 def test_knn_rows_equal_predict(seed, capacity, k, n_train, n_features,
                                 decimals, log_scale, extreme, offset,
-                                n_duplicates, bad_query, n_queries, block):
-    # Stores on both sides of the filter's crossover, wrapped when n_train
-    # passes capacity. Feature scales from 1e-3 to 1e3 and a large common
-    # offset make the filter's expansion cancel; one feature at 1e-200 or
-    # 1e170 makes w = 1/scale^2 not normal (and its squares underflow or
-    # overflow); the store refuses NaN and infinite rows, so only queries
-    # carry them. Rounding and copied rows give duplicate rows
-    # and ties or near-ties across the k boundary, also at distance 0.
+                                n_duplicates, bad_query, n_queries, block,
+                                store_rows):
+    # Stores on both sides of predict's filter crossover, wrapped when
+    # n_train passes capacity. store_rows sets the queries in a chunk, and
+    # a small block makes predict_rows read the store in several blocks,
+    # with a ragged last one and with fewer rows than k. Feature scales
+    # from 1e-3 to 1e3 and a large common offset make the filter's
+    # expansion cancel; one feature at 1e-200 or 1e170 makes
+    # w = 1/scale^2 not normal (and its squares underflow or overflow);
+    # the store refuses NaN and infinite rows, so only queries carry them.
+    # Rounding and copied rows give duplicate rows and ties or near-ties
+    # across the k boundary, also at distance 0.
     rng = np.random.default_rng(seed)
     knn = KnnClassifier(classes=(0, 1, 2), n_features=n_features, k=k,
                         capacity=capacity)
@@ -87,7 +98,92 @@ def test_knn_rows_equal_predict(seed, capacity, k, n_train, n_features,
         knn.train(x, int(label))
     queries = np.vstack([draw(n_queries), X[sources],
                          X[rng.integers(0, n_train, size=2)]])
-    assert_rows_equal(knn, spoil(rng, queries, bad_query), block)
+    assert_rows_equal(knn, spoil(rng, queries, bad_query), block,
+                      store_rows)
+
+
+# A block value of b and a store block of b rows make one-query chunks that
+# read the store b rows at a time.
+@pytest.mark.parametrize("block_rows", [1, 3, 4, 128])
+def test_knn_rows_break_ties_by_insertion_across_blocks(block_rows):
+    # One row trained three times, each time with another label, in a
+    # store that wraps: the first copy is overwritten by the third, which
+    # takes slot 0, so the earliest surviving copy (label 1) sits in a
+    # later block than the newest one (label 2) and still wins the tie.
+    knn = KnnClassifier(classes=(0, 1, 2), n_features=2, k=1, capacity=10)
+    far = np.arange(8.0)[:, None] * [10.0, -7.0] + 100.0
+    for label, fillers in [(0, far[:4]), (1, far[4:]), (2, [])]:
+        knn.train([0.5, 0.5], label)
+        for x in fillers:
+            knn.train(x, 0)
+    assert knn.n_trained == 11
+    queries = np.array([[0.5, 0.5], [0.5, 0.25], far[5]])
+    rows = assert_rows_equal(knn, queries, block_rows, block_rows)
+    assert rows[:2].tolist() == [[0, 1, 0]] * 2
+
+
+@pytest.mark.parametrize("block_rows", [2, 3, 128])
+def test_knn_rows_with_k_above_a_blocks_rows(block_rows):
+    rng = np.random.default_rng(11)
+    knn = KnnClassifier(classes=(0, 1, 2), n_features=5, k=7, capacity=30)
+    for i, x in enumerate(rng.normal(size=(41, 5))):
+        knn.train(x, i % 3)
+    assert_rows_equal(knn, rng.normal(size=(25, 5)), block_rows, block_rows)
+
+
+def test_knn_rows_of_a_store_whose_filter_could_overflow():
+    # A feature that never varies has scale 1, so at 1.2e154 its w x^2 is
+    # 1.44e308: 4 (max a + c) overflows, and every row is kept, while
+    # -2 w q x overflows in predict's filter, which ranks every row too.
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(300, 3))
+    X[:, 0] = 1.2e154
+    knn = KnnClassifier(classes=(0, 1), n_features=3, k=3, capacity=300)
+    for i, x in enumerate(X):
+        knn.train(x, i % 2)
+    queries = X[:5] + [0.0, 0.1, -0.1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_rows_equal(knn, queries, 300, 7)
+
+
+def test_knn_rows_filter_a_store_below_the_crossover():
+    # predict ranks every row of a store this small; predict_rows filters
+    # it, and refines only the pairs near each query's k nearest
+    rng = np.random.default_rng(4)
+    n = KNN_FILTER_MIN_ROWS // 2
+    knn = KnnClassifier(classes=(0, 1), n_features=81, k=5, capacity=n)
+    X = rng.normal(size=(n, 81))
+    for i, x in enumerate(X):
+        knn.train(x, i % 2)
+    queries = X[:40] + 0.01
+    refined, exact = [], learners._sq_distances
+
+    def counted(rows, x, scale):
+        refined.append(len(rows))
+        return exact(rows, x, scale)
+
+    with mock.patch.object(learners, "_sq_distances", counted):
+        knn.predict_rows(queries)
+    assert sum(refined) < 2 * knn.k * len(queries)
+    assert_rows_equal(knn, queries, learners._BLOCK_VALUES)
+
+
+def test_knn_rows_of_a_full_store_stay_in_small_temporaries():
+    # 500 queries against 5,000 rows of 81 features: the store is read in
+    # blocks, so no temporary scales with it, and each stays under glibc's
+    # mmap threshold (peak_rss_mb)
+    rng = np.random.default_rng(8)
+    knn = KnnClassifier(classes=tuple(range(12)), n_features=81)
+    for i, x in enumerate(rng.normal(size=(knn.capacity, 81))):
+        knn.train(x, i % 12)
+    queries = rng.normal(size=(500, 81))
+    tracemalloc.start()
+    try:
+        knn.predict_rows(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_knn_rows_of_an_empty_store_raise():

@@ -100,8 +100,10 @@ class DatasetError(Exception):
 
 
 class ParseError(DatasetError):
-    def __init__(self, message, line_no):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, message, line_no, path=None):
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {message}")
+        self.message, self.line_no = message, line_no
 
 
 @dataclass
@@ -135,14 +137,17 @@ class SensorStream:
 def parse_subject_file(text_source, user_id) -> SensorStream:
     """Parse a PAMAP2 subject file (path, file object or iterable of lines).
 
-    Raises ParseError with the offending line number on wrong column count,
-    unparsable or infinite tokens or non-monotone timestamps, and
-    DatasetError naming a path it cannot open, read or decode.
+    Raises ParseError with the offending line number, after the path when
+    the source is one, on wrong column count, unparsable or infinite
+    tokens or non-monotone timestamps, and DatasetError naming a path it
+    cannot open, read or decode.
     """
     if isinstance(text_source, (str, bytes)) or hasattr(text_source, "__fspath__"):
         try:
             with open(text_source, "r") as fh:
                 return parse_subject_file(fh, user_id)
+        except ParseError as exc:
+            raise ParseError(exc.message, exc.line_no, text_source) from None
         except (OSError, UnicodeDecodeError) as exc:
             raise DatasetError(f"cannot read {text_source}: {exc}") from exc
 

@@ -1,8 +1,10 @@
 """Leave-one-user-out evaluation and the window-size x overlap sweep.
 
-A sweep's unit of work is one (window size, overlap) point: each user is
-featurized once per point, and each cell scored in row blocks in either mode
-(Ensemble.run_blocks). Finished cells are persisted as JSON so an
+A sweep's unit of work is a W row, every pending (window size, overlap)
+point at one window size: each user's windows at the union of the row's
+starts are labeled and featurized once, a point's folds train on one shared
+prefix of the sorted users, and each cell is scored in row blocks in either
+mode (Ensemble.run_blocks). Finished cells are persisted as JSON so an
 interrupted sweep resumes without recomputation. Reports are plain CSV, each
 one list of rows handed to write_rows: a long-form per-activity table, one
 accuracy heat map per (user, mode), and a cross-user summary.
@@ -18,7 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .dataset import PROTOCOL_ACTIVITIES
 from .ensemble import MODES, Ensemble, LearnerParams
 from .features import extract_stream
 from .windowing import (DEFAULT_PURITY, WindowConfig, check_purity,
-                        labeled_windows)
+                        label_starts, labeled_windows, window_starts)
 
 STUDY_WINDOWS = tuple(range(100, 1001, 100))
 STUDY_OVERLAPS = tuple(round(0.1 * i, 1) for i in range(10))
@@ -102,19 +104,68 @@ def pipeline_instances(stream, config, purity=DEFAULT_PURITY,
     return extract_stream(labeled_windows(stream, config, purity, valid_labels))
 
 
+def row_tables(streams, configs, purity=DEFAULT_PURITY,
+               valid_labels=PROTOCOL_ACTIVITIES):
+    """config -> user -> table for configs of one window size, each table
+    pipeline_instances' values, labels and quality flags. A user's windows
+    at the union of the configs' starts are labeled and featurized once,
+    numbered in that union, and each config takes the kept ones at its
+    steps: a window's features do not depend on its block."""
+    size = configs[0].window_size
+    tables = {config: {} for config in configs}
+    for stream in streams:
+        union = np.zeros(max(0, len(stream) - size + 1), dtype=bool)
+        for config in configs:
+            union[window_starts(len(stream), config)] = True
+        windows = label_starts(stream, np.flatnonzero(union), size, purity,
+                               valid_labels)
+        table = extract_stream(windows)
+        kept = np.array([w.start for w in windows], dtype=np.int64)
+        for config in configs:
+            tables[config][stream.user_id] = [
+                table[i] for i in np.flatnonzero(kept % config.step == 0)]
+    return tables
+
+
+def fold_models(tables, test_users, params=None,
+                valid_labels=PROTOCOL_ACTIVITIES):
+    """(user, fold_model(tables, user, ...)) for each test user, in sorted
+    order. One running model trains the sorted users in turn, and fold u
+    is a clone of it before u that then trains the users after u: each
+    member sees the instance sequence of training on every other user in
+    sorted order, so the states are equal. A fold trains only when its
+    test user has instances, and the prefix only as far as such a fold
+    needs. Built first, so bad params fail on any data."""
+    prefix = Ensemble(valid_labels, params=params)
+    users = sorted(tables)
+    owners = {user: {fv.user_id for fv in tables[user]} for user in users}
+    done = seen = 0  # users[:done] are in the prefix, seen instances
+    test_users = sorted(test_users)
+    for test_user in test_users:
+        if any(test_user in owners[u] for u in users if u != test_user):
+            raise EvaluationError("test-user instance in training data")
+        if not tables[test_user]:
+            yield test_user, Ensemble(valid_labels, params=params)
+            continue
+        at = users.index(test_user)
+        ahead = [fv for user in users[done:at] for fv in tables[user]]
+        if ahead:
+            prefix.train_offline(ahead)
+        done, seen = at, seen + len(ahead)
+        # the last fold takes the prefix itself: no later fold needs it
+        model = prefix if test_user == test_users[-1] else prefix.clone()
+        tail = [fv for user in users[at + 1:] for fv in tables[user]]
+        if tail or not seen:  # nothing at all raises "empty training set"
+            model.train_offline(tail)
+        yield test_user, model
+
+
 def fold_model(tables, test_user, params=None,
                valid_labels=PROTOCOL_ACTIVITIES):
     """The fold's ensemble, trained offline on every other user's instances,
     in sorted user order, only when the test user has any; tables: user ->
-    pipeline_instances. Built first, so bad params fail on any data."""
-    model = Ensemble(valid_labels, params=params)
-    train_instances = [fv for user in sorted(tables) if user != test_user
-                       for fv in tables[user]]
-    if any(fv.user_id == test_user for fv in train_instances):
-        raise EvaluationError("test-user instance in training data")
-    if tables[test_user]:
-        model.train_offline(train_instances)
-    return model
+    pipeline_instances. fold_models' one-fold call."""
+    return next(fold_models(tables, [test_user], params, valid_labels))[1]
 
 
 def fold_result(audit, test_user, config, mode, classes):
@@ -185,30 +236,37 @@ def _load_cell(cell_dir, key):
     return result
 
 
-def _point_cells(streams, params, purity, valid_labels, config, keys):
-    """Featurize every user once, then yield (key, result) per cell key.
-    A user's cells come together, frozen first, so the fold's model is
-    trained once and serves both modes: a frozen run leaves it unchanged."""
-    tables = {s.user_id: pipeline_instances(s, config, purity, valid_labels)
-              for s in streams}
-    for user, user_keys in groupby(keys, key=lambda key: key["user"]):
-        model = fold_model(tables, user, params, valid_labels)
-        for key in user_keys:
-            yield key, score_fold(model, tables, user, config, key["mode"])[0]
+def _row_cells(streams, params, purity, valid_labels, points):
+    """Yield (key, result) for every cell key of one window size's points,
+    [(config, keys)]: row_tables featurizes each user once for the row,
+    and fold_models trains a point's pending folds on one shared prefix.
+    A user's cells come together, frozen first, so the fold's model
+    serves both modes: a frozen run leaves it unchanged."""
+    tables = row_tables(streams, [config for config, _ in points], purity,
+                        valid_labels)
+    for config, keys in points:
+        pending = {}
+        for key in keys:
+            pending.setdefault(key["user"], []).append(key)
+        for user, model in fold_models(tables[config], pending, params,
+                                       valid_labels):
+            for key in pending[user]:
+                yield key, score_fold(model, tables[config], user, config,
+                                      key["mode"])[0]
 
 
 _shared = ()  # a pool worker's (streams, params, purity, valid_labels)
 
 
 def _init_worker(*shared):
-    """Keep the sweep's inputs common to every point, sent once per
+    """Keep the sweep's inputs common to every row, sent once per
     worker."""
     global _shared
     _shared = shared
 
 
-def _score_point(point):
-    return list(_point_cells(*_shared, *point))
+def _score_row(points):
+    return list(_row_cells(*_shared, points))
 
 
 def sweep(streams, windows, overlaps, modes, seed, out_dir,
@@ -224,7 +282,7 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
     """
     if workers < 1:
         raise EvaluationError(f"workers must be >= 1, got {workers}")
-    ordered = [m for m in MODES if m in modes]  # frozen first: _point_cells
+    ordered = [m for m in MODES if m in modes]  # frozen first: _row_cells
     if len(ordered) != len(modes):
         raise EvaluationError(f"modes must be distinct, of {MODES}: {modes}")
     configs = check_grid(windows, overlaps)
@@ -239,7 +297,7 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
     cell_dir = os.path.join(out_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)
 
-    points = []
+    rows = {}  # window size -> its points with pending cells
     results = []
     for config in configs:
         keys = []
@@ -253,14 +311,14 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
                 else:
                     results.append(done)
         if keys:
-            points.append((config, keys))
+            rows.setdefault(config.window_size, []).append((config, keys))
 
     shared = (streams, params, purity, valid_labels)
     pool = (ProcessPoolExecutor(workers, initializer=_init_worker,
                                 initargs=shared) if workers > 1 else None)
     with pool or nullcontext():  # in-process, each cell comes as it is scored
-        for cells in (pool.map(_score_point, points) if pool else
-                      (_point_cells(*shared, *point) for point in points)):
+        for cells in (pool.map(_score_row, rows.values()) if pool else
+                      (_row_cells(*shared, row) for row in rows.values())):
             for key, result in cells:
                 path = _cell_path(cell_dir, key)
                 tmp = path + ".tmp"

@@ -73,12 +73,13 @@ def segment(stream, config):
 
     Returns [] when the stream is shorter than one window.
     """
-    n = len(stream)
-    w = config.window_size
-    if n < w:
-        return []
-    count = (n - w) // config.step + 1
-    return [Window(stream, i * config.step, w) for i in range(count)]
+    return [Window(stream, start, config.window_size)
+            for start in window_starts(len(stream), config).tolist()]
+
+
+def window_starts(length, config):
+    """The starts of segment's windows over a stream of this length."""
+    return np.arange(0, max(0, length - config.window_size + 1), config.step)
 
 
 def label_window(candidate, purity_threshold=DEFAULT_PURITY,
@@ -107,16 +108,44 @@ def check_purity(purity_threshold):
             f"purity must be in [0, 1], got {purity_threshold}")
 
 
+def label_starts(stream, starts, size, purity_threshold=DEFAULT_PURITY,
+                 valid_labels=PROTOCOL_ACTIVITIES):
+    """The kept windows of `size` rows at ascending starts, labeled, as
+    label_window labels and keeps each, from per-label prefix counts of
+    the activity column: integer work, so exact. A window's modal label
+    has the largest count, a tie going to the label whose first
+    occurrence in the window is earliest (its (c + 1)-th occurrence, c
+    being its count before the window)."""
+    ids = stream.values[:, 1].astype(np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    best = np.zeros(len(starts), dtype=np.int64)  # the modal count so far
+    first = np.zeros(len(starts), dtype=np.int64)  # its first position
+    modal = np.zeros(len(starts), dtype=np.int64)
+    count = np.zeros(len(ids) + 1, dtype=np.int64)
+    # with counts, np.unique sorts; without, numpy 2.4 hashes and imports
+    # numpy.ma, a megabyte of resident memory
+    for label in np.unique(ids, return_counts=True)[0]:
+        at = ids == label
+        np.cumsum(at, out=count[1:])  # count[i]: occurrences before row i
+        before = count[starts]
+        n = count[starts + size] - before
+        occurs = np.flatnonzero(at)
+        pos = occurs[np.minimum(before, len(occurs) - 1)]
+        wins = (n > best) | ((n == best) & (n > 0) & (pos < first))
+        best[wins], first[wins], modal[wins] = n[wins], pos[wins], label
+    keep = ((best / size >= purity_threshold) & (modal != TRANSIENT_ACTIVITY)
+            & np.isin(modal, list(valid_labels)))
+    return [Window(stream, start, size, label) for start, label
+            in zip(starts[keep].tolist(), modal[keep].tolist())]
+
+
 def labeled_windows(stream, config, purity_threshold=DEFAULT_PURITY,
                     valid_labels=PROTOCOL_ACTIVITIES):
-    """Segment then label, dropping discarded windows."""
+    """Segment then label, dropping discarded windows, as label_starts
+    does."""
     check_purity(purity_threshold)
-    out = []
-    for cand in segment(stream, config):
-        win = label_window(cand, purity_threshold, valid_labels)
-        if win is not None:
-            out.append(win)
-    return out
+    return label_starts(stream, window_starts(len(stream), config),
+                        config.window_size, purity_threshold, valid_labels)
 
 
 def classification_count(stream, config, purity_threshold=DEFAULT_PURITY,

@@ -108,6 +108,17 @@ class TestValidate:
             cli.EXIT_MISSING_DATA
         assert "subject101.dat" in capsys.readouterr().err
 
+    def test_malformed_subject_file_is_named(self, capsys, tmp_path):
+        # of nine subject files, the error names the bad one and its line
+        self.fake_data_dir(tmp_path, range(1, 10))
+        bad = tmp_path / "subject103.dat"
+        bad.write_text("1 2 3\n")
+        assert run(["validate", "--data-dir", str(tmp_path)]) == \
+            cli.EXIT_MISSING_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}: line 1: expected 54 columns, got 3" in err
+        assert "Traceback" not in err
+
     @staticmethod
     def fake_data_dir(path, users):
         """Subject files of four samples each (Lying, Lying, transient,

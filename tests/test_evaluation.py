@@ -3,13 +3,15 @@ import json
 import os
 import pickle
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 
 from harbench import evaluation
-from harbench.dataset import generate_synthetic
-from harbench.ensemble import Ensemble, LearnerParams
+from harbench.dataset import (FEATURE_CHANNEL_INDEX, SensorStream,
+                              generate_synthetic)
+from harbench.ensemble import Ensemble, EnsembleError, LearnerParams
 from harbench.evaluation import (EvaluationError, FoldResult,
                                  SINGLE_ACTIVITY_USER, emit_reports,
                                  evaluate_fold, louo_split,
@@ -164,6 +166,87 @@ class TestEvaluateFold:
             evaluation.fold_model(tables, 2, FAST, labels)
 
 
+def gapped_stream(stream):
+    """A copy of the stream with a short gap in one channel and a gap
+    longer than a window in another, so that gap filling and quality
+    flags show."""
+    values = stream.values.copy()
+    values[40:45, FEATURE_CHANNEL_INDEX[0]] = np.nan
+    values[200:330, FEATURE_CHANNEL_INDEX[5]] = np.nan
+    return SensorStream(stream.user_id, values)
+
+
+class TestRowTables:
+    # steps 50, 35, 25 and 5, which do not all nest
+    CONFIGS = [WindowConfig(50, o) for o in (0.0, 0.3, 0.5, 0.9)]
+
+    def test_each_point_gathers_its_pipeline_instances(self, small_streams,
+                                                       small_spec):
+        labels = small_spec.class_labels
+        short = SensorStream(4, small_streams[1].values[:30])  # no window
+        streams = [gapped_stream(small_streams[0]), *small_streams[1:], short]
+        tables = evaluation.row_tables(streams, self.CONFIGS,
+                                       valid_labels=labels)
+        assert list(tables) == self.CONFIGS
+        flagged = 0
+        for config in self.CONFIGS:
+            assert sorted(tables[config]) == [1, 2, 3, 4]
+            for stream in streams:
+                got = tables[config][stream.user_id]
+                want = pipeline_instances(stream, config, valid_labels=labels)
+                assert len(got) == len(want)
+                assert all(g.values.tobytes() == w.values.tobytes()
+                           and (g.label, g.quality_ok, g.user_id)
+                           == (w.label, w.quality_ok, w.user_id)
+                           for g, w in zip(got, want))
+                flagged += sum(not fv.quality_ok for fv in got)
+        assert flagged > 0 and tables[self.CONFIGS[0]][4] == []
+
+
+class TestFoldModels:
+    @staticmethod
+    def tables(streams, labels):
+        config = WindowConfig(50, 0.5)
+        tables = {s.user_id: pipeline_instances(s, config, valid_labels=labels)
+                  for s in streams}
+        tables[4] = []  # a user with no instances
+        return tables
+
+    @staticmethod
+    def reference(tables, test_user, params, labels):
+        """The fold's model trained in one call on the other users in
+        sorted order, when the test user has instances."""
+        model = Ensemble(labels, params=params)
+        if tables[test_user]:
+            model.train_offline([fv for user in sorted(tables)
+                                 if user != test_user
+                                 for fv in tables[user]])
+        return model.state_hash()
+
+    @pytest.mark.parametrize("pending", [[1, 2, 3, 4], [2], [3, 1], [4]],
+                             ids=["all", "middle", "ends", "empty"])
+    def test_prefix_folds_equal_fold_model(self, hard_streams, hard_spec,
+                                           pending):
+        labels = hard_spec.class_labels
+        tables = self.tables(hard_streams, labels)
+        folds = list(evaluation.fold_models(tables, pending, GATE_05, labels))
+        assert [user for user, _ in folds] == sorted(pending)
+        for user, model in folds:
+            assert model.state_hash() == self.reference(tables, user, GATE_05,
+                                                        labels)
+            assert model.state_hash() == evaluation.fold_model(
+                tables, user, GATE_05, labels).state_hash()
+
+    def test_only_the_test_users_instances_leave_nothing_to_train(
+            self, small_streams, small_spec):
+        labels = small_spec.class_labels
+        tables = self.tables(small_streams, labels)
+        for user in (1, 2):
+            tables[user] = []
+        with pytest.raises(EnsembleError, match="empty training set"):
+            list(evaluation.fold_models(tables, [1, 3], FAST, labels))
+
+
 class TestSweep:
     WINDOWS = [50]
     OVERLAPS = [0.0, 0.5]
@@ -246,8 +329,9 @@ class TestSweep:
     def test_pool_gets_the_streams_once_per_worker(self, small_streams,
                                                    small_spec, tmp_path,
                                                    monkeypatch):
-        # the streams go through the pool initializer; a point carries only
-        # its (W, o) and its cells, far fewer bytes than one stream
+        # the streams go through the pool initializer; a task is one window
+        # size's row, which carries only its points' (W, o) and cells, far
+        # fewer bytes than one stream
         sent = []
 
         class InlinePool:
@@ -269,7 +353,7 @@ class TestSweep:
         labels = small_spec.class_labels
         pooled = self.run(small_streams, labels, tmp_path / "w2", workers=2)
         assert pooled == self.run(small_streams, labels, tmp_path / "w1")
-        assert len(sent) == len(self.WINDOWS) * len(self.OVERLAPS)
+        assert len(sent) == len(self.WINDOWS)
         assert max(map(len, sent)) < min(s.values.nbytes
                                          for s in small_streams)
 
@@ -299,47 +383,61 @@ class TestSweep:
         assert all(r.n_windows == 0 for r in results
                    if r.window_size == 10_000)
 
-    def test_featurizes_each_user_once_per_point(self, small_streams,
+    def test_featurizes_each_window_once_per_row(self, small_streams,
                                                  small_spec, tmp_path,
                                                  monkeypatch):
+        # one extract_stream call per user and window size, over distinct
+        # windows: the union of the row's starts
         calls = Counter()
-        original = evaluation.pipeline_instances
+        featurized = []
+        original = evaluation.extract_stream
 
-        def counting(stream, config, *args):
-            calls[(stream.user_id, config.window_size, config.overlap)] += 1
-            return original(stream, config, *args)
+        def counting(windows):
+            windows = list(windows)
+            calls[(windows[0].user_id, windows[0].size)] += 1
+            featurized.extend((w.user_id, w.size, w.start) for w in windows)
+            return original(windows)
 
-        monkeypatch.setattr(evaluation, "pipeline_instances", counting)
-        self.run(small_streams, small_spec.class_labels, tmp_path)
-        assert calls == {(u, w, o): 1 for u in (1, 2, 3)
-                         for w in self.WINDOWS for o in self.OVERLAPS}
+        monkeypatch.setattr(evaluation, "extract_stream", counting)
+        sweep(small_streams, [20, 50], self.OVERLAPS, self.MODES, seed=0,
+              out_dir=str(tmp_path), params=FAST,
+              valid_labels=small_spec.class_labels)
+        assert calls == {(u, w): 1 for u in (1, 2, 3) for w in (20, 50)}
+        assert len(featurized) == len(set(featurized))
 
-    def test_trains_each_fold_once_per_point(self, small_streams,
-                                             small_spec, tmp_path,
-                                             monkeypatch):
-        trained = []
-        original = Ensemble.train_offline
+    def test_trains_folds_on_a_shared_prefix(self, small_streams, small_spec,
+                                             tmp_path, monkeypatch):
+        trained, cloned = [], []
+        original, clone = Ensemble.train_offline, Ensemble.clone
 
         def counting(model, instances):
             instances = list(instances)
             trained.append(frozenset(fv.user_id for fv in instances))
             return original(model, instances)
 
+        def counting_clone(model):
+            cloned.append(1)
+            return clone(model)
+
         monkeypatch.setattr(Ensemble, "train_offline", counting)
+        monkeypatch.setattr(Ensemble, "clone", counting_clone)
         first = self.run(small_streams, small_spec.class_labels, tmp_path)
-        # 3 users x 2 points, each fold's model serving both modes
-        assert len(trained) == 6
-        assert Counter(trained) == {frozenset({2, 3}): 2,
-                                    frozenset({1, 3}): 2,
-                                    frozenset({1, 2}): 2}
+        # per point: fold 1 trains users 2 and 3 on a clone of the empty
+        # prefix, the prefix trains user 1, fold 2 trains user 3 on a clone
+        # of it, the prefix trains user 2 and is fold 3
+        prefix_order = [frozenset({2, 3}), frozenset({1}), frozenset({3}),
+                        frozenset({2})]
+        assert trained == prefix_order * 2 and len(cloned) == 2 * 2
         files = _cell_files(tmp_path)
         files[(1, 50, 0.0, "semi_supervised")].unlink()
         files[(2, 50, 0.5, "supervised_frozen")].unlink()
         files[(2, 50, 0.5, "semi_supervised")].unlink()
         trained.clear()
+        cloned.clear()
         again = self.run(small_streams, small_spec.class_labels, tmp_path)
-        assert sorted(trained, key=sorted) == [frozenset({1, 3}),
-                                               frozenset({2, 3})]
+        # only pending folds train, each the last of its point: no clone
+        assert trained == [frozenset({2, 3}), frozenset({1}), frozenset({3})]
+        assert cloned == []
         assert again == first
 
     def test_theta_above_one_semi_cells_are_frozen_cells(
@@ -385,26 +483,29 @@ class TestSweep:
     def test_every_run_starts_from_the_trained_model(self, hard_streams,
                                                      hard_spec, tmp_path,
                                                      monkeypatch):
-        # every cell, in either mode, is one run_blocks call
-        trained, started = [], []
-        train, run_blocks = Ensemble.train_offline, Ensemble.run_blocks
-
-        def recording_train(model, instances):
-            train(model, instances)
-            trained.append(model.state_hash())
-            return model
+        # every cell, in either mode, is one run_blocks call, and starts
+        # from the model fold_model trains for its point and user
+        labels = hard_spec.class_labels
+        started = []
+        run_blocks = Ensemble.run_blocks
 
         def recording_run(model, *args):
-            started.append((trained[-1], model.state_hash()))
+            started.append(model.state_hash())
             return run_blocks(model, *args)
 
-        monkeypatch.setattr(Ensemble, "train_offline", recording_train)
         monkeypatch.setattr(Ensemble, "run_blocks", recording_run)
         sweep(hard_streams, self.WINDOWS, self.OVERLAPS, self.MODES[::-1],
               seed=0, out_dir=str(tmp_path), params=GATE_05,
-              valid_labels=hard_spec.class_labels)
-        assert len(started) == 2 * len(trained) == 12
-        assert all(fresh == start for fresh, start in started)
+              valid_labels=labels)
+        expected = []
+        for w, o in product(self.WINDOWS, self.OVERLAPS):
+            tables = {s.user_id: pipeline_instances(s, WindowConfig(w, o),
+                                                    valid_labels=labels)
+                      for s in hard_streams}
+            for user in sorted(tables):
+                fresh = evaluation.fold_model(tables, user, GATE_05, labels)
+                expected += [fresh.state_hash()] * len(self.MODES)
+        assert started == expected and len(started) == 12
 
     @pytest.mark.parametrize("modes", [
         ["nonsense"], ["supervised_frozen", "supervised_frozen"],

@@ -102,8 +102,9 @@ def test_knn_rows_equal_predict(seed, capacity, k, n_train, n_features,
                       store_rows)
 
 
-# A block value of b and a store block of b rows make one-query chunks that
-# read the store b rows at a time.
+# A block value of 2b and a store block of b rows make two-query chunks
+# that read the store b rows at a time (a one-query chunk takes predict's
+# form, see below).
 @pytest.mark.parametrize("block_rows", [1, 3, 4, 128])
 def test_knn_rows_break_ties_by_insertion_across_blocks(block_rows):
     # One row trained three times, each time with another label, in a
@@ -118,7 +119,7 @@ def test_knn_rows_break_ties_by_insertion_across_blocks(block_rows):
             knn.train(x, 0)
     assert knn.n_trained == 11
     queries = np.array([[0.5, 0.5], [0.5, 0.25], far[5]])
-    rows = assert_rows_equal(knn, queries, block_rows, block_rows)
+    rows = assert_rows_equal(knn, queries, 2 * block_rows, block_rows)
     assert rows[:2].tolist() == [[0, 1, 0]] * 2
 
 
@@ -128,7 +129,32 @@ def test_knn_rows_with_k_above_a_blocks_rows(block_rows):
     knn = KnnClassifier(classes=(0, 1, 2), n_features=5, k=7, capacity=30)
     for i, x in enumerate(rng.normal(size=(41, 5))):
         knn.train(x, i % 3)
-    assert_rows_equal(knn, rng.normal(size=(25, 5)), block_rows, block_rows)
+    assert_rows_equal(knn, rng.normal(size=(25, 5)), 2 * block_rows,
+                      block_rows)
+
+
+@pytest.mark.parametrize("n", [128, 2000])
+def test_knn_one_query_chunk_takes_predicts_form(n):
+    # A one-row chunk, alone or the tail of a longer block, is scored by
+    # predict's one filter pass, not by the two blocked passes, with the
+    # same bits; stores on both sides of predict's crossover.
+    rng = np.random.default_rng(n)
+    knn = KnnClassifier(classes=(0, 1, 2), n_features=81, k=5, capacity=n)
+    for i, x in enumerate(rng.normal(size=(n, 81))):
+        knn.train(x, i % 3)
+    per_chunk = learners._BLOCK_VALUES // min(n, learners._KNN_STORE_ROWS)
+    queries = rng.normal(size=(per_chunk + 1, 81))
+    blocked, approx = [], KnnClassifier._approx
+
+    def counted(self, *args):
+        blocked.append(1)
+        return approx(self, *args)
+
+    with mock.patch.object(KnnClassifier, "_approx", counted):
+        assert_rows_equal(knn, queries[-1:], learners._BLOCK_VALUES)
+        assert not blocked
+        assert_rows_equal(knn, queries, learners._BLOCK_VALUES)
+        assert blocked
 
 
 def test_knn_rows_of_a_store_whose_filter_could_overflow():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harbench import dataset
-from harbench.dataset import SensorStream
+from harbench.dataset import PROTOCOL_ACTIVITIES, SensorStream
 from harbench.windowing import (Window, WindowConfig, WindowingError,
-                                classification_count, label_window,
-                                labeled_windows, segment)
+                                classification_count, label_starts,
+                                label_window, labeled_windows, segment)
 
 
 def id_stream(ids, user_id=1):
@@ -169,6 +170,58 @@ class TestLabelWindow:
         with pytest.raises(WindowingError):
             labeled_windows(id_stream([1] * 200), WindowConfig(100, 0.0),
                             purity)
+
+
+def per_window_labels(stream, starts, size, purity, valid):
+    """label_window's kept windows at these starts."""
+    labeled = [label_window(Window(stream, start, size), purity, valid)
+               for start in starts]
+    return [win for win in labeled if win is not None]
+
+
+class TestLabelStarts:
+    # runs of protocol ids, the transient id and a non-protocol id (99),
+    # so that ties, shares exactly at the purity and dropped labels occur;
+    # the starts are the union of up to three steps', which need not nest
+    @settings(max_examples=300, deadline=None)
+    @given(runs=st.lists(st.tuples(st.sampled_from([0, 1, 2, 4, 99]),
+                                   st.integers(1, 6)), min_size=1,
+                         max_size=40),
+           size=st.integers(2, 12),
+           steps=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+           purity=st.sampled_from([0.0, 0.5, 0.6, 0.75, 0.8, 1.0]),
+           valid=st.sampled_from([PROTOCOL_ACTIVITIES, (1, 99), (0, 2)]))
+    def test_equals_label_window(self, runs, size, steps, purity, valid):
+        stream = id_stream([a for a, n in runs for _ in range(n)])
+        starts = sorted({start for step in steps
+                         for start in range(0, len(stream) - size + 1, step)})
+        assert label_starts(stream, starts, size, purity, valid) == \
+            per_window_labels(stream, starts, size, purity, valid)
+
+    @pytest.mark.parametrize("ids, purity, label", [
+        ([3, 4, 4, 3, 3, 4], 0.5, 3),  # a tie: 3 occurs first
+        ([4, 3, 3, 4, 4, 3], 0.5, 4),
+        ([0, 0, 2, 2, 2, 0], 0.5, 0),  # a tie won by the transient id: dropped
+        ([1, 1, 1, 1, 2], 0.8, 1),  # a share of 4/5, exactly at the purity
+        ([1, 1, 1, 2, 2], 0.8, 1),  # 3/5, below it
+        ([99, 99, 99, 99, 1], 0.5, 99)])  # not a protocol activity
+    def test_ties_purity_and_dropped_labels(self, ids, purity, label):
+        stream = id_stream(ids)
+        kept = label_starts(stream, [0], len(ids), purity)
+        assert kept == per_window_labels(stream, [0], len(ids), purity,
+                                         PROTOCOL_ACTIVITIES)
+        expect_kept = (label in PROTOCOL_ACTIVITIES
+                       and ids.count(label) / len(ids) >= purity)
+        assert kept == ([Window(stream, 0, len(ids), label)]
+                        if expect_kept else [])
+
+    def test_labeled_windows_takes_segments_starts(self):
+        ids = [1] * 37 + [0] * 20 + [4] * 51
+        stream = id_stream(ids)
+        cfg = WindowConfig(10, 0.3)
+        starts = [win.start for win in segment(stream, cfg)]
+        assert labeled_windows(stream, cfg) == per_window_labels(
+            stream, starts, 10, 0.8, PROTOCOL_ACTIVITIES)
 
 
 class TestClassificationCount:

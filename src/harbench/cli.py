@@ -168,9 +168,9 @@ def cmd_eval(args):
     if args.user not in evaluation.louo_split(streams):
         raise CliError(f"user {args.user} not in data", EXIT_MISSING_DATA)
     result, audit = evaluation.evaluate_fold(
-        {s.user_id: s for s in streams}, args.user, config,
-        _modes(args.mode)[0], params=_learner_params(args),
-        purity=args.purity, valid_labels=classes)
+        streams, args.user, config, _modes(args.mode)[0],
+        params=_learner_params(args), purity=args.purity,
+        valid_labels=classes)
     acc = result.accuracy
     print(f"user {args.user} W={args.window} o={args.overlap} {result.mode}: "
           f"windows={result.n_windows} "
@@ -198,12 +198,10 @@ def cmd_profile(args):
     test_user = args.user if args.user is not None else users[-1]
     if test_user not in users:
         raise CliError(f"user {test_user} not in data", EXIT_MISSING_DATA)
-    train = [s for s in streams if s.user_id != test_user]
-    test = next(s for s in streams if s.user_id == test_user)
 
     breakdowns = []
     for config in evaluation.check_grid(windows, overlaps):
-        bd = profiling.timed_run(train, test, config,
+        bd = profiling.timed_run(streams, test_user, config,
                                  mode=_modes(args.mode)[0],
                                  purity=args.purity, valid_labels=classes,
                                  params=_learner_params(args),

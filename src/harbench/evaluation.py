@@ -21,14 +21,16 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
+from . import ensemble, features, learners, windowing
 from .dataset import PROTOCOL_ACTIVITIES
 from .ensemble import MODES, Ensemble, LearnerParams
 from .features import extract_stream
 from .windowing import (DEFAULT_PURITY, WindowConfig, check_purity,
-                        label_starts, labeled_windows, window_starts)
+                        label_starts, window_starts)
 
 STUDY_WINDOWS = tuple(range(100, 1001, 100))
 STUDY_OVERLAPS = tuple(round(0.1 * i, 1) for i in range(10))
@@ -98,19 +100,14 @@ def check_grid(windows, overlaps) -> list:
     return [WindowConfig(w, o) for w in windows for o in overlaps]
 
 
-def pipeline_instances(stream, config, purity=DEFAULT_PURITY,
-                       valid_labels=PROTOCOL_ACTIVITIES):
-    """Segment, label and featurize one stream in order."""
-    return extract_stream(labeled_windows(stream, config, purity, valid_labels))
-
-
 def row_tables(streams, configs, purity=DEFAULT_PURITY,
                valid_labels=PROTOCOL_ACTIVITIES):
     """config -> user -> table for configs of one window size, each table
-    pipeline_instances' values, labels and quality flags. A user's windows
-    at the union of the configs' starts are labeled and featurized once,
-    numbered in that union, and each config takes the kept ones at its
-    steps: a window's features do not depend on its block."""
+    the user's kept windows at the config's starts, featurized in order.
+    A user's windows at the union of the configs' starts are labeled and
+    featurized once, numbered in that union, and each config takes the
+    kept ones at its steps: a window's features do not depend on its
+    block."""
     size = configs[0].window_size
     tables = {config: {} for config in configs}
     for stream in streams:
@@ -164,7 +161,7 @@ def fold_model(tables, test_user, params=None,
                valid_labels=PROTOCOL_ACTIVITIES):
     """The fold's ensemble, trained offline on every other user's instances,
     in sorted user order, only when the test user has any; tables: user ->
-    pipeline_instances. fold_models' one-fold call."""
+    instances, one config's from row_tables. fold_models' one-fold call."""
     return next(fold_models(tables, [test_user], params, valid_labels))[1]
 
 
@@ -189,15 +186,13 @@ def score_fold(model, tables, test_user, config, mode):
     return fold_result(audit, test_user, config, mode, model.classes), audit
 
 
-def evaluate_fold(streams_by_user, test_user, config, mode,
-                  params=None, purity=DEFAULT_PURITY,
-                  valid_labels=PROTOCOL_ACTIVITIES):
-    """(FoldResult, audit) of one cell: train on every other user, score
-    the test user as score_fold does."""
-    if test_user not in streams_by_user:
+def evaluate_fold(streams, test_user, config, mode, params=None,
+                  purity=DEFAULT_PURITY, valid_labels=PROTOCOL_ACTIVITIES):
+    """(FoldResult, audit) of one cell of sweep's streams: train on every
+    other user, score the test user as score_fold does."""
+    if test_user not in louo_split(streams):
         raise EvaluationError(f"no stream for user {test_user}")
-    tables = {user: pipeline_instances(stream, config, purity, valid_labels)
-              for user, stream in streams_by_user.items()}
+    tables = row_tables(streams, [config], purity, valid_labels)[config]
     model = fold_model(tables, test_user, params, valid_labels)
     return score_fold(model, tables, test_user, config, mode)
 
@@ -293,6 +288,10 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
             "purity": repr(purity), "labels": list(valid_labels),
             "streams": sorted([s.user_id, hashlib.sha256(s.values).hexdigest()]
                               for s in streams),
+            "code": hashlib.sha256(b"".join(  # the source that scores a cell
+                Path(path).read_bytes() for path in (
+                    windowing.__file__, features.__file__, learners.__file__,
+                    ensemble.__file__, __file__))).hexdigest(),
             "seed": seed}
     cell_dir = os.path.join(out_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)

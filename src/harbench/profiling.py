@@ -2,10 +2,10 @@
 
 Mirrors the three-phase breakdown used in the accuracy/energy trade-off
 study: sampling (window instantiation), feature extraction and
-classification. Features are timed one `extract` call per window, as a
-device featurizes each window when it closes, and classification is the
-fold's model run online, one classify call per window in either mode,
-though the sweep scores each cell in blocks of rows. Energy comes
+classification, each timed as a device pays it when a window closes: one
+label_window call per segmented window, one extract call per kept window,
+and the fold's model run online, one classify call per window in either
+mode, though the sweep labels, featurizes and scores in blocks. Energy comes
 from a constant watts-per-phase model. Profiling must run single-threaded;
 do not overlap it with parallel sweeps.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from . import evaluation
 from .dataset import PROTOCOL_ACTIVITIES
 from .features import extract
-from .windowing import DEFAULT_PURITY, labeled_windows
+from .windowing import DEFAULT_PURITY, label_window, segment
 
 _TIMER_RESOLUTION_WARN_NS = 1000  # warn above 1 us
 
@@ -71,22 +71,24 @@ class PowerModel:
             raise ProfilingError(f"invalid power model {path}: {exc}") from exc
 
 
-def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
+def timed_run(streams, test_user, config, mode="supervised_frozen",
               purity=DEFAULT_PURITY, valid_labels=PROTOCOL_ACTIVITIES,
               params=None, repetitions=5) -> TimingBreakdown:
-    """Median per-phase times of one pass over the test stream, and the
-    cell's FoldResult (the sweep's). Each repetition times labeled_windows
-    (sampling), one extract call per window (features) and run_online
-    (classification) on an untimed clone of the model evaluation.fold_model
-    trains once, untimed, in user order whatever the order of train_streams.
-    Training streams of the test user, two of one user, or none, raise
-    EvaluationError."""
+    """Median per-phase times of one device pass over the test user's
+    stream, and the cell's FoldResult: sweep's, from sweep's streams. The
+    fold's model is trained once, untimed, by evaluation.fold_model on
+    row_tables' instances; each repetition then times segment and one
+    label_window call per window (sampling), one extract call per kept
+    window (features) and run_online (classification) on an untimed clone
+    of the model. A repeated or unknown user raises EvaluationError."""
     if repetitions < 1:
         raise ProfilingError("repetitions must be >= 1")
-    evaluation.louo_split([*train_streams, test_stream])
-    test_user = test_stream.user_id
-    tables = {s.user_id: evaluation.pipeline_instances(
-        s, config, purity, valid_labels) for s in train_streams}
+    if test_user not in evaluation.louo_split(streams):
+        raise evaluation.EvaluationError(f"no stream for user {test_user}")
+    tables = evaluation.row_tables(streams, [config], purity,
+                                   valid_labels)[config]
+    model = evaluation.fold_model(tables, test_user, params, valid_labels)
+    test = next(s for s in streams if s.user_id == test_user)
 
     warnings = []
     res = time.get_clock_info("perf_counter").resolution
@@ -94,18 +96,17 @@ def timed_run(train_streams, test_stream, config, mode="supervised_frozen",
         warnings.append(f"timer resolution {res}s is coarser than 1us")
 
     reps = []
-    for rep in range(repetitions):
+    for _ in range(repetitions):
         t0 = time.perf_counter_ns()
-        windows = labeled_windows(test_stream, config, purity, valid_labels)
+        labeled = [label_window(w, purity, valid_labels)
+                   for w in segment(test, config)]
+        windows = [w for w in labeled if w is not None]
         t1 = time.perf_counter_ns()
-        tables[test_user] = [extract(w, i) for i, w in enumerate(windows)]
+        instances = [extract(w, i) for i, w in enumerate(windows)]
         t2 = time.perf_counter_ns()
-        if rep == 0:
-            model = evaluation.fold_model(tables, test_user, params,
-                                          valid_labels)
         run = model.clone()
         t3 = time.perf_counter_ns()
-        audit = run.run_online(tables[test_user], mode)
+        audit = run.run_online(instances, mode)
         reps.append((t1 - t0, t2 - t1, time.perf_counter_ns() - t3))
     result = evaluation.fold_result(audit, test_user, config, mode,
                                     model.classes)

@@ -115,7 +115,9 @@ def label_starts(stream, starts, size, purity_threshold=DEFAULT_PURITY,
     the activity column: integer work, so exact. A window's modal label
     has the largest count, a tie going to the label whose first
     occurrence in the window is earliest (its (c + 1)-th occurrence, c
-    being its count before the window)."""
+    being its count before the window). A purity outside [0, 1] raises
+    WindowingError."""
+    check_purity(purity_threshold)
     ids = stream.values[:, 1].astype(np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     best = np.zeros(len(starts), dtype=np.int64)  # the modal count so far
@@ -143,7 +145,6 @@ def labeled_windows(stream, config, purity_threshold=DEFAULT_PURITY,
                     valid_labels=PROTOCOL_ACTIVITIES):
     """Segment then label, dropping discarded windows, as label_starts
     does."""
-    check_purity(purity_threshold)
     return label_starts(stream, window_starts(len(stream), config),
                         config.window_size, purity_threshold, valid_labels)
 

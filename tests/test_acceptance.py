@@ -186,10 +186,9 @@ def test_criterion_6_semi_supervised_benefit():
                                      users=(1, 2, 3, 4), user_drifts={4: 1.25},
                                      noise_sigma=0.4, class_sep=2.0, seed=seed)
         streams = generate_synthetic(spec)
-        by_user = {s.user_id: s for s in streams}
         for mode in accs:
             accs[mode].append([
-                evaluate_fold(by_user, 4, WindowConfig(25, o), mode,
+                evaluate_fold(streams, 4, WindowConfig(25, o), mode,
                               params=params,
                               valid_labels=spec.class_labels)[0].accuracy
                 for o in overlaps])
@@ -204,13 +203,13 @@ def test_criterion_6_semi_supervised_benefit():
 
 @needs_dataset
 def test_criterion_7_window_size_trend():
-    streams = {}
+    streams = []
     for user in range(1, 10):
         path = cli._subject_path(_data_dir(), user)
         if path is None:
             pytest.skip(f"subject file for user {user} missing")
-        streams[user] = dataset.filter_protocol_activities(
-            dataset.parse_subject_file(path, user))
+        streams.append(dataset.filter_protocol_activities(
+            dataset.parse_subject_file(path, user)))
     acc = {}
     for w in (100, 500, 1000):
         for o in (0.0, 0.8):
@@ -236,7 +235,7 @@ def test_criterion_8_profiling_trends():
     feature_ns, joules = [], []
     for o in overlaps:
         config = WindowConfig(100, o)
-        bd = timed_run(streams[:2], streams[2], config, params=params,
+        bd = timed_run(streams, 3, config, params=params,
                        valid_labels=spec.class_labels, repetitions=5)
         assert bd.result.n_windows == classification_count(streams[2],
                                                            config)

@@ -260,15 +260,13 @@ class TestTraining:
         assert all(int(np.argmax(d)) == 1 for d in pred.member_distributions)
 
     def test_separable_members_each_accurate(self, small_streams, small_spec):
-        from harbench.evaluation import pipeline_instances
+        from harbench.evaluation import row_tables
         from harbench.windowing import WindowConfig
         config = WindowConfig(50, 0.9)
-        train = []
-        for s in small_streams[:2]:
-            train.extend(pipeline_instances(s, config,
-                                            valid_labels=small_spec.class_labels))
-        test = pipeline_instances(small_streams[2], config,
-                                  valid_labels=small_spec.class_labels)
+        tables = row_tables(small_streams, [config],
+                            valid_labels=small_spec.class_labels)[config]
+        train = tables[1] + tables[2]
+        test = tables[3]
         # many equally informative features tie the top two gains, so the
         # tie path must be reachable within a few hundred instances
         params = LearnerParams(vfdt_grace_period=50, vfdt_delta=0.05,

@@ -14,18 +14,14 @@ from harbench.dataset import (FEATURE_CHANNEL_INDEX, SensorStream,
 from harbench.ensemble import Ensemble, EnsembleError, LearnerParams
 from harbench.evaluation import (EvaluationError, FoldResult,
                                  SINGLE_ACTIVITY_USER, emit_reports,
-                                 evaluate_fold, louo_split,
-                                 pipeline_instances, sweep)
-from harbench.windowing import WindowConfig, WindowingError
+                                 evaluate_fold, louo_split, sweep)
+from harbench.features import extract_stream
+from harbench.windowing import WindowConfig, WindowingError, labeled_windows
 
 FAST = LearnerParams(knn_capacity=500, vfdt_grace_period=50)
 # a low gate, so semi-supervised runs update their model
 GATE_05 = LearnerParams(knn_capacity=500, vfdt_grace_period=50,
                         confidence_threshold=0.5)
-
-
-def by_user(streams):
-    return {s.user_id: s for s in streams}
 
 
 class TestLouoSplit:
@@ -66,7 +62,7 @@ class TestFoldResult:
 
 class TestEvaluateFold:
     def test_per_activity_counts_recompose_totals(self, small_streams, small_spec):
-        result = evaluate_fold(by_user(small_streams), 3,
+        result = evaluate_fold(small_streams, 3,
                                WindowConfig(50, 0.5), "supervised_frozen",
                                params=FAST,
                                valid_labels=small_spec.class_labels)[0]
@@ -75,14 +71,14 @@ class TestEvaluateFold:
         assert result.n_windows > 0
 
     def test_frozen_mode_never_self_updates(self, small_streams, small_spec):
-        result = evaluate_fold(by_user(small_streams), 1,
+        result = evaluate_fold(small_streams, 1,
                                WindowConfig(50, 0.0), "supervised_frozen",
                                params=FAST,
                                valid_labels=small_spec.class_labels)[0]
         assert result.self_updates == 0
 
     def test_audit_covers_every_test_window(self, small_streams, small_spec):
-        result, audit = evaluate_fold(by_user(small_streams), 2,
+        result, audit = evaluate_fold(small_streams, 2,
                                       WindowConfig(50, 0.5), "semi_supervised",
                                       params=FAST,
                                       valid_labels=small_spec.class_labels)
@@ -93,7 +89,7 @@ class TestEvaluateFold:
         assert recount == result.n_correct
 
     def test_window_longer_than_stream_is_empty(self, small_streams, small_spec):
-        result = evaluate_fold(by_user(small_streams), 1,
+        result = evaluate_fold(small_streams, 1,
                                WindowConfig(10_000, 0.0), "supervised_frozen",
                                params=FAST,
                                valid_labels=small_spec.class_labels)[0]
@@ -102,9 +98,9 @@ class TestEvaluateFold:
     def test_matches_manual_pipeline(self, small_streams, small_spec):
         # the fold's test instances are exactly the test user's pipeline output
         config = WindowConfig(50, 0.0)
-        manual = pipeline_instances(small_streams[2], config,
-                                    valid_labels=small_spec.class_labels)
-        result = evaluate_fold(by_user(small_streams), 3, config,
+        manual = extract_stream(labeled_windows(
+            small_streams[2], config, valid_labels=small_spec.class_labels))
+        result = evaluate_fold(small_streams, 3, config,
                                "supervised_frozen", params=FAST,
                                valid_labels=small_spec.class_labels)[0]
         assert result.n_windows == len(manual)
@@ -117,8 +113,8 @@ class TestEvaluateFold:
         # with the kNN store on either side of the filter's crossover
         labels = hard_spec.class_labels
         config = WindowConfig(20, 0.8)
-        tables = {s.user_id: pipeline_instances(s, config, valid_labels=labels)
-                  for s in hard_streams}
+        tables = evaluation.row_tables(hard_streams, [config],
+                                       valid_labels=labels)[config]
         model = evaluation.fold_model(
             tables, 2, LearnerParams(knn_capacity=capacity), labels)
         assert model.members[0].size == capacity
@@ -133,9 +129,15 @@ class TestEvaluateFold:
 
     def test_unknown_user_raises(self, small_streams, small_spec):
         with pytest.raises(EvaluationError):
-            evaluate_fold(by_user(small_streams), 7, WindowConfig(50, 0.0),
+            evaluate_fold(small_streams, 7, WindowConfig(50, 0.0),
                           "supervised_frozen", params=FAST,
                           valid_labels=small_spec.class_labels)
+
+    def test_repeated_user_raises(self, small_streams, small_spec):
+        with pytest.raises(EvaluationError, match="duplicate"):
+            evaluate_fold([*small_streams, small_streams[0]], 2,
+                          WindowConfig(50, 0.0), "supervised_frozen",
+                          params=FAST, valid_labels=small_spec.class_labels)
 
     @pytest.mark.parametrize("labels", [(1, 2, 3), (1, 8, 3)])
     def test_cell_is_keyed_by_its_models_classes(self, small_spec, labels):
@@ -145,8 +147,8 @@ class TestEvaluateFold:
             dataclasses.replace(c, label=label)
             for c, label in zip(small_spec.classes, labels)])
         config = WindowConfig(50, 0.5)
-        tables = {s.user_id: pipeline_instances(s, config, valid_labels=labels)
-                  for s in generate_synthetic(spec)}
+        tables = evaluation.row_tables(generate_synthetic(spec), [config],
+                                       valid_labels=labels)[config]
         model = evaluation.fold_model(tables, 2, FAST, labels)
         result, audit = evaluation.score_fold(model, tables, 2, config,
                                               "semi_supervised")
@@ -159,8 +161,8 @@ class TestEvaluateFold:
                                                         small_spec):
         labels = small_spec.class_labels
         config = WindowConfig(50, 0.0)
-        tables = {s.user_id: pipeline_instances(s, config, valid_labels=labels)
-                  for s in small_streams}
+        tables = evaluation.row_tables(small_streams, [config],
+                                       valid_labels=labels)[config]
         tables[1] = tables[1] + tables[2][:1]  # a user 2 instance in user 1's
         with pytest.raises(EvaluationError, match="test-user instance"):
             evaluation.fold_model(tables, 2, FAST, labels)
@@ -193,7 +195,8 @@ class TestRowTables:
             assert sorted(tables[config]) == [1, 2, 3, 4]
             for stream in streams:
                 got = tables[config][stream.user_id]
-                want = pipeline_instances(stream, config, valid_labels=labels)
+                want = extract_stream(labeled_windows(stream, config,
+                                                      valid_labels=labels))
                 assert len(got) == len(want)
                 assert all(g.values.tobytes() == w.values.tobytes()
                            and (g.label, g.quality_ok, g.user_id)
@@ -202,13 +205,23 @@ class TestRowTables:
                 flagged += sum(not fv.quality_ok for fv in got)
         assert flagged > 0 and tables[self.CONFIGS[0]][4] == []
 
+    @pytest.mark.parametrize("purity", [1.5, -3.0, float("nan")])
+    def test_purity_outside_unit_interval_raises(self, small_streams,
+                                                 small_spec, purity):
+        # sweep, eval and profile build their tables here, so each refuses
+        # the purity rather than keeping no window or every window
+        with pytest.raises(WindowingError, match="purity"):
+            evaluation.row_tables(small_streams, [WindowConfig(50, 0.0)],
+                                  purity=purity,
+                                  valid_labels=small_spec.class_labels)
+
 
 class TestFoldModels:
     @staticmethod
     def tables(streams, labels):
         config = WindowConfig(50, 0.5)
-        tables = {s.user_id: pipeline_instances(s, config, valid_labels=labels)
-                  for s in streams}
+        tables = evaluation.row_tables(streams, [config],
+                                       valid_labels=labels)[config]
         tables[4] = []  # a user with no instances
         return tables
 
@@ -375,7 +388,7 @@ class TestSweep:
         assert sorted(recomputed, key=_cell_key) == dropped
         assert len(results) == 3 * len(windows) * len(self.MODES)
         for r in results:
-            expected = evaluate_fold(by_user(small_streams), r.user,
+            expected = evaluate_fold(small_streams, r.user,
                                      WindowConfig(r.window_size, r.overlap),
                                      r.mode, params=FAST,
                                      valid_labels=labels)[0]
@@ -499,9 +512,9 @@ class TestSweep:
               valid_labels=labels)
         expected = []
         for w, o in product(self.WINDOWS, self.OVERLAPS):
-            tables = {s.user_id: pipeline_instances(s, WindowConfig(w, o),
-                                                    valid_labels=labels)
-                      for s in hard_streams}
+            config = WindowConfig(w, o)
+            tables = evaluation.row_tables(hard_streams, [config],
+                                           valid_labels=labels)[config]
             for user in sorted(tables):
                 fresh = evaluation.fold_model(tables, user, GATE_05, labels)
                 expected += [fresh.state_hash()] * len(self.MODES)
@@ -589,6 +602,30 @@ class TestSweep:
                          progress=recomputed.append)
         assert [_cell_key(r) for r in recomputed] == [cell]
         assert again == first
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1 and warnings[0].startswith("warning: ")
+
+    def test_resume_recomputes_cell_of_other_code(self, small_streams,
+                                                  small_spec, tmp_path,
+                                                  capsys):
+        # a cell scored by other source of the scoring modules, as before a
+        # change to a learner rule, is recomputed, not served
+        labels = small_spec.class_labels
+        first = self.run(small_streams, labels, tmp_path)
+        paths = sorted((tmp_path / "cells").iterdir())
+        codes = {json.loads(p.read_text())["key"]["code"] for p in paths}
+        assert len(codes) == 1 and len(codes.pop()) == 64
+        fresh = paths[0].read_bytes()
+        cell = json.loads(fresh)
+        cell["key"]["code"] = "0" * 64
+        paths[0].write_text(json.dumps(cell, sort_keys=True))
+        capsys.readouterr()
+        recomputed = []
+        again = self.run(small_streams, labels, tmp_path, resume=True,
+                         progress=recomputed.append)
+        assert recomputed == [FoldResult.from_dict(cell["result"])]
+        assert again == first
+        assert paths[0].read_bytes() == fresh
         warnings = capsys.readouterr().err.splitlines()
         assert len(warnings) == 1 and warnings[0].startswith("warning: ")
 

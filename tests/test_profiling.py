@@ -5,7 +5,7 @@ from harbench.ensemble import Ensemble, LearnerParams
 from harbench.evaluation import EvaluationError, FoldResult, sweep
 from harbench.profiling import (PowerModel, ProfilingError, TimingBreakdown,
                                 estimate_energy, timed_run, write_profile)
-from harbench.windowing import WindowConfig, classification_count
+from harbench.windowing import WindowConfig, classification_count, segment
 
 FAST = LearnerParams(knn_capacity=500, vfdt_grace_period=50)
 
@@ -58,8 +58,7 @@ class TestPowerModel:
 
 @pytest.fixture(scope="module")
 def run(small_streams, small_spec):
-    return timed_run(small_streams[:2], small_streams[2],
-                     WindowConfig(50, 0.5), params=FAST,
+    return timed_run(small_streams, 3, WindowConfig(50, 0.5), params=FAST,
                      valid_labels=small_spec.class_labels, repetitions=5)
 
 
@@ -93,11 +92,28 @@ class TestTimedRun:
             return extract(window, window_index)
 
         monkeypatch.setattr(profiling, "extract", counting_extract)
-        bd = timed_run(small_streams[:2], small_streams[2],
-                       WindowConfig(50, 0.5), params=FAST,
+        bd = timed_run(small_streams, 3, WindowConfig(50, 0.5), params=FAST,
                        valid_labels=small_spec.class_labels, repetitions=2)
         assert bd.result.n_windows > 0
         assert calls == list(range(bd.result.n_windows)) * 2
+
+    def test_sampling_timed_one_label_window_per_window(
+            self, small_streams, small_spec, monkeypatch):
+        # a device labels each window as it closes, not the stream at once
+        label_window = profiling.label_window
+        calls = []
+
+        def counting_label(window, *args):
+            calls.append(window.start)
+            return label_window(window, *args)
+
+        monkeypatch.setattr(profiling, "label_window", counting_label)
+        config = WindowConfig(50, 0.5)
+        bd = timed_run(small_streams, 3, config, params=FAST,
+                       valid_labels=small_spec.class_labels, repetitions=2)
+        starts = [w.start for w in segment(small_streams[2], config)]
+        assert 0 < bd.result.n_windows < len(starts)
+        assert calls == starts * 2
 
     def test_trains_once_across_repetitions(self, small_streams, small_spec,
                                             monkeypatch):
@@ -109,8 +125,7 @@ class TestTimedRun:
             return original(model, instances)
 
         monkeypatch.setattr(Ensemble, "train_offline", counting)
-        bd = timed_run(small_streams[:2], small_streams[2],
-                       WindowConfig(50, 0.5), params=FAST,
+        bd = timed_run(small_streams, 3, WindowConfig(50, 0.5), params=FAST,
                        valid_labels=small_spec.class_labels, repetitions=5)
         assert bd.result.n_windows > 0
         assert len(calls) == 1
@@ -130,9 +145,8 @@ class TestTimedRun:
             return run_online(model, instances, mode)
 
         monkeypatch.setattr(Ensemble, "run_online", recording_run)
-        bd = timed_run(hard_streams[:2], hard_streams[2], config,
-                       mode="semi_supervised", params=params,
-                       valid_labels=labels, repetitions=3)
+        bd = timed_run(hard_streams, 3, config, mode="semi_supervised",
+                       params=params, valid_labels=labels, repetitions=3)
         assert len(started) == 3 and len(set(started)) == 1
         assert bd.result.self_updates > 0
 
@@ -144,40 +158,43 @@ class TestTimedRun:
         cells = sweep(hard_streams, [50], [0.5], [mode], seed=0,
                       out_dir=str(tmp_path), params=params,
                       valid_labels=hard_spec.class_labels)
-        bd = timed_run(hard_streams[:2], hard_streams[2],
-                       WindowConfig(50, 0.5), mode=mode, params=params,
-                       valid_labels=hard_spec.class_labels, repetitions=2)
-        assert bd.result == next(r for r in cells if r.user == 3)
+        # every fold, the first and middle ones training users after the prefix
+        for cell in cells:
+            bd = timed_run(hard_streams, cell.user, WindowConfig(50, 0.5),
+                           mode=mode, params=params,
+                           valid_labels=hard_spec.class_labels, repetitions=1)
+            assert bd.result == cell
+        assert [cell.user for cell in cells] == [1, 2, 3]
 
     @pytest.mark.parametrize("mode", ["supervised_frozen", "semi_supervised"])
     def test_result_is_the_sweep_cell_whatever_the_training_order(
             self, hard_streams, hard_spec, tmp_path, mode):
         # the fold trains in user order, as the sweep does, not in the order
-        # the training streams are given
+        # the streams are given
         params = LearnerParams(k=5, knn_capacity=300, vfdt_delta=0.05,
                                vfdt_tie_threshold=0.5, vfdt_grace_period=50,
                                confidence_threshold=0.65)
         cells = sweep(hard_streams, [50], [0.5], [mode], seed=0,
                       out_dir=str(tmp_path), params=params,
                       valid_labels=hard_spec.class_labels)
-        bd = timed_run(hard_streams[1::-1], hard_streams[2],
-                       WindowConfig(50, 0.5), mode=mode, params=params,
+        bd = timed_run(hard_streams[::-1], 3, WindowConfig(50, 0.5),
+                       mode=mode, params=params,
                        valid_labels=hard_spec.class_labels, repetitions=1)
         assert bd.result == next(r for r in cells if r.user == 3)
 
-    @pytest.mark.parametrize("train", [(0, 1, 2), (0, 0)],
-                             ids=["test_user_in_training", "repeated_user"])
+    @pytest.mark.parametrize("streams,test_user", [((0, 1, 2, 0), 3),
+                                                   ((0, 1, 2), 7)],
+                             ids=["repeated_user", "unknown_test_user"])
     def test_bad_training_streams_rejected(self, small_streams, small_spec,
-                                           train):
+                                           streams, test_user):
         with pytest.raises(EvaluationError):
-            timed_run([small_streams[i] for i in train], small_streams[2],
+            timed_run([small_streams[i] for i in streams], test_user,
                       WindowConfig(50, 0.5), params=FAST,
                       valid_labels=small_spec.class_labels, repetitions=1)
 
     def test_bad_repetitions(self, small_streams, small_spec):
         with pytest.raises(ProfilingError):
-            timed_run(small_streams[:2], small_streams[2],
-                      WindowConfig(50, 0.0), repetitions=0,
+            timed_run(small_streams, 3, WindowConfig(50, 0.0), repetitions=0,
                       valid_labels=small_spec.class_labels)
 
 

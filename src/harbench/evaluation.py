@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ensemble, features, learners, windowing
-from .dataset import PROTOCOL_ACTIVITIES
+from .dataset import PROTOCOL_ACTIVITIES, DatasetError
 from .ensemble import MODES, Ensemble, LearnerParams
 from .features import extract_stream
 from .windowing import (DEFAULT_PURITY, WindowConfig, check_purity,
@@ -107,7 +107,8 @@ def row_tables(streams, configs, purity=DEFAULT_PURITY,
     A user's windows at the union of the configs' starts are labeled and
     featurized once, numbered in that union, and each config takes the
     kept ones at its steps: a window's features do not depend on its
-    block."""
+    block. Streams that louo_split refuses raise EvaluationError."""
+    louo_split(streams)
     size = configs[0].window_size
     tables = {config: {} for config in configs}
     for stream in streams:
@@ -161,7 +162,10 @@ def fold_model(tables, test_user, params=None,
                valid_labels=PROTOCOL_ACTIVITIES):
     """The fold's ensemble, trained offline on every other user's instances,
     in sorted user order, only when the test user has any; tables: user ->
-    instances, one config's from row_tables. fold_models' one-fold call."""
+    instances, one config's from row_tables. fold_models' one-fold call;
+    a test user with no table raises DatasetError."""
+    if test_user not in tables:
+        raise DatasetError(f"no stream for user {test_user}")
     return next(fold_models(tables, [test_user], params, valid_labels))[1]
 
 
@@ -190,8 +194,6 @@ def evaluate_fold(streams, test_user, config, mode, params=None,
                   purity=DEFAULT_PURITY, valid_labels=PROTOCOL_ACTIVITIES):
     """(FoldResult, audit) of one cell of sweep's streams: train on every
     other user, score the test user as score_fold does."""
-    if test_user not in louo_split(streams):
-        raise EvaluationError(f"no stream for user {test_user}")
     tables = row_tables(streams, [config], purity, valid_labels)[config]
     model = fold_model(tables, test_user, params, valid_labels)
     return score_fold(model, tables, test_user, config, mode)
@@ -292,6 +294,7 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
                 Path(path).read_bytes() for path in (
                     windowing.__file__, features.__file__, learners.__file__,
                     ensemble.__file__, __file__))).hexdigest(),
+            "numpy": np.__version__,  # its kernels' bits may change
             "seed": seed}
     cell_dir = os.path.join(out_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FEATURE_CHANNELS
+from .dataset import FEATURE_CHANNEL_INDEX, FEATURE_CHANNELS
 
 N_FEATURES = 81
 
@@ -90,8 +90,10 @@ def _kernel(block):
 
 
 def _extract(windows, first_index, size=None):
-    """FeatureVectors of equal-size windows, numbered from first_index."""
-    channels = [w.channels.T for w in windows]
+    """FeatureVectors of equal-size windows, numbered from first_index,
+    each from the feature channels of its own rows only."""
+    channels = [w.stream.values[w.start:w.start + w.size,
+                                FEATURE_CHANNEL_INDEX].T for w in windows]
     size = size or channels[0].shape[1]
     if any(c.shape[1] != size for c in channels):
         raise FeatureError(f"window sizes differ from {size}")
@@ -120,7 +122,7 @@ def extract_stream(windows):
     windows = list(windows)
     if not windows:
         return []
-    size = len(windows[0].channels)
+    size = windows[0].size
     step = max(1, _BLOCK_VALUES // (27 * size))
     return [fv for lo in range(0, len(windows), step)
             for fv in _extract(windows[lo:lo + step], lo, size)]

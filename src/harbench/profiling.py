@@ -80,11 +80,10 @@ def timed_run(streams, test_user, config, mode="supervised_frozen",
     row_tables' instances; each repetition then times segment and one
     label_window call per window (sampling), one extract call per kept
     window (features) and run_online (classification) on an untimed clone
-    of the model. A repeated or unknown user raises EvaluationError."""
+    of the model. Streams and users are refused as fold_model and
+    row_tables refuse them."""
     if repetitions < 1:
         raise ProfilingError("repetitions must be >= 1")
-    if test_user not in evaluation.louo_split(streams):
-        raise evaluation.EvaluationError(f"no stream for user {test_user}")
     tables = evaluation.row_tables(streams, [config], purity,
                                    valid_labels)[config]
     model = evaluation.fold_model(tables, test_user, params, valid_labels)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (FEATURE_CHANNEL_INDEX, PROTOCOL_ACTIVITIES,
-                      TRANSIENT_ACTIVITY)
+from .dataset import PROTOCOL_ACTIVITIES, TRANSIENT_ACTIVITY
 
 DEFAULT_PURITY = 0.8
 
@@ -42,11 +41,8 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class Window:
-    """A view of `size` stream rows from `start`; labeled once kept.
-
-    Accessors slice the rows first, so a window never reads more of the
-    stream than its own rows.
-    """
+    """Where a window lies: `size` stream rows from `start`; labeled once
+    kept. label_window and features.extract slice its rows themselves."""
     stream: object
     start: int
     size: int
@@ -55,17 +51,6 @@ class Window:
     @property
     def user_id(self):
         return self.stream.user_id
-
-    @property
-    def activity_ids(self):
-        ids = self.stream.values[self.start:self.start + self.size, 1]
-        return ids.astype(np.int64)
-
-    @property
-    def channels(self):
-        """(size, 27) feature-channel slice."""
-        return self.stream.values[self.start:self.start + self.size,
-                                  FEATURE_CHANNEL_INDEX]
 
 
 def segment(stream, config):
@@ -90,7 +75,8 @@ def label_window(candidate, purity_threshold=DEFAULT_PURITY,
     earlier in the window. Kept only when the modal share reaches the
     purity threshold and the label is a valid (non-transient) activity.
     """
-    ids = candidate.activity_ids
+    start, size = candidate.start, candidate.size
+    ids = candidate.stream.values[start:start + size, 1].astype(np.int64)
     labels, first_pos, counts = np.unique(ids, return_index=True,
                                           return_counts=True)
     order = np.lexsort((first_pos, -counts))  # max count, then earliest

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from harbench.dataset import SyntheticSpec, generate_synthetic
+from harbench.dataset import (FEATURE_CHANNEL_INDEX, N_COLUMNS, SensorStream,
+                              SyntheticSpec, generate_synthetic)
 
 
 def make_line(ts, activity, hr="NaN", fill=1.0, n_imu_cols=51):
@@ -47,10 +48,15 @@ def hard_streams(hard_spec):
 
 
 class FakeWindow:
-    """Minimal window stand-in: direct channel data, no stream backing."""
+    """Minimal window stand-in: the one window of a stream holding these
+    (size, 27) feature channels, which stay readable for the oracles."""
 
     def __init__(self, channels, label=1, user_id=1):
         self.channels = np.asarray(channels, dtype=np.float64)
+        values = np.zeros((len(self.channels), N_COLUMNS))
+        values[:, FEATURE_CHANNEL_INDEX] = self.channels
+        self.stream = SensorStream(user_id, values)
+        self.start, self.size = 0, len(self.channels)
         self.label = label
         self.user_id = user_id
 

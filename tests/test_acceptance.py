@@ -9,6 +9,7 @@ HARBENCH_DATA_DIR or PAMAP2_DIR to enable them).
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,7 +259,7 @@ def test_criterion_9_sweep_determinism(tmp_path, small_streams, small_spec):
                         valid_labels=small_spec.class_labels, workers=1)
         paths = emit_reports(results, str(out),
                              valid_labels=small_spec.class_labels)
-        outputs.append({os.path.basename(p): open(p, "rb").read()
+        outputs.append({os.path.basename(p): Path(p).read_bytes()
                         for p in paths})
     assert outputs[0].keys() == outputs[1].keys()
     for name in outputs[0]:

@@ -353,11 +353,16 @@ class TestSweepCommand:
                 "--out", str(out)]
 
     def test_end_to_end(self, capsys, spec_file, tmp_path):
-        assert run(self.sweep_args(spec_file, tmp_path)) == 0
+        assert run(self.sweep_args(spec_file, tmp_path) + ["--verbose"]) == 0
         out = capsys.readouterr().out
         assert os.path.exists(tmp_path / "long.csv")
         assert os.path.exists(tmp_path / "summary.csv")
         assert "wrote" in out
+        # --verbose prints each of the 2 users x 2 overlaps x 2 modes cells
+        progress = [line for line in out.splitlines()
+                    if line.startswith("user ")]
+        assert len(progress) == 8
+        assert all(" acc=" in line for line in progress)
 
     def test_resume_reports_identical(self, capsys, spec_file, tmp_path):
         run(self.sweep_args(spec_file, tmp_path))
@@ -454,6 +459,20 @@ class TestEvalCommand:
         assert ([line.split(":")[0] for line in lines]
                 == ["  Lying", "  Sitting", "  Standing"])
 
+    def test_missing_subject_files_are_named(self, capsys, spec_file,
+                                             tmp_path):
+        # only users 1 and 2 have subject files: the others are named on
+        # stderr, and the cell is still scored
+        spec = dataset.SyntheticSpec.from_file(spec_file)
+        for stream in dataset.generate_synthetic(spec):
+            (tmp_path / f"subject10{stream.user_id}.dat").write_text(
+                dataset.serialize_stream(stream))
+        assert run(self.EVAL + ["--data-dir", str(tmp_path)]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: missing subject files for users "
+                                "[3, 4, 5, 6, 7, 8, 9]\n")
+        assert "accuracy=" in captured.out
+
     def test_bad_learner_param_exits_two(self, capsys, spec_file):
         code = run(["eval", "--synthetic", spec_file, "--user", "2",
                     "--window", "50", "--overlap", "0.0", "--k", "0"])
@@ -476,10 +495,13 @@ class TestEvalCommand:
         assert code == cli.EXIT_BAD_GRID
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_unknown_user_exits_three(self, capsys, spec_file):
+    def test_unknown_user_exits_three(self, capsys, spec_file, tmp_path):
+        out = tmp_path / "new"
         code = run(["eval", "--synthetic", spec_file, "--user", "7",
-                    "--window", "50", "--overlap", "0.0"])
+                    "--window", "50", "--overlap", "0.0", "--out", str(out)])
         assert code == cli.EXIT_MISSING_DATA
+        assert capsys.readouterr().err == "error: no stream for user 7\n"
+        assert not out.exists()
 
 
 class TestProfileCommand:

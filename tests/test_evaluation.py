@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from harbench import evaluation
-from harbench.dataset import (FEATURE_CHANNEL_INDEX, SensorStream,
-                              generate_synthetic)
+from harbench.dataset import (FEATURE_CHANNEL_INDEX, DatasetError,
+                              SensorStream, generate_synthetic)
 from harbench.ensemble import Ensemble, EnsembleError, LearnerParams
 from harbench.evaluation import (EvaluationError, FoldResult,
                                  SINGLE_ACTIVITY_USER, emit_reports,
@@ -128,7 +128,7 @@ class TestEvaluateFold:
                                                 "supervised_frozen", labels)
 
     def test_unknown_user_raises(self, small_streams, small_spec):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(DatasetError, match="no stream for user 7"):
             evaluate_fold(small_streams, 7, WindowConfig(50, 0.0),
                           "supervised_frozen", params=FAST,
                           valid_labels=small_spec.class_labels)
@@ -605,19 +605,25 @@ class TestSweep:
         warnings = capsys.readouterr().err.splitlines()
         assert len(warnings) == 1 and warnings[0].startswith("warning: ")
 
+    @pytest.mark.parametrize("field,other", [("code", "0" * 64),
+                                             ("numpy", "1.26.4")],
+                             ids=["code", "numpy"])
     def test_resume_recomputes_cell_of_other_code(self, small_streams,
                                                   small_spec, tmp_path,
-                                                  capsys):
+                                                  capsys, field, other):
         # a cell scored by other source of the scoring modules, as before a
-        # change to a learner rule, is recomputed, not served
+        # change to a learner rule, or under another numpy, whose kernels
+        # may round otherwise, is recomputed, not served
         labels = small_spec.class_labels
         first = self.run(small_streams, labels, tmp_path)
         paths = sorted((tmp_path / "cells").iterdir())
-        codes = {json.loads(p.read_text())["key"]["code"] for p in paths}
+        keys = [json.loads(p.read_text())["key"] for p in paths]
+        codes = {key["code"] for key in keys}
         assert len(codes) == 1 and len(codes.pop()) == 64
+        assert {key["numpy"] for key in keys} == {np.__version__}
         fresh = paths[0].read_bytes()
         cell = json.loads(fresh)
-        cell["key"]["code"] = "0" * 64
+        cell["key"][field] = other
         paths[0].write_text(json.dumps(cell, sort_keys=True))
         capsys.readouterr()
         recomputed = []

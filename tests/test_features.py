@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from harbench import features
 from harbench.dataset import FEATURE_CHANNEL_INDEX, N_COLUMNS, SensorStream
 from harbench.features import (FEATURE_NAMES, N_FEATURES, FeatureError,
-                               extract, extract_stream)
+                               FeatureVector, extract, extract_stream)
 from harbench.windowing import WindowConfig, segment
 
 from conftest import FakeWindow, random_window
@@ -33,9 +33,15 @@ def oracle_pearson(a, b):
     return cov / math.sqrt(va * vb)
 
 
+def window_channels(window):
+    """The window's (size, 27) feature channels, read from its stream."""
+    rows = window.stream.values[window.start:window.start + window.size]
+    return np.asarray(rows[:, FEATURE_CHANNEL_INDEX], dtype=np.float64)
+
+
 def oracle_extract(window):
     """Each of the 81 features computed independently, one at a time."""
-    data = np.asarray(window.channels, dtype=np.float64)
+    data = window_channels(window)
     means = [oracle_stats(data[:, j])[0] for j in range(27)]
     stds = [oracle_stats(data[:, j])[1] for j in range(27)]
     corrs = []
@@ -84,8 +90,7 @@ def _reference_fill(channels):
 
 def reference_extract(window):
     """(81 values, quality flag) exactly as the per-window featurizer gave."""
-    data, quality_ok = _reference_fill(
-        np.asarray(window.channels, dtype=np.float64))
+    data, quality_ok = _reference_fill(window_channels(window))
     means = data.mean(axis=0)
     stds = np.sqrt(np.mean((data - means) ** 2, axis=0))
     corrs = np.empty(27)
@@ -288,6 +293,11 @@ class TestExtract:
         fv = extract(FakeWindow(data))
         assert fv.values[0] == pytest.approx(1.0)
         assert fv.values[27] == pytest.approx(0.0)
+
+
+def test_feature_vector_holds_81_values():
+    with pytest.raises(FeatureError):
+        FeatureVector(values=np.zeros(80), label=1, user_id=1, window_index=0)
 
 
 def test_feature_names_align_with_values():

@@ -1,6 +1,10 @@
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
 from harbench import profiling
+from harbench.dataset import DatasetError
 from harbench.ensemble import Ensemble, LearnerParams
 from harbench.evaluation import EvaluationError, FoldResult, sweep
 from harbench.profiling import (PowerModel, ProfilingError, TimingBreakdown,
@@ -182,15 +186,27 @@ class TestTimedRun:
                        valid_labels=hard_spec.class_labels, repetitions=1)
         assert bd.result == next(r for r in cells if r.user == 3)
 
-    @pytest.mark.parametrize("streams,test_user", [((0, 1, 2, 0), 3),
-                                                   ((0, 1, 2), 7)],
+    @pytest.mark.parametrize("streams,test_user,error",
+                             [((0, 1, 2, 0), 3, EvaluationError),
+                              ((0, 1, 2), 7, DatasetError)],
                              ids=["repeated_user", "unknown_test_user"])
     def test_bad_training_streams_rejected(self, small_streams, small_spec,
-                                           streams, test_user):
-        with pytest.raises(EvaluationError):
+                                           streams, test_user, error):
+        with pytest.raises(error):
             timed_run([small_streams[i] for i in streams], test_user,
                       WindowConfig(50, 0.5), params=FAST,
                       valid_labels=small_spec.class_labels, repetitions=1)
+
+    def test_coarse_timer_is_reported(self, small_streams, small_spec,
+                                      monkeypatch, tmp_path):
+        monkeypatch.setattr(profiling.time, "get_clock_info",
+                            lambda name: SimpleNamespace(resolution=0.001))
+        bd = timed_run(small_streams, 3, WindowConfig(50, 0.0), params=FAST,
+                       valid_labels=small_spec.class_labels, repetitions=1)
+        warning = "timer resolution 0.001s is coarser than 1us"
+        assert bd.warnings == [warning]
+        timing, _ = write_profile([bd], PowerModel(1.0, 2.0, 1.5), tmp_path)
+        assert Path(timing).read_text().splitlines()[1].endswith("," + warning)
 
     def test_bad_repetitions(self, small_streams, small_spec):
         with pytest.raises(ProfilingError):
@@ -206,14 +222,14 @@ def test_write_profile_sorts_the_grid(tmp_path):
                       correct={1: 0}),
             breakdown(window_size=100, overlap=0.0, features_s=2.0)]
     timing, heat = write_profile(grid, model, tmp_path / "new")
-    lines = open(timing).read().splitlines()
+    lines = Path(timing).read_text().splitlines()
     assert lines == [
         "window_size,overlap,n_windows,sampling_ns,feature_ns,"
         "classification_ns,rep_total_ns_list,warnings",
         "100,0.0,10,1000000000,2000000000,1000000000,,",
         "100,0.5,0,1000000000,1000000000,1000000000,,",
         "200,0.0,10,1000000000,1000000000,1000000000,4;5,coarse"]
-    lines = open(heat).read().splitlines()
+    lines = Path(heat).read_text().splitlines()
     assert lines == ["window_size,overlap,joules,accuracy,n_windows",
                      "100,0.0,6.5,0.9,10",
                      "100,0.5,4.5,,0",   # an empty cell: no accuracy, not 0

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from harbench import dataset
 from harbench.dataset import PROTOCOL_ACTIVITIES, SensorStream
+from harbench.features import extract
 from harbench.windowing import (Window, WindowConfig, WindowingError,
                                 classification_count, label_starts,
                                 label_window, labeled_windows, segment)
@@ -117,25 +118,21 @@ class TestWindow:
         assert kept == Window(win.stream, 2, 4, label=4)
         assert win.label is None
 
-    def test_accessors_match_stream_slices(self):
+    def test_label_and_extract_read_only_the_window_rows(self):
         rng = np.random.default_rng(5)
-        stream = SensorStream(3, rng.normal(size=(40, dataset.N_COLUMNS)))
-        win = Window(stream, 7, 12)
-        rows = stream.values[7:19]
-        assert win.user_id == 3
-        assert np.array_equal(win.channels,
-                              rows[:, dataset.FEATURE_CHANNEL_INDEX])
-        assert np.array_equal(win.activity_ids, rows[:, 1].astype(np.int64))
-
-    def test_accessors_read_only_their_own_rows(self):
-        stream = RecordingStream(id_stream([4] * 30))
+        values = rng.normal(size=(30, dataset.N_COLUMNS))
+        values[:, 1] = 4
+        stream = RecordingStream(SensorStream(3, values))
         win = Window(stream, 10, 5)
-        win.channels
-        win.activity_ids
-        label_window(win)
+        assert win.user_id == 3
+        assert label_window(win).label == 4
+        fv = extract(win)
         assert stream.values.keys
         for rows, _ in stream.values.keys:
             assert (rows.start, rows.stop) == (10, 15)
+        assert fv.user_id == 3
+        assert fv.values[0] == pytest.approx(
+            values[10:15, dataset.FEATURE_CHANNEL_INDEX[0]].mean())
 
 
 class TestLabelWindow:

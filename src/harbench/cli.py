@@ -49,7 +49,9 @@ def _subject_path(data_dir, user):
 
 
 def load_pamap2(data_dir):
-    """Parse and protocol-filter the available subject files of users 1-9."""
+    """Parse and protocol-filter the available subject files of users 1-9:
+    (raw row count, filtered stream) pairs, so no raw stream outlives its
+    filtering, and the users with no file."""
     if not data_dir or not os.path.isdir(data_dir):
         raise CliError(f"data directory not found: {data_dir!r}",
                        EXIT_MISSING_DATA)
@@ -60,7 +62,7 @@ def load_pamap2(data_dir):
             missing.append(user)
             continue
         raw = dataset.parse_subject_file(path, user)
-        streams.append((raw, dataset.filter_protocol_activities(raw)))
+        streams.append((len(raw), dataset.filter_protocol_activities(raw)))
     if not streams:
         raise CliError(f"no subject files found under {data_dir}",
                        EXIT_MISSING_DATA)
@@ -123,15 +125,15 @@ def cmd_validate(args):
         print(f"user {user}: MISSING subject file")
     ok = not missing
     total_raw = 0
-    for raw, filtered in pairs:
-        total_raw += len(raw)
+    for n_raw, filtered in pairs:
+        total_raw += n_raw
         counts = dataset.sample_counts(filtered)
-        expected = REFERENCE_COUNTS[raw.user_id]
+        expected = REFERENCE_COUNTS[filtered.user_id]
         diffs = {a: (counts[a], expected[a]) for a in PROTOCOL_ACTIVITIES
                  if counts[a] != expected[a]}
         status = "PASS" if not diffs else "FAIL"
         ok = ok and not diffs
-        print(f"user {raw.user_id}: raw={len(raw)} filtered={len(filtered)} "
+        print(f"user {filtered.user_id}: raw={n_raw} filtered={len(filtered)} "
               f"{status}")
         for a, (got, want) in sorted(diffs.items()):
             print(f"  {ACTIVITY_NAMES[a]}: got {got}, expected {want}")

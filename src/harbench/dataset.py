@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -70,6 +71,10 @@ _RAW_COLUMNS = len(_RAW_LAYOUT)  # 54
 _RAW_INDEX = [_RAW_LAYOUT.index(c) for c in COLUMNS]
 _GATHER = itemgetter(*_RAW_INDEX)
 
+# Rows per np.loadtxt call. The reader allocates max_rows rows up front, so a
+# chunk far longer than a file holds multiplies that file's parse memory.
+CHUNK = 4096
+
 # Per-user per-activity reference sample counts for the nine subjects
 # (protocol activities only), used by the validate command.
 REFERENCE_COUNTS = {
@@ -92,7 +97,9 @@ REFERENCE_COUNTS = {
     9: {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0,
         7: 0, 12: 0, 13: 0, 16: 0, 17: 0, 24: 6391},
 }
-TOTAL_RAW_SAMPLES = 1_926_896
+# Rows of the nine Protocol files, transient (id 0) and other activities
+# included: the filtered rows above are a subset of them.
+TOTAL_RAW_SAMPLES = 2_872_533
 
 
 class DatasetError(Exception):
@@ -141,6 +148,11 @@ def parse_subject_file(text_source, user_id) -> SensorStream:
     the source is one, on wrong column count, unparsable or infinite
     tokens or non-monotone timestamps, and DatasetError naming a path it
     cannot open, read or decode.
+
+    A seekable file goes through numpy's C reader CHUNK rows at a time;
+    input it refuses, or whose rows fail a check, is rewound for the line
+    loop, which other iterables go to directly. The loop names the line at
+    fault, and reads tokens float() takes that the C reader refuses ("1_0").
     """
     if isinstance(text_source, (str, bytes)) or hasattr(text_source, "__fspath__"):
         try:
@@ -150,6 +162,16 @@ def parse_subject_file(text_source, user_id) -> SensorStream:
             raise ParseError(exc.message, exc.line_no, text_source) from None
         except (OSError, UnicodeDecodeError) as exc:
             raise DatasetError(f"cannot read {text_source}: {exc}") from exc
+
+    try:  # a text file being iterated cannot tell its position
+        start = text_source.tell() if text_source.seekable() else None
+    except (AttributeError, OSError):
+        start = None
+    if start is not None:
+        values = _read_chunks(text_source)
+        if values is not None:
+            return SensorStream(user_id, values)
+        text_source.seek(start)
 
     kept = array("d")  # every line's stored columns, back to back
     blank = []  # line numbers of blank lines, to map rows back to lines
@@ -186,6 +208,43 @@ def parse_subject_file(text_source, user_id) -> SensorStream:
             line_no += b <= line_no
         raise ParseError(f"infinite value in column {COLUMNS[col]}", line_no)
     return SensorStream(user_id, values)
+
+
+def _read_chunks(fh):
+    """The stored columns of an open file, read by np.loadtxt CHUNK rows at
+    a time, read-only; None where the line loop must decide: the reader
+    refuses the text, a row is not 54 wide, or a row fails a check."""
+    chunks = [np.empty((0, N_COLUMNS))]  # an empty file joins to (0, 42)
+    with warnings.catch_warnings():
+        # the reader's notices of an empty chunk (the last one, or an empty
+        # file) and of a blank line, which no chunk counts as a row
+        warnings.filterwarnings(
+            "ignore", r"(loadtxt: input|Input line \d+) contained no data",
+            UserWarning)
+        while True:
+            try:
+                raw = np.loadtxt(fh, np.float64, comments=None, ndmin=2,
+                                 max_rows=CHUNK)
+            except ValueError:
+                return None
+            if not len(raw):
+                break
+            if raw.shape[1] != _RAW_COLUMNS:
+                return None
+            chunks.append(raw.take(_RAW_INDEX, axis=1))
+            if len(raw) < CHUNK:
+                break
+    values = np.concatenate(chunks)
+    chunks.clear()  # free them before the checks allocate
+    ts = values[:, 0]
+    # the line loop's checks; an orientation column is not kept, so an
+    # infinite value there passes as it does in the loop
+    if not (np.isfinite(ts).all() and (np.diff(ts) > 0).all()
+            and not np.isnan(values[:, 1]).any()
+            and not np.isinf(values).any()):
+        return None
+    values.setflags(write=False)  # fresh: the stream shares it
+    return values
 
 
 def serialize_stream(stream) -> str:

@@ -417,8 +417,8 @@ class TestSweepCommand:
         assert self.summary_users(tmp_path / "synthetic") == [3] * 4
         streams = dataset.generate_synthetic(
             dataset.SyntheticSpec.from_file(str(spec)))
-        monkeypatch.setattr(cli, "load_pamap2",
-                            lambda data_dir: ([(s, s) for s in streams], []))
+        monkeypatch.setattr(cli, "load_pamap2", lambda data_dir: (
+            [(len(s), s) for s in streams], []))
         for flags, n_users in [([], 2), (["--include-user9"], 3)]:
             out = tmp_path / f"pamap2_{n_users}"
             assert run(["sweep", "--data-dir", str(tmp_path), *grid, *flags,
@@ -452,8 +452,8 @@ class TestEvalCommand:
                                                  tmp_path, monkeypatch):
         streams = dataset.generate_synthetic(
             dataset.SyntheticSpec.from_file(spec_file))
-        monkeypatch.setattr(cli, "load_pamap2",
-                            lambda data_dir: ([(s, s) for s in streams], []))
+        monkeypatch.setattr(cli, "load_pamap2", lambda data_dir: (
+            [(len(s), s) for s in streams], []))
         assert run(self.EVAL + ["--data-dir", str(tmp_path)]) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
         assert ([line.split(":")[0] for line in lines]

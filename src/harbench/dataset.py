@@ -213,8 +213,11 @@ def parse_subject_file(text_source, user_id) -> SensorStream:
 def _read_chunks(fh):
     """The stored columns of an open file, read by np.loadtxt CHUNK rows at
     a time, read-only; None where the line loop must decide: the reader
-    refuses the text, a row is not 54 wide, or a row fails a check."""
+    refuses the text, a row is not 54 wide, or a row fails a check. Each
+    chunk is checked as it is read, so the reader stops at the first one
+    that fails."""
     chunks = [np.empty((0, N_COLUMNS))]  # an empty file joins to (0, 42)
+    prev_ts = -np.inf
     with warnings.catch_warnings():
         # the reader's notices of an empty chunk (the last one, or an empty
         # file) and of a blank line, which no chunk counts as a row
@@ -231,18 +234,21 @@ def _read_chunks(fh):
                 break
             if raw.shape[1] != _RAW_COLUMNS:
                 return None
-            chunks.append(raw.take(_RAW_INDEX, axis=1))
+            kept = raw.take(_RAW_INDEX, axis=1)
+            ts = kept[:, 0]
+            # the line loop's checks, the first timestamp against the last
+            # chunk's; an orientation column is not kept, so an infinite
+            # value there passes as it does in the loop
+            if not (np.isfinite(ts).all() and ts[0] > prev_ts
+                    and (np.diff(ts) > 0).all()
+                    and not np.isnan(kept[:, 1]).any()
+                    and not np.isinf(kept).any()):
+                return None
+            prev_ts = ts[-1]
+            chunks.append(kept)
             if len(raw) < CHUNK:
                 break
     values = np.concatenate(chunks)
-    chunks.clear()  # free them before the checks allocate
-    ts = values[:, 0]
-    # the line loop's checks; an orientation column is not kept, so an
-    # infinite value there passes as it does in the loop
-    if not (np.isfinite(ts).all() and (np.diff(ts) > 0).all()
-            and not np.isnan(values[:, 1]).any()
-            and not np.isinf(values).any()):
-        return None
     values.setflags(write=False)  # fresh: the stream shares it
     return values
 

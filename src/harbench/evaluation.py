@@ -100,6 +100,16 @@ def check_grid(windows, overlaps) -> list:
     return [WindowConfig(w, o) for w in windows for o in overlaps]
 
 
+def user_stream(streams, test_user):
+    """The test user's stream; DatasetError if streams hold none.
+    evaluate_fold and profiling.timed_run ask for it before row_tables
+    labels and featurizes anything."""
+    for stream in streams:
+        if stream.user_id == test_user:
+            return stream
+    raise DatasetError(f"no stream for user {test_user}")
+
+
 def row_tables(streams, configs, purity=DEFAULT_PURITY,
                valid_labels=PROTOCOL_ACTIVITIES):
     """config -> user -> table for configs of one window size, each table
@@ -162,10 +172,9 @@ def fold_model(tables, test_user, params=None,
                valid_labels=PROTOCOL_ACTIVITIES):
     """The fold's ensemble, trained offline on every other user's instances,
     in sorted user order, only when the test user has any; tables: user ->
-    instances, one config's from row_tables. fold_models' one-fold call;
-    a test user with no table raises DatasetError."""
-    if test_user not in tables:
-        raise DatasetError(f"no stream for user {test_user}")
+    instances, one config's from row_tables, with a table for the test
+    user (callers check it with user_stream first). fold_models' one-fold
+    call."""
     return next(fold_models(tables, [test_user], params, valid_labels))[1]
 
 
@@ -194,6 +203,7 @@ def evaluate_fold(streams, test_user, config, mode, params=None,
                   purity=DEFAULT_PURITY, valid_labels=PROTOCOL_ACTIVITIES):
     """(FoldResult, audit) of one cell of sweep's streams: train on every
     other user, score the test user as score_fold does."""
+    user_stream(streams, test_user)
     tables = row_tables(streams, [config], purity, valid_labels)[config]
     model = fold_model(tables, test_user, params, valid_labels)
     return score_fold(model, tables, test_user, config, mode)

@@ -53,15 +53,18 @@ def _welford(mean, m2, x, n):
 # Below this many stored rows predict ranks every row exactly: for one query
 # the filter's extra numpy calls cost more than the rows it would skip
 # (measured crossover). predict_rows filters at any size.
-KNN_FILTER_MIN_ROWS = 256
+KNN_FILTER_MIN_ROWS = 160
 KNN_FIRST_BLOCK = 256  # rows a store starts with; it grows to capacity once
 # stored rows predict_rows' filter reads at a time from a full chunk, which
 # holds _BLOCK_VALUES / _KNN_STORE_ROWS queries; a smaller chunk reads more
 _KNN_STORE_ROWS = 128
 
-_U = float(np.finfo(np.float64).eps) / 2  # unit roundoff
-_NORMAL_MIN = float(np.finfo(np.float64).tiny)
-_SUBNORMAL_MIN = float(np.finfo(np.float64).smallest_subnormal)
+# The filter runs in float32; u bounds its roundings and, being larger than
+# float64's, every float64 rounding too
+_U = 2.0 ** -24  # float32's unit roundoff
+_F32 = np.finfo(np.float32)
+_F32_TINY, _F32_MAX = float(_F32.tiny), float(_F32.max)
+_F32_SUBNORMAL_MIN = float(_F32.smallest_subnormal)  # 2^-149
 
 
 def _gamma(j):
@@ -84,10 +87,12 @@ def _margin(a, c, w):
     """The filter's rounding margin for rows of weighted squared norm a and
     queries of c, with weights w; KnnClassifier._candidates derives it."""
     m = len(w)
-    g = 8.0 * _gamma(m + 5)
+    g = 8.0 * _gamma(m + 11)
+    # 2^-149 (sum(w) + sum(|2 w q|) + 20 m), as sum(|2 w q|) <= sum(w) + c
+    tiny = _F32_SUBNORMAL_MIN * (2.0 * w.sum() + c + 20 * m)
     # rounded g a plus a term without a: it grows with a, so predict_rows
     # bounds every row's margin by the largest a's
-    return g * a + (g * c + _SUBNORMAL_MIN * (w.sum() + 10 * m))
+    return g * a + (g * c + tiny)
 
 
 class KnnClassifier:
@@ -98,9 +103,10 @@ class KnnClassifier:
     Distance ties prefer the instance inserted earlier.
 
     Prediction is filter-and-refine (Seidl & Kriegel, "Optimal multi-step
-    k-nearest neighbor search", SIGMOD 1998): two BLAS products give every
-    row an interval that holds its exact distance, and only the rows whose
-    interval can reach the k-th smallest upper end are ranked exactly.
+    k-nearest neighbor search", SIGMOD 1998): two float32 BLAS products
+    over a centered copy of the store give every row an interval that holds
+    its exact distance, and only the rows whose interval can reach the k-th
+    smallest upper end are ranked exactly, in float64.
     """
 
     def __init__(self, classes, n_features, k=5, capacity=5000):
@@ -114,7 +120,11 @@ class KnnClassifier:
         # zeroed, so the unfilled rows hash alike in Ensemble.state_hash
         rows = min(capacity, KNN_FIRST_BLOCK)
         self._X = np.zeros((rows, n_features))
-        self._X2 = np.zeros((rows, n_features))  # _X squared, for the filter
+        # the filter's store: float32(_X - _center), and that squared in
+        # float32; the center is the first row ever trained
+        self._Xc = np.zeros((rows, n_features), np.float32)
+        self._Xc2 = np.zeros((rows, n_features), np.float32)
+        self._center = np.zeros(n_features)
         self._y = np.zeros(rows, dtype=np.int64)
         self.n_trained = 0
         # running per-feature stats (Welford)
@@ -133,12 +143,19 @@ class KnnClassifier:
             raise LearnerError("kNN row with a NaN or infinite value")
         slot = self.n_trained % self.capacity  # overwrites the oldest
         if slot == len(self._y):  # the first block is full: grow, zeroed
-            self._X, self._X2, self._y = (
+            self._X, self._Xc, self._Xc2, self._y = (
                 np.concatenate([a, np.zeros((self.capacity - slot,)
                                             + a.shape[1:], a.dtype)])
-                for a in (self._X, self._X2, self._y))
+                for a in (self._X, self._Xc, self._Xc2, self._y))
+        if not self.n_trained:
+            self._center[:] = x
         self._X[slot] = x
-        self._X2[slot] = x * x
+        # the float64 difference rounded once to float32, squared in float32
+        # (np.subtract straight into the float32 row was slower, and raised
+        # the peak RSS of repeated set-ups)
+        xc = self._Xc[slot]
+        xc[:] = x - self._center
+        np.square(xc, out=self._Xc2[slot])
         self._y[slot] = self._class_index[label]
         self.n_trained += 1
         _welford(self._mean, self._m2, x, self.n_trained)
@@ -158,36 +175,53 @@ class KnnClassifier:
     def _candidates(self, x, scale, k):
         """Rows that may be among the k nearest, or a slice of every row.
 
-        The margin is a rounding bound. For m features, u = 2^-53 and
-        gamma_j = j u / (1 - j u), a dot product of j terms is within
-        gamma_j of the sum of its absolute terms, in any order, with or
-        without fused multiply-adds (Higham, Accuracy and Stability of
-        Numerical Algorithms, 3.1). With w = 1/scale^2, a = sum(w x^2) and
-        c = sum(w q^2), the filter takes the distance as a - 2 sum(w x q) + c.
-        The absolute sums of its three parts are a, at most a + c (as
-        |2 w x q| <= w x^2 + w q^2) and c; rounding w, x^2 and w q adds 3 to
-        m and the two outer additions 2, so it is within 2 gamma_(m+5) (a + c)
-        of the real distance D. The exact path rounds x - q, the division,
-        the square and m - 1 additions of non-negative terms, so it is within
-        gamma_(m+4) D <= 2 gamma_(m+4) (a + c) of D. So they differ by at
-        most 4 gamma_(m+5) (a + c), and twice that also covers the rounding
-        of a, c and the margin itself. A product that underflows loses at most 2^-1075:
-        w_j 2^-1075 for a stored x^2, which w_j multiplies, and 2^-1075 for
-        the others once u more of the relative bound is spent, which the
-        doubling holds; 2^-1074 (sum(w) + 10 m) covers them all.
+        The margin is a rounding bound after Higham (Accuracy and Stability
+        of Numerical Algorithms, 3.1), with u = 2^-24: each rounding, to
+        float32 or float64, is within a relative u, and a dot product of j
+        terms is within gamma_j = j u / (1 - j u) of the sum of its
+        absolute terms, in any order, with or without fused multiply-adds.
+        Take w = 1/scale^2, p = x - center and r = q - center, so that the
+        real distance is D = A - 2 B + C with A = sum(w p^2), B = sum(w p r)
+        and C = sum(w r^2), where |2 w p r| <= w p^2 + w r^2.
 
-        The bound needs a normal w and no overflow, which a finite upper end
-        rules out, as the exact sum cannot pass it. Otherwise, and below the
-        crossover, every row is ranked.
+        The filter takes it as a + b + c. a = _Xc2 @ w is a float32 dot
+        product whose terms carry 8 roundings (w: the square, the division
+        and float32; the stored p: float64 and float32, doubled by the
+        square, which float32 rounds once more). b = _Xc @ (-2 w q) is one
+        whose terms carry 7 (-2 w q: w's two, q - center, the product and
+        float32; the stored p: two). c is a float64 dot product whose terms
+        carry 5, and the two float64 additions add 2. So a + b + c is
+        within gamma_(m+10) (A + 2 sum|w p r| + C) <= 2 gamma_(m+10) (A + C)
+        of D. The exact path rounds x - q, the division, the square and
+        m - 1 additions of non-negative terms, in float64, so it is within
+        gamma_(m+4) D <= 2 gamma_(m+4) (A + C) of D. They differ by at most
+        4 gamma_(m+10) (A + C); with one u more for an underflow below, the
+        margin is twice 4 gamma_(m+11) (a + c), which also covers the
+        rounding of a, c and the margin itself.
+
+        An operation whose float32 result underflows loses up to 2^-150
+        more: w_j 2^-150 for a stored square, which w_j multiplies,
+        |2 w_j q_j| 2^-150 for a stored p, 2^-150 for each product, and
+        2^-150 |p_j| for -2 w q, which is below 2^-150 when |p_j| <= 1 and
+        otherwise below u w_j p_j^2, as w_j >= 2^-126, the u spent above.
+        float64's underflows are smaller still. 2^-149 (sum(w) +
+        sum(|2 w q|) + 20 m) holds them all, twice over, and
+        2^-149 (2 sum(w) + c + 20 m) is at least that, as 2 |q| <= 1 + q^2.
+
+        The bound needs w normal in float32 and no overflow, which a finite
+        upper end rules out: an infinite term makes its sum infinite or NaN.
+        Otherwise, and below the crossover, every row is ranked.
         """
         n = self.size
         w = None if n < KNN_FILTER_MIN_ROWS else self._filter_weights(scale)
         if w is None:
             return slice(n)
-        wq = w * x
-        c = wq @ x
-        a = self._X2[:n] @ w
-        approx = a - 2.0 * (self._X[:n] @ wq) + c
+        q = x - self._center
+        wq = w * q
+        c = wq @ q
+        a = (self._Xc2[:n] @ w.astype(np.float32)).astype(np.float64)
+        approx = self._Xc[:n] @ (-2.0 * wq).astype(np.float32) + a
+        approx += c
         margin = _margin(a, c, w)
         upper = approx + margin
         if not np.isfinite(upper).all():  # then so are q and every approx
@@ -198,10 +232,10 @@ class KnnClassifier:
         return np.flatnonzero(approx - margin <= kth_upper)
 
     def _filter_weights(self, scale):
-        """w = 1 / scale^2, or None when w is not normal and every row is
-        to be ranked."""
+        """w = 1 / scale^2, or None when w is not normal in float32 and
+        every row is to be ranked."""
         w = 1.0 / (scale * scale)
-        if not _NORMAL_MIN <= w.min() <= w.max() <= 1.0 / _NORMAL_MIN:
+        if not _F32_TINY <= w.min() <= w.max() <= _F32_MAX:
             return None
         return w
 
@@ -231,10 +265,10 @@ class KnnClassifier:
 
     def _approx(self, wq2, c, a, rows):
         """The filter's approximate distance of each (query, row) pair over
-        a slice of stored rows, a - 2 sum(w x q) + c as _candidates takes
-        it, from wq2 = -2 w q, a = _X2 @ w and c."""
-        approx = wq2 @ self._X[rows].T
-        approx += a[rows]
+        a slice of stored rows, a - 2 sum(w p q) + c as _candidates takes
+        it, from the float32 wq2 = -2 w q, the float64 a = _Xc2 @ w and
+        c."""
+        approx = wq2 @ self._Xc[rows].T + a[rows]
         approx += c
         return approx
 
@@ -243,12 +277,13 @@ class KnnClassifier:
 
         A chunk's filter is _candidates' at any store size, with one margin
         per query: _margin of the store's largest a, which is at least each
-        row's. Doubling w q rounds no worse than doubling the product, and
-        the margin covers both. No end overflows or is NaN while
-        4 (max a + c) is finite, as |approx| and each end stay below
-        3 (a + c); a query for which it is not keeps every row. When w is
-        not normal, zero weights give every pair the same ends, so every
-        row is kept.
+        row's. No value overflows or is NaN while 8 (max a + c) is at most
+        float32's largest: then |2 w q| stays below it (were it above,
+        |q - center| would pass 1/2 and c a quarter of it), each term of
+        the float32 products stays below a + c, and |approx| and each end
+        below 3 (a + c). A query for which it is not keeps every row. When
+        w is not normal in float32, zero weights give every pair the same
+        ends, so every row is kept.
 
         The store is read in blocks of _BLOCK_VALUES / queries rows,
         _KNN_STORE_ROWS for a full chunk, so that each (queries, rows)
@@ -267,7 +302,8 @@ class KnnClassifier:
         w = self._filter_weights(scale)
         w = np.zeros(self.n_features) if w is None else w
         # a one-query X is one one-query chunk, which does not use a
-        a = self._X2[:n] @ w if len(X) > 1 else None
+        a = ((self._Xc2[:n] @ w.astype(np.float32)).astype(np.float64)
+             if len(X) > 1 else None)
         out = np.empty((len(X), n_classes))
         for chunk in _row_chunks(len(X), min(n, _KNN_STORE_ROWS)):
             Q = X[chunk]
@@ -276,9 +312,10 @@ class KnnClassifier:
                 continue
             step = _BLOCK_VALUES // len(Q)  # longer for fewer queries
             blocks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
-            wq = w * Q
-            c = np.einsum("ij,ij->i", wq, Q)[:, None]
-            wq2 = -2.0 * wq
+            Qc = Q - self._center
+            wq = w * Qc
+            c = np.einsum("ij,ij->i", wq, Qc)[:, None]
+            wq2 = (-2.0 * wq).astype(np.float32)
             margin = _margin(a.max(), c, w)
             best = np.full((len(Q), k), np.inf)
             least = np.empty((len(Q), len(blocks)))
@@ -291,7 +328,7 @@ class KnnClassifier:
                                          k - 1, axis=1)[:, :k]
             # A pair whose lower end lies above the k-th upper end has k
             # rows nearer than it, so it neither votes nor ties.
-            kth = np.where(np.isfinite(4.0 * (a.max() + c)),
+            kth = np.where(8.0 * (a.max() + c) <= _F32_MAX,
                            best[:, k - 1:] + margin, np.inf)
             hit = ~(least - margin > kth)
             qi, slots = [], []

@@ -80,14 +80,14 @@ def timed_run(streams, test_user, config, mode="supervised_frozen",
     row_tables' instances; each repetition then times segment and one
     label_window call per window (sampling), one extract call per kept
     window (features) and run_online (classification) on an untimed clone
-    of the model. Streams and users are refused as fold_model and
-    row_tables refuse them."""
+    of the model. Users and streams are refused as evaluation.user_stream
+    and row_tables refuse them."""
     if repetitions < 1:
         raise ProfilingError("repetitions must be >= 1")
+    test = evaluation.user_stream(streams, test_user)
     tables = evaluation.row_tables(streams, [config], purity,
                                    valid_labels)[config]
     model = evaluation.fold_model(tables, test_user, params, valid_labels)
-    test = next(s for s in streams if s.user_id == test_user)
 
     warnings = []
     res = time.get_clock_info("perf_counter").resolution

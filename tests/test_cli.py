@@ -504,6 +504,23 @@ class TestEvalCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--window", "50", "--overlap", "0.0"],
+        ["profile", "--windows", "50", "--overlaps", "0.0",
+         "--allow-any-grid"]], ids=["eval", "profile"])
+    def test_unknown_user_is_refused_before_featurizing(
+            self, capsys, monkeypatch, spec_file, tmp_path, command):
+        def featurize(*args):
+            raise AssertionError("featurized before the user was checked")
+
+        monkeypatch.setattr(evaluation, "extract_stream", featurize)
+        out = tmp_path / "new"
+        code = run(command + ["--synthetic", spec_file, "--user", "7",
+                              "--out", str(out)])
+        assert code == cli.EXIT_MISSING_DATA
+        assert capsys.readouterr().err == "error: no stream for user 7\n"
+        assert not out.exists()
+
 class TestProfileCommand:
     def test_grid_with_power_model(self, capsys, spec_file, tmp_path):
         power = tmp_path / "power.json"

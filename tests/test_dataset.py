@@ -152,6 +152,27 @@ def test_parse_non_monotone_timestamp(parse):
         parse([make_line(0.02, 1), make_line(0.01, 1)], 1)
 
 
+def test_parse_stops_reading_at_the_first_bad_chunk(tmp_path, monkeypatch):
+    # line 2 repeats line 1's timestamp: the C reader stops after the first
+    # chunk instead of reading the other nine, and the line loop names it
+    path = tmp_path / "subject101.dat"
+    lines = [make_line(0.01 * max(i, 1), 1) for i in range(40)]
+    path.write_text("".join(line + "\n" for line in lines))
+    calls, loadtxt = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["max_rows"])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(dataset, "CHUNK", 4)
+    monkeypatch.setattr(np, "loadtxt", spy)
+    with pytest.raises(ParseError) as exc:
+        parse_subject_file(path, 1)
+    assert calls == [4]
+    assert str(exc.value) == (f"{path}: line 2: non-monotone timestamp "
+                              "0.01 after 0.01")
+
+
 @pytest.mark.parametrize("lines", [[], ["", "  ", "\t"]],
                          ids=["empty", "blank"])
 def test_parse_no_rows_is_an_empty_stream(parse, lines, recwarn):

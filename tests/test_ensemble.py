@@ -379,9 +379,11 @@ class TestRunOnline:
         assert len(hashes) == 1
 
     def test_wrapped_store_keeps_its_squares_and_hash(self):
-        # the filter's squared store is written only by train: after the kNN
-        # store wraps it is still the store squared, row for row, and two
-        # ensembles that classified and self-updated alike hash alike
+        # the filter's centered float32 store and its squares are written
+        # only by train: after the kNN store wraps they are still the store
+        # less the first row ever trained, rounded to float32, and that
+        # squared, row for row, and two ensembles that classified and
+        # self-updated alike hash alike
         rng = np.random.default_rng(11)
         train = make_instances(rng, 200)
         stream = make_instances(rng, 400)
@@ -391,7 +393,11 @@ class TestRunOnline:
         audits = [m.run_online(stream, "semi_supervised") for m in models]
         knn = models[0].members[0]
         assert knn.n_trained > knn.capacity
-        assert knn._X2.tobytes() == (knn._X * knn._X).tobytes()
+        np.testing.assert_array_equal(knn._center, train[0].values)
+        centered = (knn._X - knn._center).astype(np.float32)
+        assert knn._Xc.tobytes() == centered.tobytes()
+        squared = np.square(centered.astype(np.float64)).astype(np.float32)
+        assert knn._Xc2.tobytes() == squared.tobytes()
         assert audits[0] == audits[1]
         assert models[0].state_hash() == models[1].state_hash()
 

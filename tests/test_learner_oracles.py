@@ -34,6 +34,24 @@ def knn_oracle(knn, x):
     return np.bincount(knn._y[order[:k]], minlength=len(knn.classes)) / k
 
 
+def trained_knn(X, capacity=None):
+    """A k = 5 store trained on the rows of X, labeled 0, 1, 2 in turn."""
+    knn = KnnClassifier(classes=(0, 1, 2), n_features=X.shape[1], k=5,
+                        capacity=capacity or len(X))
+    for i, x in enumerate(X):
+        knn.train(x, i % 3)
+    return knn
+
+
+def assert_votes_equal_the_full_sort(knn, queries):
+    """predict of each query, and predict_rows of them all, equal the
+    oracle's votes."""
+    expected = [knn_oracle(knn, q) for q in queries]
+    for q, want in zip(queries, expected):
+        np.testing.assert_array_equal(knn.predict(q), want)
+    np.testing.assert_array_equal(knn.predict_rows(queries), expected)
+
+
 def nb_oracle(nb, x):
     """Log posteriors, one seen class at a time; -inf for unseen classes."""
     x = np.asarray(x, dtype=np.float64)
@@ -193,6 +211,104 @@ class TestKnnAgainstFullSort:
         for q, want in zip(queries, expected):
             np.testing.assert_array_equal(knn.predict(q), want)
         np.testing.assert_array_equal(knn.predict_rows(queries), expected)
+
+    def test_a_weight_outside_float32_ranks_every_row(self):
+        # A feature spread 1e-20 about 0 has weight ~1e40: normal in
+        # float64, past float32's largest value, so the float32 filter's
+        # bound does not hold and every row is ranked.
+        rng = np.random.default_rng(13)
+        n = KNN_FILTER_MIN_ROWS + 40
+        X = rng.normal(size=(n, 4))
+        X[:, 0] = np.where(np.arange(n) % 2, 1e-20, -1e-20)
+        knn = trained_knn(X)
+        assert knn._filter_weights(knn._scale()) is None
+        queries = X[:6] + [0.0, 0.5, -0.5, 0.25]
+        assert knn._candidates(queries[0], knn._scale(), 5) == slice(n)
+        assert_votes_equal_the_full_sort(knn, queries)
+
+    # the square overflows, and inf - inf is NaN in predict_rows' ends
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_centered_square_past_float32_ranks_every_row(self):
+        # One row 1e20 from the center in a feature whose weight is still
+        # normal in float32 (~3e-38): its float32 square overflows, so the
+        # upper ends are not all finite and every row is ranked.
+        rng = np.random.default_rng(14)
+        n = KNN_FILTER_MIN_ROWS + 140
+        X = rng.normal(size=(n, 4))
+        X[100, 0] = 1e20
+        knn = trained_knn(X)
+        assert knn._filter_weights(knn._scale()) is not None
+        assert np.isinf(knn._Xc2[100, 0])
+        queries = np.vstack([X[:6] + [0.0, 0.5, -0.5, 0.25], X[100]])
+        for q in queries:
+            assert knn._candidates(q, knn._scale(), 5) == slice(n)
+        assert_votes_equal_the_full_sort(knn, queries)
+
+    # -2 w q overflows float32, and inf - inf is NaN
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_query_past_float32_ranks_every_row(self):
+        # A query 1e39 from the center where w ~ 1: -2 w q is infinite in
+        # float32 while c stays finite in float64. Every exact distance
+        # rounds to the same 1e78, so the five earliest rows left after the
+        # wrap, the only ones of class 0, win the tie; a filter that
+        # trusted its infinite ends would drop those below the center.
+        rng = np.random.default_rng(17)
+        n = KNN_FILTER_MIN_ROWS + 40
+        X = rng.normal(size=(n + 20, 4))
+        knn = KnnClassifier(classes=(0, 1, 2), n_features=4, k=5, capacity=n)
+        for i, x in enumerate(X):
+            knn.train(x, 0 if 20 <= i < 25 else 1 + i % 2)
+        assert (X[20:25, 0] < X[0, 0]).any() and (X[20:25, 0] > X[0, 0]).any()
+        queries = X[:4] + [[1e39, 0, 0, 0], [-1e39, 0, 0, 0],
+                           [0, 0, 3e38, 0], [0, 1e30, 0, 0]]
+        for q in queries[:3]:
+            assert knn._candidates(q, knn._scale(), 5) == slice(n)
+        assert_votes_equal_the_full_sort(knn, queries)
+        np.testing.assert_array_equal(knn.predict(queries[0]), [1, 0, 0])
+
+    def test_centered_values_that_underflow_float32(self):
+        # Feature 0 spreads ~1e-19 (weight ~1e38, normal in float32), but
+        # twenty copies of the center differ from it (0 there) only by
+        # multiples of 1e-39 or 1e-46, which float32 holds as subnormals or
+        # zero and whose squares it flushes to 0. For a query there the
+        # filter's a and c are ~0 and its error is all underflow, which
+        # only the margin's absolute term covers.
+        rng = np.random.default_rng(15)
+        n = KNN_FILTER_MIN_ROWS + 40
+        X = rng.normal(size=(n, 4))
+        X[:, 0] = rng.normal(scale=1e-19, size=n)
+        X[0, 0] = 0.0
+        copies = np.arange(50, 70)
+        X[copies, 1:] = X[0, 1:]
+        X[copies, 0] = np.where(copies % 2, 1e-39, 1e-46) * (copies % 7)
+        knn = trained_knn(X)
+        assert knn._filter_weights(knn._scale()) is not None
+        queries = np.array([[2e-39, *X[0, 1:]], [3e-46, *X[0, 1:]],
+                            [0.0, *X[0, 1:]],
+                            X[3] + [0.0, 0.01, -0.01, 0.01]])
+        for q in queries:
+            rows = knn._candidates(q, knn._scale(), 5)
+            assert not isinstance(rows, slice) and len(rows) < n
+        assert_votes_equal_the_full_sort(knn, queries)
+
+    def test_a_center_far_from_every_later_row(self):
+        # The first row, which the store keeps as its center, lies 1e6 from
+        # every later row and is overwritten when the store wraps: the
+        # centered values are large and their margins wide, but the filter
+        # still runs and keeps every row that can vote.
+        rng = np.random.default_rng(16)
+        capacity = KNN_FILTER_MIN_ROWS + 40
+        X = rng.normal(size=(capacity + 60, 6))
+        X[0] = 1e6
+        knn = trained_knn(X, capacity)
+        assert knn.n_trained > knn.capacity
+        np.testing.assert_array_equal(knn._center, X[0])
+        queries = np.vstack([X[-8:] + 0.01, rng.normal(size=(4, 6))])
+        for q in queries:
+            assert not isinstance(knn._candidates(q, knn._scale(), 5), slice)
+        assert_votes_equal_the_full_sort(knn, queries)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600),

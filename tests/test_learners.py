@@ -96,7 +96,8 @@ class TestKnn:
         knn = KnnClassifier(classes=(1, 2), n_features=3, capacity=5000)
         for i in range(10):
             knn.train([i, 0.0, 1.0], 1 + i % 2)
-        assert max(len(knn._X), len(knn._X2), len(knn._y)) <= 256
+        assert max(len(knn._X), len(knn._Xc), len(knn._Xc2),
+                   len(knn._y)) <= 256
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_is_refused(self, bad):

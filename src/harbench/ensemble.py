@@ -7,7 +7,7 @@ posterior of the members voting for the winner, scaled by the fraction of
 members that voted for it, so it reaches 1.0 only under unanimous, fully
 confident agreement. During online semi-supervised runs an instance is
 trained back into all members iff its confidence is strictly above the gate
-threshold (default 0.99); self_update is that rule's one entry.
+threshold (default 0.99); a run's step per row is that rule's one entry.
 """
 
 from __future__ import annotations
@@ -91,23 +91,27 @@ class Ensemble:
         instances = list(instances)
         if not instances:
             raise EnsembleError("empty training set")
-        for fv in instances:
-            self._learn(fv.values, fv.label)
-        self._trained = True
+        return self.train_rows([fv.values for fv in instances],
+                               [fv.label for fv in instances])
+
+    def train_rows(self, X, labels):
+        """Train each row of X, with its label, into every member, in order;
+        no rows leave the model as it was. kNN trains first: it refuses a
+        row with a NaN or infinite value before any member has changed."""
+        for values, label in zip(X, labels):
+            for member in self.members:
+                member.train(values, label)
+        self._trained = self._trained or len(labels) > 0
         return self
 
-    def _learn(self, values, label):
-        """Train one row into every member, kNN first: it refuses a row
-        with a NaN or infinite value before any member has changed."""
-        for member in self.members:
-            member.train(values, label)
-
     def classify(self, fv) -> Prediction:
+        return self.classify_row(fv.values)
+
+    def classify_row(self, x) -> Prediction:
         if not self._trained:
             raise EnsembleError("classify on untrained ensemble")
         # members x classes; argmax = fixed class order
-        dists = _check_rows(np.stack([m.predict(fv.values)
-                                      for m in self.members]))
+        dists = _check_rows(np.stack([m.predict(x) for m in self.members]))
         votes = dists.argmax(axis=1)
         counts = np.bincount(votes, minlength=len(self.classes))
         tied = np.flatnonzero(counts == counts.max())
@@ -148,18 +152,16 @@ class Ensemble:
         return predictions
 
     def self_update(self, fv, prediction) -> bool:
-        """Train the predicted label back in iff confidence beats the gate:
-        the one update entry of run_online and run_blocks."""
-        if prediction.confidence <= self.confidence_threshold:
-            return False
-        self._learn(fv.values, prediction.label)
-        return True
+        """Train the predicted label back in iff confidence beats the gate."""
+        return self._step(fv.values, fv.label, prediction, True).updated
 
-    def _step(self, fv, prediction, update):
-        """A scored row's audit record, after its self-update when the run
-        updates: each run's one step per row."""
-        return AuditRecord(fv.label, prediction.label, prediction.confidence,
-                           update and self.self_update(fv, prediction))
+    def _step(self, x, label, pred, update):
+        """A scored row's audit record, each run's one step per row: it trains
+        the predicted label back in iff the run updates and the gate passes."""
+        updated = update and pred.confidence > self.confidence_threshold
+        if updated:
+            self.train_rows([x], [pred.label])
+        return AuditRecord(label, pred.label, pred.confidence, updated)
 
     def run_online(self, instances, mode):
         """The audit of a stream's classification: one record per instance,
@@ -167,34 +169,34 @@ class Ensemble:
         An instance's true label goes into its audit record only, never
         into the model."""
         update = _updates(mode)
-        return [self._step(fv, self.classify(fv), update) for fv in instances]
+        return [self._step(fv.values, fv.label, self.classify(fv), update)
+                for fv in instances]
 
-    def run_blocks(self, instances, mode):
-        """run_online's audit and updates over a sequence of instances, in
-        speculative blocks: the model changes only at an update, so a block
-        scored by classify_rows is classify's up to and including the first
-        row that passes the gate, and scoring resumes after it. A frozen run
-        is one block (classify per row below STREAK_ROWS rows). A
-        semi-supervised one uses classify until STREAK_ROWS rows in a row
-        fail the gate, then blocks the size of that run, and classify again
-        after an update. A block that raises is scored again a window at a
-        time, to raise at run_online's row and state."""
+    def run_blocks(self, X, labels, mode):
+        """run_online's audit and updates over the rows of X and a list of
+        their labels, in speculative blocks: the model changes only at an
+        update, so a block scored by classify_rows is classify_row's up to and
+        including the first row that passes the gate, and scoring resumes after
+        it. A frozen run is one block (classify_row per row below STREAK_ROWS
+        rows). A semi-supervised one uses classify_row until STREAK_ROWS rows
+        in a row fail the gate, then blocks the size of that run, and
+        classify_row again after an update. A block that raises is scored again
+        a row at a time, to raise at run_online's row and state."""
         update = _updates(mode)
         audit, streak, careful = [], 0, 0
-        while len(audit) < len(instances):
+        while len(audit) < len(labels):
             i = len(audit)
-            size = min(streak, MAX_BLOCK_ROWS) if update else len(instances)
+            size = min(streak, MAX_BLOCK_ROWS) if update else len(labels)
             if i < careful or size < STREAK_ROWS:
-                preds = [self.classify(instances[i])]
+                preds = [self.classify_row(X[i])]
             else:
                 try:
-                    preds = self.classify_rows(np.stack(
-                        [fv.values for fv in instances[i:i + size]]))
+                    preds = self.classify_rows(X[i:i + size])
                 except LearnerError:
                     careful = i + size
                     continue
-            for fv, pred in zip(instances[i:i + len(preds)], preds):
-                audit.append(self._step(fv, pred, update))
+            for k, pred in enumerate(preds, i):
+                audit.append(self._step(X[k], labels[k], pred, update))
                 if audit[-1].updated:
                     streak = 0
                     break

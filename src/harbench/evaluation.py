@@ -1,8 +1,9 @@
 """Leave-one-user-out evaluation and the window-size x overlap sweep.
 
-A sweep's unit of work is a W row, every pending (window size, overlap)
-point at one window size: each user's windows at the union of the row's
-starts are labeled and featurized once, a point's folds train on one shared
+A sweep's unit of work is a W row, every pending (window size, overlap) point
+at one window size: each user's windows at the union of the row's starts are
+labeled and featurized once, into one (starts, X, labels) table, and a point
+takes a user's rows at its own starts. A point's folds train on one shared
 prefix of the sorted users, and each cell is scored in row blocks in either
 mode (Ensemble.run_blocks). Finished cells are persisted as JSON so an
 interrupted sweep resumes without recomputation. Reports are plain CSV, each
@@ -25,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ensemble, features, learners, windowing
+from . import dataset, ensemble, features, learners, windowing
 from .dataset import PROTOCOL_ACTIVITIES, DatasetError
-from .ensemble import MODES, Ensemble, LearnerParams
-from .features import extract_stream
+from .ensemble import MODES, Ensemble, EnsembleError, LearnerParams
+from .features import featurize
 from .windowing import (DEFAULT_PURITY, WindowConfig, check_purity,
                         label_starts, window_starts)
 
@@ -112,70 +113,56 @@ def user_stream(streams, test_user):
 
 def row_tables(streams, configs, purity=DEFAULT_PURITY,
                valid_labels=PROTOCOL_ACTIVITIES):
-    """config -> user -> table for configs of one window size, each table
-    the user's kept windows at the config's starts, featurized in order.
-    A user's windows at the union of the configs' starts are labeled and
-    featurized once, numbered in that union, and each config takes the
-    kept ones at its steps: a window's features do not depend on its
-    block. Streams that louo_split refuses raise EvaluationError."""
+    """user -> (starts, X, labels) for configs of one window size: the
+    user's kept windows at the union of the configs' starts, labeled and
+    featurized once, in order. A point takes the rows at multiples of its
+    step: a window's features do not depend on its block. Streams that
+    louo_split refuses raise EvaluationError."""
     louo_split(streams)
     size = configs[0].window_size
-    tables = {config: {} for config in configs}
+    tables = {}
     for stream in streams:
         union = np.zeros(max(0, len(stream) - size + 1), dtype=bool)
         for config in configs:
             union[window_starts(len(stream), config)] = True
-        windows = label_starts(stream, np.flatnonzero(union), size, purity,
-                               valid_labels)
-        table = extract_stream(windows)
-        kept = np.array([w.start for w in windows], dtype=np.int64)
-        for config in configs:
-            tables[config][stream.user_id] = [
-                table[i] for i in np.flatnonzero(kept % config.step == 0)]
+        starts, labels = label_starts(stream, np.flatnonzero(union), size,
+                                      purity, valid_labels)
+        X = featurize([(stream, start) for start in starts.tolist()], size)[0]
+        tables[stream.user_id] = starts, X, labels
     return tables
 
 
-def fold_models(tables, test_users, params=None,
+def fold_models(tables, config, test_users, params=None,
                 valid_labels=PROTOCOL_ACTIVITIES):
-    """(user, fold_model(tables, user, ...)) for each test user, in sorted
-    order. One running model trains the sorted users in turn, and fold u
-    is a clone of it before u that then trains the users after u: each
-    member sees the instance sequence of training on every other user in
-    sorted order, so the states are equal. A fold trains only when its
-    test user has instances, and the prefix only as far as such a fold
-    needs. Built first, so bad params fail on any data."""
+    """(user, model) for each test user, in sorted order: the fold's model,
+    trained offline on every other user's rows at the point in sorted user
+    order, only when the test user has any. One running model trains the
+    sorted users in turn, and fold u is a clone of it before u that then
+    trains the users after u: each member sees the row sequence of that
+    training, so the states are equal. The prefix trains only as far as a
+    fold needs. Built first, so bad params fail on any data."""
     prefix = Ensemble(valid_labels, params=params)
+    picks = {user: starts % config.step == 0
+             for user, (starts, _, _) in tables.items()}
     users = sorted(tables)
-    owners = {user: {fv.user_id for fv in tables[user]} for user in users}
-    done = seen = 0  # users[:done] are in the prefix, seen instances
+    done = 0  # users[:done] are in the prefix
     test_users = sorted(test_users)
     for test_user in test_users:
-        if any(test_user in owners[u] for u in users if u != test_user):
-            raise EvaluationError("test-user instance in training data")
-        if not tables[test_user]:
+        if not picks[test_user].any():
             yield test_user, Ensemble(valid_labels, params=params)
             continue
-        at = users.index(test_user)
-        ahead = [fv for user in users[done:at] for fv in tables[user]]
-        if ahead:
-            prefix.train_offline(ahead)
-        done, seen = at, seen + len(ahead)
-        # the last fold takes the prefix itself: no later fold needs it
-        model = prefix if test_user == test_users[-1] else prefix.clone()
-        tail = [fv for user in users[at + 1:] for fv in tables[user]]
-        if tail or not seen:  # nothing at all raises "empty training set"
-            model.train_offline(tail)
+        if not any(picks[user].any() for user in users if user != test_user):
+            raise EnsembleError("empty training set")
+        model = prefix  # trains the users before test_user; the fold, after
+        for user in users[done:]:
+            if user == test_user:
+                done = users.index(user)
+                # the last fold takes the prefix itself: no later fold needs it
+                model = prefix if user == test_users[-1] else prefix.clone()
+                continue
+            _, X, labels = tables[user]
+            model.train_rows(X[picks[user]], labels[picks[user]].tolist())
         yield test_user, model
-
-
-def fold_model(tables, test_user, params=None,
-               valid_labels=PROTOCOL_ACTIVITIES):
-    """The fold's ensemble, trained offline on every other user's instances,
-    in sorted user order, only when the test user has any; tables: user ->
-    instances, one config's from row_tables, with a table for the test
-    user (callers check it with user_stream first). fold_models' one-fold
-    call."""
-    return next(fold_models(tables, [test_user], params, valid_labels))[1]
 
 
 def fold_result(audit, test_user, config, mode, classes):
@@ -193,9 +180,11 @@ def fold_result(audit, test_user, config, mode, classes):
 
 def score_fold(model, tables, test_user, config, mode):
     """(FoldResult, audit) of one cell: the fold's model run on the test
-    user's instances by Ensemble.run_blocks in either mode, which gives the
-    audit, and leaves the model, that run_online would."""
-    audit = model.run_blocks(tables[test_user], mode)
+    user's rows at the point by Ensemble.run_blocks in either mode, which
+    gives the audit, and leaves the model, that run_online would."""
+    starts, X, labels = tables[test_user]
+    at = starts % config.step == 0
+    audit = model.run_blocks(X[at], labels[at].tolist(), mode)
     return fold_result(audit, test_user, config, mode, model.classes), audit
 
 
@@ -204,8 +193,9 @@ def evaluate_fold(streams, test_user, config, mode, params=None,
     """(FoldResult, audit) of one cell of sweep's streams: train on every
     other user, score the test user as score_fold does."""
     user_stream(streams, test_user)
-    tables = row_tables(streams, [config], purity, valid_labels)[config]
-    model = fold_model(tables, test_user, params, valid_labels)
+    tables = row_tables(streams, [config], purity, valid_labels)
+    _, model = next(fold_models(tables, config, [test_user], params,
+                                valid_labels))
     return score_fold(model, tables, test_user, config, mode)
 
 
@@ -255,10 +245,10 @@ def _row_cells(streams, params, purity, valid_labels, points):
         pending = {}
         for key in keys:
             pending.setdefault(key["user"], []).append(key)
-        for user, model in fold_models(tables[config], pending, params,
+        for user, model in fold_models(tables, config, pending, params,
                                        valid_labels):
             for key in pending[user]:
-                yield key, score_fold(model, tables[config], user, config,
+                yield key, score_fold(model, tables, user, config,
                                       key["mode"])[0]
 
 
@@ -302,8 +292,9 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
                               for s in streams),
             "code": hashlib.sha256(b"".join(  # the source that scores a cell
                 Path(path).read_bytes() for path in (
-                    windowing.__file__, features.__file__, learners.__file__,
-                    ensemble.__file__, __file__))).hexdigest(),
+                    dataset.__file__, windowing.__file__, features.__file__,
+                    learners.__file__, ensemble.__file__,
+                    __file__))).hexdigest(),
             "numpy": np.__version__,  # its kernels' bits may change
             "seed": seed}
     cell_dir = os.path.join(out_dir, "cells")

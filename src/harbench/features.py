@@ -4,8 +4,9 @@ For each of the 27 signal channels (3 devices x {accel, gyro, mag} x 3 axes):
 mean and population standard deviation (54 values), then for each of the 9
 tri-axial sensors the Pearson correlation of (x,y), (x,z) and (y,z)
 (27 values). Order is fixed and documented by FEATURE_NAMES. One kernel
-maps an (n, 27, W) block of windows to an (n, 81) matrix; extract_stream
-feeds it blocks of windows, extract one window.
+maps an (n, 27, W) block of windows to an (n, 81) matrix; featurize feeds
+it (stream, start) spans, a block at a time, and extract and extract_stream
+wrap the rows it returns in FeatureVectors.
 """
 
 from __future__ import annotations
@@ -89,40 +90,43 @@ def _kernel(block):
     return np.concatenate([means, stds, corrs], axis=1)
 
 
-def _extract(windows, first_index, size=None):
-    """FeatureVectors of equal-size windows, numbered from first_index,
-    each from the feature channels of its own rows only."""
-    channels = [w.stream.values[w.start:w.start + w.size,
-                                FEATURE_CHANNEL_INDEX].T for w in windows]
-    size = size or channels[0].shape[1]
-    if any(c.shape[1] != size for c in channels):
-        raise FeatureError(f"window sizes differ from {size}")
-    block = np.stack(channels)
-    values = _kernel(block)
-    quality = np.ones(len(windows), dtype=bool)
-    gapped = np.isnan(block).any(axis=(1, 2))
-    if gapped.any():  # one C-ordered (windows, W, 27) copy, filled
-        filled = np.ascontiguousarray(
-            block.transpose(0, 2, 1).compress(gapped, axis=0))
-        quality[gapped] = _fill_gaps(filled)
-        values[gapped] = _kernel(filled.transpose(0, 2, 1))
-    return [FeatureVector(values=v, label=w.label, user_id=w.user_id,
-                          window_index=first_index + k, quality_ok=bool(ok))
-            for k, (w, v, ok) in enumerate(zip(windows, values, quality))]
+def featurize(spans, size):
+    """(X, quality) of the windows of `size` rows at a list of (stream, start)
+    spans: their (n, 81) features, each from its own rows, a block of about
+    _BLOCK_VALUES values at a time, and whether no channel is all NaN."""
+    X = np.empty((len(spans), N_FEATURES))
+    quality = np.ones(len(spans), dtype=bool)
+    step = max(1, _BLOCK_VALUES // (27 * size))
+    for lo in range(0, len(spans), step):
+        channels = [stream.values[start:start + size, FEATURE_CHANNEL_INDEX].T
+                    for stream, start in spans[lo:lo + step]]
+        if any(c.shape[1] != size for c in channels):
+            raise FeatureError(f"window sizes differ from {size}")
+        block = np.stack(channels)
+        X[lo:lo + step] = _kernel(block)
+        gapped = np.flatnonzero(np.isnan(block).any(axis=(1, 2)))
+        if len(gapped):  # one C-ordered (windows, W, 27) copy, filled
+            filled = np.ascontiguousarray(block.transpose(0, 2, 1)[gapped])
+            quality[lo + gapped] = _fill_gaps(filled)
+            X[lo + gapped] = _kernel(filled.transpose(0, 2, 1))
+    return X, quality
 
 
 def extract(window, window_index=0) -> FeatureVector:
     """Featurize one labeled window into the canonical 81-value vector."""
-    return _extract([window], window_index)[0]
+    X, quality = featurize([(window.stream, window.start)], window.size)
+    return FeatureVector(X[0], window.label, window.user_id, window_index,
+                         bool(quality[0]))
 
 
 def extract_stream(windows):
-    """Featurize equal-size windows in order, numbering them 0..n-1, one
-    block of about _BLOCK_VALUES values at a time."""
+    """Featurize equal-size windows in order, numbering them 0..n-1."""
     windows = list(windows)
     if not windows:
         return []
     size = windows[0].size
-    step = max(1, _BLOCK_VALUES // (27 * size))
-    return [fv for lo in range(0, len(windows), step)
-            for fv in _extract(windows[lo:lo + step], lo, size)]
+    if any(w.size != size for w in windows):
+        raise FeatureError(f"window sizes differ from {size}")
+    X, quality = featurize([(w.stream, w.start) for w in windows], size)
+    return [FeatureVector(v, w.label, w.user_id, i, bool(ok))
+            for i, (w, v, ok) in enumerate(zip(windows, X, quality))]

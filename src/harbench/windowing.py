@@ -42,7 +42,7 @@ class WindowConfig:
 @dataclass(frozen=True)
 class Window:
     """Where a window lies: `size` stream rows from `start`; labeled once
-    kept. label_window and features.extract slice its rows themselves."""
+    kept. The device's form; the sweep carries label_starts' arrays."""
     stream: object
     start: int
     size: int
@@ -96,13 +96,13 @@ def check_purity(purity_threshold):
 
 def label_starts(stream, starts, size, purity_threshold=DEFAULT_PURITY,
                  valid_labels=PROTOCOL_ACTIVITIES):
-    """The kept windows of `size` rows at ascending starts, labeled, as
-    label_window labels and keeps each, from per-label prefix counts of
-    the activity column: integer work, so exact. A window's modal label
-    has the largest count, a tie going to the label whose first
-    occurrence in the window is earliest (its (c + 1)-th occurrence, c
-    being its count before the window). A purity outside [0, 1] raises
-    WindowingError."""
+    """(starts, labels), int64 arrays of the kept windows of `size` rows
+    at ascending starts, as label_window keeps and labels each, from
+    per-label prefix counts of the activity column: integer work, so
+    exact. A window's modal label has the largest count, a tie going to
+    the label whose first occurrence in the window is earliest (its
+    (c + 1)-th occurrence, c being its count before the window). A purity
+    outside [0, 1] raises WindowingError."""
     check_purity(purity_threshold)
     ids = stream.values[:, 1].astype(np.int64)
     starts = np.asarray(starts, dtype=np.int64)
@@ -123,19 +123,22 @@ def label_starts(stream, starts, size, purity_threshold=DEFAULT_PURITY,
         best[wins], first[wins], modal[wins] = n[wins], pos[wins], label
     keep = ((best / size >= purity_threshold) & (modal != TRANSIENT_ACTIVITY)
             & np.isin(modal, list(valid_labels)))
-    return [Window(stream, start, size, label) for start, label
-            in zip(starts[keep].tolist(), modal[keep].tolist())]
+    return starts[keep], modal[keep]
 
 
 def labeled_windows(stream, config, purity_threshold=DEFAULT_PURITY,
                     valid_labels=PROTOCOL_ACTIVITIES):
-    """Segment then label, dropping discarded windows, as label_starts
-    does."""
-    return label_starts(stream, window_starts(len(stream), config),
-                        config.window_size, purity_threshold, valid_labels)
+    """label_starts' kept windows among segment's, as Windows."""
+    size = config.window_size
+    starts, labels = label_starts(stream, window_starts(len(stream), config),
+                                  size, purity_threshold, valid_labels)
+    return [Window(stream, start, size, label)
+            for start, label in zip(starts.tolist(), labels.tolist())]
 
 
 def classification_count(stream, config, purity_threshold=DEFAULT_PURITY,
                          valid_labels=PROTOCOL_ACTIVITIES) -> int:
     """Number of kept windows, i.e. one classification per window."""
-    return len(labeled_windows(stream, config, purity_threshold, valid_labels))
+    return len(label_starts(stream, window_starts(len(stream), config),
+                            config.window_size, purity_threshold,
+                            valid_labels)[0])

@@ -513,7 +513,7 @@ class TestEvalCommand:
         def featurize(*args):
             raise AssertionError("featurized before the user was checked")
 
-        monkeypatch.setattr(evaluation, "extract_stream", featurize)
+        monkeypatch.setattr(evaluation, "featurize", featurize)
         out = tmp_path / "new"
         code = run(command + ["--synthetic", spec_file, "--user", "7",
                               "--out", str(out)])

@@ -238,6 +238,22 @@ class TestTraining:
         with pytest.raises(EnsembleError):
             Ensemble((1, 2)).train_offline([])
 
+    def test_rows_in_parts_train_as_train_offline(self):
+        # train_rows over consecutive parts of the arrays, an empty one
+        # among them, leaves the state one train_offline call leaves; no
+        # rows leave an untrained model untrained
+        instances = make_instances(np.random.default_rng(4), 90)
+        X, labels = rows(instances)
+        whole = Ensemble((1, 2, 3)).train_offline(instances)
+        parts = Ensemble((1, 2, 3)).train_rows(X[:0], labels[:0])
+        with pytest.raises(EnsembleError, match="untrained"):
+            parts.classify_row(X[0])
+        for lo, hi in ((0, 40), (40, 40), (40, 90)):
+            parts.train_rows(X[lo:hi], labels[lo:hi])
+        assert parts.state_hash() == whole.state_hash()
+        a, b = parts.classify_row(X[0]), whole.classify(instances[0])
+        assert (a.label, a.confidence) == (b.label, b.confidence)
+
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(1)
         instances = make_instances(rng, 120)
@@ -260,13 +276,13 @@ class TestTraining:
         assert all(int(np.argmax(d)) == 1 for d in pred.member_distributions)
 
     def test_separable_members_each_accurate(self, small_streams, small_spec):
-        from harbench.evaluation import row_tables
-        from harbench.windowing import WindowConfig
+        from harbench.features import extract_stream
+        from harbench.windowing import WindowConfig, labeled_windows
         config = WindowConfig(50, 0.9)
-        tables = row_tables(small_streams, [config],
-                            valid_labels=small_spec.class_labels)[config]
-        train = tables[1] + tables[2]
-        test = tables[3]
+        users = [extract_stream(labeled_windows(
+            stream, config, valid_labels=small_spec.class_labels))
+            for stream in small_streams]
+        train, test = users[0] + users[1], users[2]
         # many equally informative features tie the top two gains, so the
         # tie path must be reachable within a few hundred instances
         params = LearnerParams(vfdt_grace_period=50, vfdt_delta=0.05,
@@ -421,11 +437,19 @@ class TrainedRowStub(RowStub):
         self.trained.append((int(x[0]), label))
 
 
+def rows(instances):
+    """The rows and labels of instances, as run_blocks takes them."""
+    X = np.array([fv.values for fv in instances]).reshape(-1, N_FEATURES)
+    return X, [fv.label for fv in instances]
+
+
 def assert_runs_alike(model, stream, mode="semi_supervised"):
-    """run_blocks and run_online on clones of model give equal audits and
-    leave equal models; returns the block run's model."""
+    """run_blocks over the instances' arrays and run_online over the
+    instances, on clones of model, give equal audits and leave equal
+    models; returns the block run's model."""
     online, blocks = model.clone(), model.clone()
-    assert blocks.run_blocks(stream, mode) == online.run_online(stream, mode)
+    assert (blocks.run_blocks(*rows(stream), mode)
+            == online.run_online(stream, mode))
     assert blocks.state_hash() == online.state_hash()
     return blocks
 
@@ -499,10 +523,10 @@ class TestRunBlocks:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_no_instances(self, mode):
-        # as run_online, an untrained model scores no instances
-        assert Ensemble((1, 2)).run_blocks([], mode) == []
+        # as run_online, an untrained model scores no rows
+        assert Ensemble((1, 2)).run_blocks(*rows([]), mode) == []
         with pytest.raises(EnsembleError):
-            Ensemble((1, 2)).run_blocks([], "nonsense")
+            Ensemble((1, 2)).run_blocks(*rows([]), "nonsense")
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("mode", MODES)
@@ -521,7 +545,7 @@ class TestRunBlocks:
         with pytest.raises(LearnerError):
             online.run_online(stream, mode)
         with pytest.raises(LearnerError):
-            blocks.run_blocks(stream, mode)
+            blocks.run_blocks(*rows(stream), mode)
         assert blocks.state_hash() == online.state_hash()
 
 

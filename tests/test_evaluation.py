@@ -4,24 +4,39 @@ import os
 import pickle
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from harbench import evaluation
+from harbench import (dataset, ensemble, evaluation, features, learners,
+                      windowing)
 from harbench.dataset import (FEATURE_CHANNEL_INDEX, DatasetError,
                               SensorStream, generate_synthetic)
 from harbench.ensemble import Ensemble, EnsembleError, LearnerParams
 from harbench.evaluation import (EvaluationError, FoldResult,
                                  SINGLE_ACTIVITY_USER, emit_reports,
                                  evaluate_fold, louo_split, sweep)
-from harbench.features import extract_stream
-from harbench.windowing import WindowConfig, WindowingError, labeled_windows
+from harbench.features import N_FEATURES, FeatureVector, extract_stream
+from harbench.windowing import (Window, WindowConfig, WindowingError,
+                                labeled_windows)
 
 FAST = LearnerParams(knn_capacity=500, vfdt_grace_period=50)
 # a low gate, so semi-supervised runs update their model
 GATE_05 = LearnerParams(knn_capacity=500, vfdt_grace_period=50,
                         confidence_threshold=0.5)
+
+
+def fold_model(tables, config, user, params, labels):
+    """The model fold_models yields for one test user."""
+    return next(evaluation.fold_models(tables, config, [user], params,
+                                       labels))[1]
+
+
+def pipeline_instances(stream, config, labels):
+    """The stream's instances at the point, from the per-window forms."""
+    return extract_stream(labeled_windows(stream, config,
+                                          valid_labels=labels))
 
 
 class TestLouoSplit:
@@ -108,21 +123,24 @@ class TestEvaluateFold:
     @pytest.mark.parametrize("capacity", [100, 500])
     def test_frozen_block_is_the_online_run(self, hard_streams, hard_spec,
                                             capacity):
-        # score_fold scores a frozen cell as one block of rows; it leaves the
-        # model unchanged and gives the audit of the per-window online run,
-        # with the kNN store on either side of the filter's crossover
+        # score_fold scores a frozen cell as one block of the row table's
+        # rows; it leaves the model unchanged and gives the audit of the
+        # per-window online run over the user's pipeline instances, with
+        # the kNN store on either side of the filter's crossover
         labels = hard_spec.class_labels
         config = WindowConfig(20, 0.8)
         tables = evaluation.row_tables(hard_streams, [config],
-                                       valid_labels=labels)[config]
-        model = evaluation.fold_model(
-            tables, 2, LearnerParams(knn_capacity=capacity), labels)
+                                       valid_labels=labels)
+        model = fold_model(tables, config, 2,
+                           LearnerParams(knn_capacity=capacity), labels)
         assert model.members[0].size == capacity
         before = model.state_hash()
         result, audit = evaluation.score_fold(model, tables, 2, config,
                                               "supervised_frozen")
         assert model.state_hash() == before
-        online = model.run_online(tables[2], "supervised_frozen")
+        online = model.run_online(
+            pipeline_instances(hard_streams[1], config, labels),
+            "supervised_frozen")
         assert audit == online and len(audit) == result.n_windows > 0
         assert result == evaluation.fold_result(online, 2, config,
                                                 "supervised_frozen", labels)
@@ -148,24 +166,14 @@ class TestEvaluateFold:
             for c, label in zip(small_spec.classes, labels)])
         config = WindowConfig(50, 0.5)
         tables = evaluation.row_tables(generate_synthetic(spec), [config],
-                                       valid_labels=labels)[config]
-        model = evaluation.fold_model(tables, 2, FAST, labels)
+                                       valid_labels=labels)
+        model = fold_model(tables, config, 2, FAST, labels)
         result, audit = evaluation.score_fold(model, tables, 2, config,
                                               "semi_supervised")
         assert tuple(result.per_activity_windows) == labels
         assert tuple(result.per_activity_correct) == labels
         assert min(result.per_activity_windows.values()) > 0
         assert result.n_windows == len(audit)
-
-    def test_test_user_instance_in_training_data_raises(self, small_streams,
-                                                        small_spec):
-        labels = small_spec.class_labels
-        config = WindowConfig(50, 0.0)
-        tables = evaluation.row_tables(small_streams, [config],
-                                       valid_labels=labels)[config]
-        tables[1] = tables[1] + tables[2][:1]  # a user 2 instance in user 1's
-        with pytest.raises(EvaluationError, match="test-user instance"):
-            evaluation.fold_model(tables, 2, FAST, labels)
 
 
 def gapped_stream(stream):
@@ -184,26 +192,33 @@ class TestRowTables:
 
     def test_each_point_gathers_its_pipeline_instances(self, small_streams,
                                                        small_spec):
+        # a user's table holds the kept windows at the union of the row's
+        # starts, once each; a point's mask takes the starts, features and
+        # labels of the instances the per-window pipeline gives
         labels = small_spec.class_labels
         short = SensorStream(4, small_streams[1].values[:30])  # no window
         streams = [gapped_stream(small_streams[0]), *small_streams[1:], short]
         tables = evaluation.row_tables(streams, self.CONFIGS,
                                        valid_labels=labels)
-        assert list(tables) == self.CONFIGS
+        assert sorted(tables) == [1, 2, 3, 4]
         flagged = 0
-        for config in self.CONFIGS:
-            assert sorted(tables[config]) == [1, 2, 3, 4]
-            for stream in streams:
-                got = tables[config][stream.user_id]
-                want = extract_stream(labeled_windows(stream, config,
-                                                      valid_labels=labels))
-                assert len(got) == len(want)
-                assert all(g.values.tobytes() == w.values.tobytes()
-                           and (g.label, g.quality_ok, g.user_id)
-                           == (w.label, w.quality_ok, w.user_id)
-                           for g, w in zip(got, want))
-                flagged += sum(not fv.quality_ok for fv in got)
-        assert flagged > 0 and tables[self.CONFIGS[0]][4] == []
+        for stream in streams:
+            starts, X, kept = tables[stream.user_id]
+            assert starts.dtype == kept.dtype == np.int64
+            assert X.shape == (len(starts), N_FEATURES) == (len(kept), 81)
+            union = set()
+            for config in self.CONFIGS:
+                at = starts % config.step == 0
+                windows = labeled_windows(stream, config, valid_labels=labels)
+                want = extract_stream(windows)
+                assert starts[at].tolist() == [w.start for w in windows]
+                assert X[at].tobytes() == b"".join(
+                    fv.values.tobytes() for fv in want)
+                assert kept[at].tolist() == [fv.label for fv in want]
+                union.update(w.start for w in windows)
+                flagged += sum(not fv.quality_ok for fv in want)
+            assert starts.tolist() == sorted(union)
+        assert flagged > 0 and len(tables[4][0]) == 0
 
     @pytest.mark.parametrize("purity", [1.5, -3.0, float("nan")])
     def test_purity_outside_unit_interval_raises(self, small_streams,
@@ -217,23 +232,25 @@ class TestRowTables:
 
 
 class TestFoldModels:
-    @staticmethod
-    def tables(streams, labels):
-        config = WindowConfig(50, 0.5)
-        tables = evaluation.row_tables(streams, [config],
-                                       valid_labels=labels)[config]
-        tables[4] = []  # a user with no instances
-        return tables
+    CONFIG = WindowConfig(50, 0.5)
 
     @staticmethod
-    def reference(tables, test_user, params, labels):
-        """The fold's model trained in one call on the other users in
-        sorted order, when the test user has instances."""
+    def with_empty_user(streams):
+        """The streams and a user 4 too short for any window."""
+        return [*streams, SensorStream(4, streams[0].values[:30])]
+
+    @classmethod
+    def reference(cls, streams, test_user, params, labels):
+        """The fold's model trained in one train_offline call on the other
+        users' pipeline instances in sorted user order, when the test user
+        has instances."""
+        instances = {s.user_id: pipeline_instances(s, cls.CONFIG, labels)
+                     for s in streams}
         model = Ensemble(labels, params=params)
-        if tables[test_user]:
-            model.train_offline([fv for user in sorted(tables)
+        if instances[test_user]:
+            model.train_offline([fv for user in sorted(instances)
                                  if user != test_user
-                                 for fv in tables[user]])
+                                 for fv in instances[user]])
         return model.state_hash()
 
     @pytest.mark.parametrize("pending", [[1, 2, 3, 4], [2], [3, 1], [4]],
@@ -241,23 +258,37 @@ class TestFoldModels:
     def test_prefix_folds_equal_fold_model(self, hard_streams, hard_spec,
                                            pending):
         labels = hard_spec.class_labels
-        tables = self.tables(hard_streams, labels)
-        folds = list(evaluation.fold_models(tables, pending, GATE_05, labels))
+        streams = self.with_empty_user(hard_streams)
+        # the tables of a row with a second point, whose rows the fold
+        # leaves out
+        tables = evaluation.row_tables(
+            streams, [self.CONFIG, WindowConfig(50, 0.3)], valid_labels=labels)
+        folds = list(evaluation.fold_models(tables, self.CONFIG, pending,
+                                            GATE_05, labels))
         assert [user for user, _ in folds] == sorted(pending)
         for user, model in folds:
-            assert model.state_hash() == self.reference(tables, user, GATE_05,
-                                                        labels)
-            assert model.state_hash() == evaluation.fold_model(
-                tables, user, GATE_05, labels).state_hash()
+            assert model.state_hash() == self.reference(streams, user,
+                                                        GATE_05, labels)
+            assert model.state_hash() == fold_model(
+                tables, self.CONFIG, user, GATE_05, labels).state_hash()
 
     def test_only_the_test_users_instances_leave_nothing_to_train(
             self, small_streams, small_spec):
+        # users 1 and 2 keep no window: fold 1 has nothing to score, and
+        # fold 3 nothing to train on
         labels = small_spec.class_labels
-        tables = self.tables(small_streams, labels)
-        for user in (1, 2):
-            tables[user] = []
+        streams = self.with_empty_user(
+            [SensorStream(user, small_streams[2].values[:30])
+             for user in (1, 2)] + [small_streams[2]])
+        tables = evaluation.row_tables(streams, [self.CONFIG],
+                                       valid_labels=labels)
+        folds = evaluation.fold_models(tables, self.CONFIG, [1, 3], FAST,
+                                       labels)
+        user, model = next(folds)
+        assert user == 1 and model.state_hash() == Ensemble(
+            labels, params=FAST).state_hash()
         with pytest.raises(EnsembleError, match="empty training set"):
-            list(evaluation.fold_models(tables, [1, 3], FAST, labels))
+            next(folds)
 
 
 class TestSweep:
@@ -399,19 +430,19 @@ class TestSweep:
     def test_featurizes_each_window_once_per_row(self, small_streams,
                                                  small_spec, tmp_path,
                                                  monkeypatch):
-        # one extract_stream call per user and window size, over distinct
+        # one featurize call per user and window size, over distinct
         # windows: the union of the row's starts
         calls = Counter()
         featurized = []
-        original = evaluation.extract_stream
+        original = evaluation.featurize
 
-        def counting(windows):
-            windows = list(windows)
-            calls[(windows[0].user_id, windows[0].size)] += 1
-            featurized.extend((w.user_id, w.size, w.start) for w in windows)
-            return original(windows)
+        def counting(spans, size):
+            spans = list(spans)
+            calls[(spans[0][0].user_id, size)] += 1
+            featurized.extend((s.user_id, size, start) for s, start in spans)
+            return original(spans, size)
 
-        monkeypatch.setattr(evaluation, "extract_stream", counting)
+        monkeypatch.setattr(evaluation, "featurize", counting)
         sweep(small_streams, [20, 50], self.OVERLAPS, self.MODES, seed=0,
               out_dir=str(tmp_path), params=FAST,
               valid_labels=small_spec.class_labels)
@@ -420,36 +451,47 @@ class TestSweep:
 
     def test_trains_folds_on_a_shared_prefix(self, small_streams, small_spec,
                                              tmp_path, monkeypatch):
+        # frozen cells only, so that every train_rows call trains a fold:
+        # one call per user, on that user's rows at the point
+        labels = small_spec.class_labels
+        owners = {}
+        for config in (WindowConfig(50, o) for o in self.OVERLAPS):
+            tables = evaluation.row_tables(small_streams, [config],
+                                           valid_labels=labels)
+            for user, (starts, X, _) in tables.items():
+                owners[X[starts % config.step == 0].tobytes()] = user
         trained, cloned = [], []
-        original, clone = Ensemble.train_offline, Ensemble.clone
+        original, clone = Ensemble.train_rows, Ensemble.clone
 
-        def counting(model, instances):
-            instances = list(instances)
-            trained.append(frozenset(fv.user_id for fv in instances))
-            return original(model, instances)
+        def counting(model, X, rows_labels):
+            trained.append(owners[X.tobytes()])
+            return original(model, X, rows_labels)
 
         def counting_clone(model):
             cloned.append(1)
             return clone(model)
 
-        monkeypatch.setattr(Ensemble, "train_offline", counting)
+        monkeypatch.setattr(Ensemble, "train_rows", counting)
         monkeypatch.setattr(Ensemble, "clone", counting_clone)
-        first = self.run(small_streams, small_spec.class_labels, tmp_path)
+
+        def run():
+            return sweep(small_streams, self.WINDOWS, self.OVERLAPS,
+                         ["supervised_frozen"], seed=0, out_dir=str(tmp_path),
+                         params=FAST, valid_labels=labels)
+
+        first = run()
         # per point: fold 1 trains users 2 and 3 on a clone of the empty
         # prefix, the prefix trains user 1, fold 2 trains user 3 on a clone
         # of it, the prefix trains user 2 and is fold 3
-        prefix_order = [frozenset({2, 3}), frozenset({1}), frozenset({3}),
-                        frozenset({2})]
-        assert trained == prefix_order * 2 and len(cloned) == 2 * 2
+        assert trained == [2, 3, 1, 3, 2] * 2 and len(cloned) == 2 * 2
         files = _cell_files(tmp_path)
-        files[(1, 50, 0.0, "semi_supervised")].unlink()
+        files[(1, 50, 0.0, "supervised_frozen")].unlink()
         files[(2, 50, 0.5, "supervised_frozen")].unlink()
-        files[(2, 50, 0.5, "semi_supervised")].unlink()
         trained.clear()
         cloned.clear()
-        again = self.run(small_streams, small_spec.class_labels, tmp_path)
+        again = run()
         # only pending folds train, each the last of its point: no clone
-        assert trained == [frozenset({2, 3}), frozenset({1}), frozenset({3})]
+        assert trained == [2, 3, 1, 3]
         assert cloned == []
         assert again == first
 
@@ -514,11 +556,58 @@ class TestSweep:
         for w, o in product(self.WINDOWS, self.OVERLAPS):
             config = WindowConfig(w, o)
             tables = evaluation.row_tables(hard_streams, [config],
-                                           valid_labels=labels)[config]
+                                           valid_labels=labels)
             for user in sorted(tables):
-                fresh = evaluation.fold_model(tables, user, GATE_05, labels)
+                fresh = fold_model(tables, config, user, GATE_05, labels)
                 expected += [fresh.state_hash()] * len(self.MODES)
         assert started == expected and len(started) == 12
+
+    def test_carries_no_per_window_objects(self, hard_streams, hard_spec,
+                                           tmp_path, monkeypatch):
+        # the sweep labels, featurizes, trains and scores on arrays: with
+        # Window and FeatureVector construction made to raise, it writes
+        # the bytes it writes without
+        labels = hard_spec.class_labels
+        outputs = []
+        for name in ("plain", "no_objects"):
+            if name == "no_objects":
+                def refuse(self, *args, **kwargs):
+                    raise AssertionError(f"built a {type(self).__name__}")
+
+                monkeypatch.setattr(Window, "__init__", refuse)
+                monkeypatch.setattr(FeatureVector, "__init__", refuse)
+            out = tmp_path / name
+            results = sweep(hard_streams, [20, 50], [0.0, 0.3, 0.5],
+                            self.MODES, seed=0, out_dir=str(out),
+                            params=GATE_05, valid_labels=labels)
+            emit_reports(results, str(out / "reports"), valid_labels=labels)
+            outputs.append({
+                path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()})
+        assert outputs[0] == outputs[1]
+        with pytest.raises(AssertionError, match="built a Window"):
+            labeled_windows(hard_streams[0], WindowConfig(50, 0.0))
+        with pytest.raises(AssertionError, match="built a FeatureVector"):
+            FeatureVector(np.zeros(N_FEATURES), 1, 1, 0)
+
+    @pytest.mark.parametrize("module", [dataset, windowing, features,
+                                        learners, ensemble, evaluation],
+                             ids=lambda m: m.__name__.split(".")[-1])
+    def test_resume_recomputes_cells_after_a_source_edit(
+            self, small_streams, small_spec, tmp_path, monkeypatch, module):
+        # an edit to any module a cell's scores read, dataset's channel
+        # layout and transient label among them, keys the cells anew, so a
+        # resume recomputes them rather than serve the old scores
+        labels = small_spec.class_labels
+        first = self.run(small_streams, labels, tmp_path / "out")
+        edited = tmp_path / "edited.py"
+        edited.write_bytes(Path(module.__file__).read_bytes() + b"# edit\n")
+        monkeypatch.setattr(module, "__file__", str(edited))
+        recomputed = []
+        again = self.run(small_streams, labels, tmp_path / "out",
+                         resume=True, progress=recomputed.append)
+        assert len(recomputed) == len(first) and again == first
+        assert len(os.listdir(tmp_path / "out" / "cells")) == 2 * len(first)
 
     @pytest.mark.parametrize("modes", [
         ["nonsense"], ["supervised_frozen", "supervised_frozen"],

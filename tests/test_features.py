@@ -305,3 +305,14 @@ def test_feature_names_align_with_values():
     assert FEATURE_NAMES[0].endswith("_mean")
     assert FEATURE_NAMES[27].endswith("_std")
     assert "corr" in FEATURE_NAMES[54]
+
+
+def test_window_past_its_stream_raises():
+    # a window's rows must lie in its stream, alone or in a block
+    win = random_window(np.random.default_rng(9), 10)
+    past = FakeWindow(win.channels)
+    past.start = 4
+    with pytest.raises(FeatureError):
+        extract(past)
+    with pytest.raises(FeatureError):
+        extract_stream([win, past])

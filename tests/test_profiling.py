@@ -121,18 +121,20 @@ class TestTimedRun:
 
     def test_trains_once_across_repetitions(self, small_streams, small_spec,
                                             monkeypatch):
+        # the fold trains one train_rows call per training user, once for
+        # all repetitions (frozen runs make no self-update)
         calls = []
-        original = Ensemble.train_offline
+        original = Ensemble.train_rows
 
-        def counting(model, instances):
-            calls.append(1)
-            return original(model, instances)
+        def counting(model, X, labels):
+            calls.append(len(labels))
+            return original(model, X, labels)
 
-        monkeypatch.setattr(Ensemble, "train_offline", counting)
+        monkeypatch.setattr(Ensemble, "train_rows", counting)
         bd = timed_run(small_streams, 3, WindowConfig(50, 0.5), params=FAST,
                        valid_labels=small_spec.class_labels, repetitions=5)
         assert bd.result.n_windows > 0
-        assert len(calls) == 1
+        assert len(calls) == 2 and min(calls) > 0
 
     def test_semi_supervised_reps_start_from_the_trained_model(
             self, hard_streams, hard_spec, monkeypatch):

@@ -158,18 +158,33 @@ def test_knn_one_query_chunk_takes_predicts_form(n):
 
 
 def test_knn_rows_of_a_store_whose_filter_could_overflow():
-    # A feature that never varies has scale 1, so at 1.2e154 its w x^2 is
-    # 1.44e308: 4 (max a + c) overflows, and every row is kept, while
-    # -2 w q x overflows in predict's filter, which ranks every row too.
+    # The first row trained is the filter's center, and every later row
+    # lies 1e20 from it in feature 0, whose weight 1/scale^2 (~3e-38) is
+    # still normal in float32: each later row's centered square overflows
+    # float32, so a is infinite. predict's upper ends are then not finite,
+    # and predict_rows' k-th upper end is infinite, so both rank every row
+    # of the store for every query.
     rng = np.random.default_rng(6)
     X = rng.normal(size=(300, 3))
-    X[:, 0] = 1.2e154
+    X[1:, 0] += 1e20
     knn = KnnClassifier(classes=(0, 1), n_features=3, k=3, capacity=300)
-    for i, x in enumerate(X):
-        knn.train(x, i % 2)
+    with np.errstate(over="ignore"):
+        for i, x in enumerate(X):
+            knn.train(x, i % 2)
+    assert knn._filter_weights(knn._scale()) is not None
+    assert np.isinf(knn._Xc2[1:, 0]).all()
     queries = X[:5] + [0.0, 0.1, -0.1]
-    with np.errstate(over="ignore", invalid="ignore"):
+    ranked, exact = [], learners._sq_distances
+
+    def counted(rows, x, scale):
+        ranked.append(len(rows))
+        return exact(rows, x, scale)
+
+    with mock.patch.object(learners, "_sq_distances", counted), \
+            np.errstate(over="ignore", invalid="ignore"):
         assert_rows_equal(knn, queries, 300, 7)
+    # predict_rows' pairs, then predict's rows: every row, for each query
+    assert sum(ranked) == 2 * len(queries) * len(X)
 
 
 def test_knn_rows_filter_a_store_below_the_crossover():

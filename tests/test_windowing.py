@@ -176,6 +176,14 @@ def per_window_labels(stream, starts, size, purity, valid):
     return [win for win in labeled if win is not None]
 
 
+def assert_labels_windows(kept, windows):
+    """label_starts' (starts, labels) arrays are those of the windows."""
+    starts, labels = kept
+    assert starts.dtype == labels.dtype == np.int64
+    assert starts.tolist() == [w.start for w in windows]
+    assert labels.tolist() == [w.label for w in windows]
+
+
 class TestLabelStarts:
     # runs of protocol ids, the transient id and a non-protocol id (99),
     # so that ties, shares exactly at the purity and dropped labels occur;
@@ -192,8 +200,9 @@ class TestLabelStarts:
         stream = id_stream([a for a, n in runs for _ in range(n)])
         starts = sorted({start for step in steps
                          for start in range(0, len(stream) - size + 1, step)})
-        assert label_starts(stream, starts, size, purity, valid) == \
-            per_window_labels(stream, starts, size, purity, valid)
+        assert_labels_windows(
+            label_starts(stream, starts, size, purity, valid),
+            per_window_labels(stream, starts, size, purity, valid))
 
     @pytest.mark.parametrize("ids, purity, label", [
         ([3, 4, 4, 3, 3, 4], 0.5, 3),  # a tie: 3 occurs first
@@ -205,12 +214,12 @@ class TestLabelStarts:
     def test_ties_purity_and_dropped_labels(self, ids, purity, label):
         stream = id_stream(ids)
         kept = label_starts(stream, [0], len(ids), purity)
-        assert kept == per_window_labels(stream, [0], len(ids), purity,
-                                         PROTOCOL_ACTIVITIES)
+        assert_labels_windows(kept, per_window_labels(
+            stream, [0], len(ids), purity, PROTOCOL_ACTIVITIES))
         expect_kept = (label in PROTOCOL_ACTIVITIES
                        and ids.count(label) / len(ids) >= purity)
-        assert kept == ([Window(stream, 0, len(ids), label)]
-                        if expect_kept else [])
+        assert_labels_windows(kept, [Window(stream, 0, len(ids), label)]
+                              if expect_kept else [])
 
     def test_labeled_windows_takes_segments_starts(self):
         ids = [1] * 37 + [0] * 20 + [4] * 51
@@ -234,6 +243,16 @@ class TestClassificationCount:
         cfg = WindowConfig(100, 0.5)
         assert classification_count(stream, cfg) == len(
             labeled_windows(stream, cfg))
+
+    def test_counts_label_starts_without_windows(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a Window")
+
+        stream = id_stream([1] * 500 + [0] * 50 + [4] * 500)
+        cfg = WindowConfig(100, 0.5)
+        expected = len(labeled_windows(stream, cfg))
+        monkeypatch.setattr(Window, "__init__", refuse)
+        assert classification_count(stream, cfg) == expected > 0
 
     def test_single_activity_formula(self):
         stream = id_stream([1] * 10_000)

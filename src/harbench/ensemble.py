@@ -172,7 +172,7 @@ class Ensemble:
         return [self._step(fv.values, fv.label, self.classify(fv), update)
                 for fv in instances]
 
-    def run_blocks(self, X, labels, mode):
+    def run_blocks(self, X, labels, mode, frozen=()):
         """run_online's audit and updates over the rows of X and a list of
         their labels, in speculative blocks: the model changes only at an
         update, so a block scored by classify_rows is classify_row's up to and
@@ -180,14 +180,20 @@ class Ensemble:
         it. A frozen run is one block (classify_row per row below STREAK_ROWS
         rows). A semi-supervised one uses classify_row until STREAK_ROWS rows
         in a row fail the gate, then blocks the size of that run, and
-        classify_row again after an update. A block that raises is scored again
-        a row at a time, to raise at run_online's row and state."""
+        classify_row again after an update, as at its start. frozen, the
+        audit of a frozen run of this model over the first rows, is the first
+        block, its records standing for those rows' predictions: they are not
+        scored again. A block that raises is scored again a row at a time, to
+        raise at run_online's row and state."""
         update = _updates(mode)
         audit, streak, careful = [], 0, 0
         while len(audit) < len(labels):
             i = len(audit)
             size = min(streak, MAX_BLOCK_ROWS) if update else len(labels)
-            if i < careful or size < STREAK_ROWS:
+            if frozen and i == 0:
+                preds = [Prediction(rec.predicted_label, rec.confidence, None)
+                         for rec in frozen]
+            elif i < careful or size < STREAK_ROWS:
                 preds = [self.classify_row(X[i])]
             else:
                 try:

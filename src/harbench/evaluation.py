@@ -5,7 +5,9 @@ at one window size: each user's windows at the union of the row's starts are
 labeled and featurized once, into one (starts, X, labels) table, and a point
 takes a user's rows at its own starts. A point's folds train on one shared
 prefix of the sorted users, and each cell is scored in row blocks in either
-mode (Ensemble.run_blocks). Finished cells are persisted as JSON so an
+mode (Ensemble.run_blocks). A user's frozen cell is scored first, and the
+semi-supervised cell takes its audit up to the first self-update instead of
+scoring those rows again. Finished cells are persisted as JSON so an
 interrupted sweep resumes without recomputation. Reports are plain CSV, each
 one list of rows handed to write_rows: a long-form per-activity table, one
 accuracy heat map per (user, mode), and a cross-user summary.
@@ -178,13 +180,15 @@ def fold_result(audit, test_user, config, mode, classes):
                       self_updates=sum(rec.updated for rec in audit))
 
 
-def score_fold(model, tables, test_user, config, mode):
+def score_fold(model, tables, test_user, config, mode, frozen=()):
     """(FoldResult, audit) of one cell: the fold's model run on the test
     user's rows at the point by Ensemble.run_blocks in either mode, which
-    gives the audit, and leaves the model, that run_online would."""
+    gives the audit, and leaves the model, that run_online would. frozen,
+    the model's frozen cell's audit if known, gives the predictions up to
+    the first self-update, which are not scored again."""
     starts, X, labels = tables[test_user]
     at = starts % config.step == 0
-    audit = model.run_blocks(X[at], labels[at].tolist(), mode)
+    audit = model.run_blocks(X[at], labels[at].tolist(), mode, frozen)
     return fold_result(audit, test_user, config, mode, model.classes), audit
 
 
@@ -238,7 +242,8 @@ def _row_cells(streams, params, purity, valid_labels, points):
     [(config, keys)]: row_tables featurizes each user once for the row,
     and fold_models trains a point's pending folds on one shared prefix.
     A user's cells come together, frozen first, so the fold's model
-    serves both modes: a frozen run leaves it unchanged."""
+    serves both modes: a frozen run leaves it unchanged, and its audit is
+    the semi-supervised run's up to the first self-update."""
     tables = row_tables(streams, [config for config, _ in points], purity,
                         valid_labels)
     for config, keys in points:
@@ -247,9 +252,13 @@ def _row_cells(streams, params, purity, valid_labels, points):
             pending.setdefault(key["user"], []).append(key)
         for user, model in fold_models(tables, config, pending, params,
                                        valid_labels):
+            frozen = ()  # the user's frozen audit, once scored
             for key in pending[user]:
-                yield key, score_fold(model, tables, user, config,
-                                      key["mode"])[0]
+                result, audit = score_fold(model, tables, user, config,
+                                           key["mode"], frozen)
+                if key["mode"] == "supervised_frozen":
+                    frozen = audit
+                yield key, result
 
 
 _shared = ()  # a pool worker's (streams, params, purity, valid_labels)

@@ -521,6 +521,88 @@ class TestRunBlocks:
         assert scored == blocks
         assert all(m.trained == [(update, 1)] for m in after.members)
 
+    @pytest.mark.parametrize("theta,update", [
+        (1.5, 10), (0.99, 0), (0.99, 19), (0.99, 10)],
+        ids=["never", "first_row", "last_row", "mid_run"])
+    def test_frozen_audit_is_the_first_block(self, theta, update):
+        # given the frozen audit of the same rows, a semi-supervised run
+        # takes it up to and including the first row that passes the gate,
+        # and scores only the rows after that one; a gate above 1 passes
+        # none, and the audit is the frozen one
+        table = [[0.6, 0.4]] * 20
+        table[update] = [1.0, 0.0]
+        model = Ensemble((1, 2), LearnerParams(confidence_threshold=theta))
+        model.members = [TrainedRowStub(table) for _ in range(3)]
+        model._trained = True
+        stream = [fv([i], index=i) for i in range(20)]
+        frozen = model.run_blocks(*rows(stream), "supervised_frozen")
+        online, given = model.clone(), model.clone()
+        expected = online.run_online(stream, "semi_supervised")
+        scored = []
+        classify_row = Ensemble.classify_row
+        classify_rows = Ensemble.classify_rows
+
+        def one(self, x):
+            scored.append(int(x[0]))
+            return classify_row(self, x)
+
+        def block(self, X):
+            scored.extend(X[:, 0].astype(int).tolist())
+            return classify_rows(self, X)
+
+        with mock.patch.object(Ensemble, "classify_row", one), \
+                mock.patch.object(Ensemble, "classify_rows", block):
+            audit = given.run_blocks(*rows(stream), "semi_supervised", frozen)
+        assert audit == expected
+        assert given.state_hash() == online.state_hash()
+        if theta > 1:
+            assert audit == frozen and scored == []
+        else:
+            assert [rec.updated for rec in audit].index(True) == update
+            assert scored == list(range(update + 1, 20))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), theta=st.sampled_from(GATES),
+           noise=st.sampled_from([2.0, 4.0, 8.0]), n=st.integers(0, 200))
+    def test_frozen_audit_as_first_block_equals_run_online(self, seed, theta,
+                                                           noise, n):
+        rng = np.random.default_rng(seed)
+        params = LearnerParams(knn_capacity=300, vfdt_grace_period=20,
+                               vfdt_tie_threshold=0.5,
+                               confidence_threshold=theta)
+        model = Ensemble((1, 2, 3), params=params)
+        model.train_offline(drawn_instances(rng, 240, noise))
+        stream = drawn_instances(rng, n, noise)
+        frozen = model.run_blocks(*rows(stream), "supervised_frozen")
+        online, given = model.clone(), model.clone()
+        assert (given.run_blocks(*rows(stream), "semi_supervised", frozen)
+                == online.run_online(stream, "semi_supervised"))
+        assert given.state_hash() == online.state_hash()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [0, 33, 140])
+    def test_nan_row_raises_at_run_onlines_row_after_a_frozen_audit(self,
+                                                                    bad):
+        # a NaN row gives NaN member posteriors: the frozen run over every
+        # row raises, so no frozen audit reaches the semi-supervised run,
+        # and one given the frozen audit of the rows before it still raises
+        # at run_online's row and state
+        rng = np.random.default_rng(14)
+        params = LearnerParams(knn_capacity=300, confidence_threshold=0.65)
+        model = Ensemble((1, 2, 3), params=params)
+        model.train_offline(drawn_instances(rng, 150, 8.0))
+        stream = drawn_instances(rng, 200, 8.0)
+        stream[bad] = fv(np.full(N_FEATURES, np.nan), index=bad)
+        with pytest.raises(LearnerError):
+            model.clone().run_blocks(*rows(stream), "supervised_frozen")
+        frozen = model.run_blocks(*rows(stream[:bad]), "supervised_frozen")
+        online, given = model.clone(), model.clone()
+        with pytest.raises(LearnerError):
+            online.run_online(stream, "semi_supervised")
+        with pytest.raises(LearnerError):
+            given.run_blocks(*rows(stream), "semi_supervised", frozen)
+        assert given.state_hash() == online.state_hash()
+
     @pytest.mark.parametrize("mode", MODES)
     def test_no_instances(self, mode):
         # as run_online, an untrained model scores no rows

@@ -496,10 +496,24 @@ class TestSweep:
         assert again == first
 
     def test_theta_above_one_semi_cells_are_frozen_cells(
-            self, hard_streams, hard_spec, tmp_path):
+            self, hard_streams, hard_spec, tmp_path, monkeypatch):
         # no self-update passes a gate above 1, so every semi-supervised
-        # cell, run a window at a time, counts as its frozen cell, scored
-        # as one block of rows
+        # cell counts as its frozen cell, and takes every row from that
+        # cell's audit: the sweep classifies only the frozen cells' rows
+        classified = []
+        classify_row = Ensemble.classify_row
+        classify_rows = Ensemble.classify_rows
+
+        def one(model, x):
+            classified.append(1)
+            return classify_row(model, x)
+
+        def block(model, X):
+            classified.append(len(X))
+            return classify_rows(model, X)
+
+        monkeypatch.setattr(Ensemble, "classify_row", one)
+        monkeypatch.setattr(Ensemble, "classify_rows", block)
         params = LearnerParams(knn_capacity=500, vfdt_grace_period=50,
                                confidence_threshold=1.5)
         results = sweep(hard_streams, self.WINDOWS, self.OVERLAPS,
@@ -513,6 +527,37 @@ class TestSweep:
             assert r.n_windows > 0 and semi.self_updates == 0
             assert ((semi.per_activity_windows, semi.per_activity_correct)
                     == (r.per_activity_windows, r.per_activity_correct))
+        assert sum(classified) == sum(r.n_windows for r in frozen)
+
+    def test_semi_cells_without_a_frozen_audit(self, hard_streams, hard_spec,
+                                               tmp_path):
+        # a semi-supervised cell whose frozen cell is on disk, or not in
+        # the sweep, is scored from its first row, and writes the bytes it
+        # writes when it takes its frozen cell's audit
+        labels = hard_spec.class_labels
+        both = sweep(hard_streams, self.WINDOWS, self.OVERLAPS, self.MODES,
+                     seed=0, out_dir=str(tmp_path), params=GATE_05,
+                     valid_labels=labels)
+        files = _cell_files(tmp_path)
+        semi = {key: path.read_bytes() for key, path in files.items()
+                if key[3] == "semi_supervised"}
+        assert len(semi) == 6
+        for path in (files[key] for key in semi):
+            path.unlink()
+        recomputed = []
+        again = sweep(hard_streams, self.WINDOWS, self.OVERLAPS, self.MODES,
+                      seed=0, out_dir=str(tmp_path), params=GATE_05,
+                      valid_labels=labels, resume=True,
+                      progress=recomputed.append)
+        assert sorted(map(_cell_key, recomputed)) == sorted(semi)
+        assert {key: files[key].read_bytes() for key in semi} == semi
+        assert again == both
+        alone = sweep(hard_streams, self.WINDOWS, self.OVERLAPS,
+                      ["semi_supervised"], seed=0,
+                      out_dir=str(tmp_path / "semi"), params=GATE_05,
+                      valid_labels=labels)
+        assert alone == [r for r in both if r.mode == "semi_supervised"]
+        assert all(r.self_updates > 0 for r in alone)
 
     def test_reversed_modes_write_same_bytes(self, hard_streams, hard_spec,
                                              tmp_path):
@@ -538,17 +583,23 @@ class TestSweep:
     def test_every_run_starts_from_the_trained_model(self, hard_streams,
                                                      hard_spec, tmp_path,
                                                      monkeypatch):
-        # every cell, in either mode, is one run_blocks call, and starts
-        # from the model fold_model trains for its point and user
+        # every cell, in either mode, is one score_fold call, and starts
+        # from the model fold_model trains for its point and user; the
+        # semi-supervised cell is given its frozen cell's audit
         labels = hard_spec.class_labels
-        started = []
-        run_blocks = Ensemble.run_blocks
+        started, given = [], []
+        score_fold = evaluation.score_fold
 
-        def recording_run(model, *args):
+        def recording_score(model, tables, user, config, mode, frozen=()):
             started.append(model.state_hash())
-            return run_blocks(model, *args)
+            given.append(list(frozen))
+            result, audit = score_fold(model, tables, user, config, mode,
+                                       frozen)
+            if mode == "supervised_frozen":
+                given.append(audit)
+            return result, audit
 
-        monkeypatch.setattr(Ensemble, "run_blocks", recording_run)
+        monkeypatch.setattr(evaluation, "score_fold", recording_score)
         sweep(hard_streams, self.WINDOWS, self.OVERLAPS, self.MODES[::-1],
               seed=0, out_dir=str(tmp_path), params=GATE_05,
               valid_labels=labels)
@@ -561,6 +612,9 @@ class TestSweep:
                 fresh = fold_model(tables, config, user, GATE_05, labels)
                 expected += [fresh.state_hash()] * len(self.MODES)
         assert started == expected and len(started) == 12
+        # per user and point: none, the frozen audit, then that audit
+        assert given[::3] == [[]] * 6 and given[1::3] == given[2::3]
+        assert all(given[1::3])
 
     def test_carries_no_per_window_objects(self, hard_streams, hard_spec,
                                            tmp_path, monkeypatch):

@@ -96,11 +96,25 @@ class Ensemble:
 
     def train_rows(self, X, labels):
         """Train each row of X, with its label, into every member, in order;
-        no rows leave the model as it was. kNN trains first: it refuses a
-        row with a NaN or infinite value before any member has changed."""
-        for values, label in zip(X, labels):
+        no rows leave the model as it was. One row goes through each
+        member's train; more go through each member's train_rows, which
+        leaves the bits of train per row. Rows and labels of different
+        lengths are refused first. Then a row that kNN's train refuses, one
+        with an unknown label or a NaN or infinite value, raises its error
+        after every member has trained the rows before it."""
+        if len(X) != len(labels):
+            raise EnsembleError(f"{len(X)} rows for {len(labels)} labels")
+        if len(labels) == 1:  # a self-update
             for member in self.members:
-                member.train(values, label)
+                member.train(X[0], labels[0])
+        elif len(labels):
+            index = {c: i for i, c in enumerate(self.classes)}
+            y = np.array([index.get(label, -1) for label in labels])
+            n = _first_refused(X, y)
+            for member in self.members:
+                member.train_rows(X[:n], y[:n])
+            if n < len(labels):  # raises, and changes no member
+                self.members[0].train(X[n], labels[n])
         self._trained = self._trained or len(labels) > 0
         return self
 
@@ -186,6 +200,11 @@ class Ensemble:
         scored again. A block that raises is scored again a row at a time, to
         raise at run_online's row and state."""
         update = _updates(mode)
+        if len(X) != len(labels):
+            raise EnsembleError(f"{len(X)} rows for {len(labels)} labels")
+        if len(frozen) > len(labels):
+            raise EnsembleError(f"a frozen audit of {len(frozen)} records "
+                                f"for {len(labels)} rows")
         audit, streak, careful = [], 0, 0
         while len(audit) < len(labels):
             i = len(audit)
@@ -208,6 +227,17 @@ class Ensemble:
                     break
                 streak += 1
         return audit
+
+
+def _first_refused(X, y):
+    """The first row kNN's train refuses, with a class index y of -1 or a
+    NaN or infinite value, or len(X); a chunk of rows at a time."""
+    for chunk in _row_chunks(len(X), N_FEATURES):
+        rows = np.asarray(X[chunk], dtype=np.float64)
+        ok = np.isfinite(rows).all(axis=1) & (y[chunk] >= 0)
+        if not ok.all():
+            return chunk.start + int(ok.argmin())
+    return len(X)
 
 
 def _updates(mode):

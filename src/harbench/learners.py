@@ -1,10 +1,12 @@
 """Three from-scratch incremental classifiers over a fixed class set.
 
 Each learner exposes train(x, label) for a single instance,
-predict(x) -> probability vector aligned with learner.classes, and
-predict_rows(X) -> one such vector per row of X, with the same bits as
-predict on each row. All three are single-writer: do not interleave predict
-with train on the same instance from different threads.
+train_rows(X, class_indices) for a batch of rows, each with the index of
+its class in learner.classes, which leaves the learner with the bits of
+train on each row in turn, predict(x) -> probability vector aligned with
+learner.classes, and predict_rows(X) -> one such vector per row of X, with
+the same bits as predict on each row. All three are single-writer: do not
+interleave predict with train on the same instance from different threads.
 """
 
 from __future__ import annotations
@@ -28,6 +30,14 @@ def _row_chunks(n_rows, row_values):
     a row takes row_values, and at least one row."""
     step = max(1, _BLOCK_VALUES // row_values)
     return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _take(X, rows):
+    """The rows of X at the indices rows as one float64 array. X is an
+    array of rows, or a list of them, which is not stacked whole."""
+    if isinstance(X, np.ndarray):
+        return X[rows].astype(np.float64, copy=False)
+    return np.array([X[i] for i in rows.tolist()], dtype=np.float64)
 
 
 def _check_rows(rows):
@@ -141,12 +151,8 @@ class KnnClassifier:
             raise LearnerError(f"unknown class {label}")
         if not np.isfinite(x).all():  # it would spoil the running scale
             raise LearnerError("kNN row with a NaN or infinite value")
+        self._reserve(1)
         slot = self.n_trained % self.capacity  # overwrites the oldest
-        if slot == len(self._y):  # the first block is full: grow, zeroed
-            self._X, self._Xc, self._Xc2, self._y = (
-                np.concatenate([a, np.zeros((self.capacity - slot,)
-                                            + a.shape[1:], a.dtype)])
-                for a in (self._X, self._Xc, self._Xc2, self._y))
         if not self.n_trained:
             self._center[:] = x
         self._X[slot] = x
@@ -159,6 +165,51 @@ class KnnClassifier:
         self._y[slot] = self._class_index[label]
         self.n_trained += 1
         _welford(self._mean, self._m2, x, self.n_trained)
+
+    def _reserve(self, n):
+        """Grow the store to capacity, zeroed, if the next n rows pass its
+        first block."""
+        rows = len(self._y)
+        if rows < min(self.n_trained + n, self.capacity):
+            self._X, self._Xc, self._Xc2, self._y = (
+                np.concatenate([a, np.zeros((self.capacity - rows,)
+                                            + a.shape[1:], a.dtype)])
+                for a in (self._X, self._Xc, self._Xc2, self._y))
+
+    def train_rows(self, X, class_indices):
+        """train of each row of X, with the class at its index in classes,
+        with the same bits, a chunk of rows at a time: a chunk's last
+        capacity rows, the ones that stay, are written into the store at
+        once, and the running statistics take every row in turn, as one
+        recurrence. A NaN or infinite row is refused after the rows before
+        it."""
+        class_indices = np.asarray(class_indices)
+        for chunk in _row_chunks(len(X), self.n_features):
+            rows = np.asarray(X[chunk], dtype=np.float64)
+            y = class_indices[chunk]
+            finite = np.isfinite(rows).all(axis=1)
+            n = len(rows) if finite.all() else int(finite.argmin())
+            self._store(rows[:n], y[:n])
+            if n < len(rows):
+                raise LearnerError("kNN row with a NaN or infinite value")
+        return self
+
+    def _store(self, rows, y):
+        """train_rows of finite rows that fit one chunk."""
+        if not len(rows):
+            return
+        self._reserve(len(rows))
+        if not self.n_trained:
+            self._center[:] = rows[0]
+        first = max(0, len(rows) - self.capacity)  # the rows that stay
+        slots = (self.n_trained + np.arange(first, len(rows))) % self.capacity
+        self._X[slots] = rows[first:]
+        self._Xc[slots] = rows[first:] - self._center
+        self._Xc2[slots] = np.square(self._Xc[slots])
+        self._y[slots] = y[first:]
+        for n, x in enumerate(rows, self.n_trained + 1):
+            _welford(self._mean, self._m2, x, n)
+        self.n_trained += len(rows)
 
     def _scale(self):
         std = np.sqrt(self._m2 / max(1, self.n_trained))
@@ -382,6 +433,44 @@ class GaussianNbClassifier:
         self.counts[ci] += 1
         _welford(self.mean[ci], self.m2[ci], x, self.counts[ci])
 
+    def train_rows(self, X, class_indices):
+        """train of each row of X, with the class at its index in classes,
+        with the same bits. Each class's rows are one Welford sequence
+        (Welford, Technometrics 1962), and step j updates the j-th row of
+        every class that has one as one (classes, features) operation: the
+        classes go in order of their row counts, most first, so that these
+        are a prefix of each statistic's rows. Once one class is left, its
+        rows go one at a time, as train takes them."""
+        y = np.asarray(class_indices)
+        count = np.bincount(y, minlength=len(self.classes))
+        order = np.argsort(y, kind="stable")  # each class's rows in turn
+        first = np.cumsum(count) - count
+        present = np.argsort(-count, kind="stable")[:np.count_nonzero(count)]
+        if not len(present):
+            return self
+        first, count = first[present], count[present]
+        n, mean, m2 = (a[present] for a in (self.counts, self.mean, self.m2))
+        # the steps with two classes or more, and how many each one has
+        steps = count[1] if len(count) > 1 else 0
+        live = np.searchsorted(-count, -np.arange(steps)).tolist()
+        for j, k in enumerate(live):
+            x = _take(X, order[first[:k] + j])
+            n[:k] += 1
+            delta = x - mean[:k]
+            mean[:k] += delta / n[:k, None]
+            m2[:k] += delta * (x - mean[:k])
+        # the rest of the first class's rows; a float64 count divides alike
+        n0, mean0, m20 = float(n[0]), mean[0], m2[0]
+        rest = order[first[0] + steps:first[0] + count[0]]
+        for chunk in _row_chunks(len(rest), self.n_features):
+            for x in _take(X, rest[chunk]):
+                n0 += 1
+                _welford(mean0, m20, x, n0)
+        n[0] = n0
+        for a, b in ((self.counts, n), (self.mean, mean), (self.m2, m2)):
+            a[present] = b
+        return self
+
     def class_stats(self, label):
         """(count, mean, population variance) for one class."""
         ci = self._index(label)
@@ -448,6 +537,18 @@ def hoeffding_bound(value_range, delta, n):
     if value_range <= 0:
         raise LearnerError(f"range must be positive, got {value_range}")
     return math.sqrt(value_range * value_range * math.log(1.0 / delta) / (2.0 * n))
+
+
+def _fold(ufunc, out, X):
+    """Fold the rows of X into out, in order, by np.minimum or np.maximum,
+    with the bits of one call per row. A reduction may take the rows in
+    another order, which changes only which of equal zeros or NaNs it
+    returns; when it returns a zero or a NaN, the rows are accumulated in
+    order."""
+    folded = ufunc.reduce(X)
+    if not folded.all() or np.isnan(folded).any():
+        folded = ufunc.accumulate(X)[-1]
+    ufunc(out, folded, out=out)
 
 
 def _entropy(counts):
@@ -536,6 +637,65 @@ class HoeffdingTreeClassifier:
             leaf.n_since_eval = 0
             self._attempt_split(leaf)
 
+    def train_rows(self, X, class_indices):
+        """train of each row of X, with the class at its index in classes,
+        with the same bits, a chunk of rows at a time. A chunk is routed
+        once. Each leaf takes its rows up to the earliest grace-period
+        boundary of any leaf in one naive Bayes train_rows call, as its
+        statistics stay fixed between split attempts (VFDTc), and the leaf
+        at the boundary attempts its split there; after a split, only its
+        later rows are routed again."""
+        y = np.asarray(class_indices)
+        for chunk in _row_chunks(len(y), self.n_features):
+            self._train_chunk(np.asarray(X[chunk], dtype=np.float64),
+                              y[chunk])
+        return self
+
+    def _train_chunk(self, X, y):
+        """train_rows of the rows of one chunk, with class indices y."""
+        groups = self._leaf_rows(self.root, np.arange(len(X)), X)
+        while groups:
+            # the row at which each leaf reaches its grace period, if any
+            ends = []
+            for leaf, rows in groups:
+                due = self.grace_period - leaf.n_since_eval  # rows to go
+                ends.append(rows[due - 1] if len(rows) >= due else len(X))
+            end, later = min(ends), []
+            for (leaf, rows), leaf_end in zip(groups, ends):
+                cut = int(np.searchsorted(rows, end, side="right"))
+                if cut:
+                    x = X[rows[:cut]]
+                    leaf.train_rows(x, y[rows[:cut]])
+                    _fold(np.minimum, leaf.fmin, x)
+                    _fold(np.maximum, leaf.fmax, x)
+                    leaf.n_since_eval += cut
+                rows = rows[cut:]
+                if leaf_end == end < len(X):
+                    leaf.n_since_eval = 0
+                    self._attempt_split(leaf)
+                    if not leaf.is_leaf:
+                        later += self._leaf_rows(leaf, rows, X)
+                        continue
+                if len(rows):
+                    later.append((leaf, rows))
+            groups = later
+
+    @staticmethod
+    def _leaf_rows(node, rows, X):
+        """(leaf, its rows, in order) for each leaf below node that some of
+        the rows of X at rows reach, by _route's rule: NaN goes right."""
+        out, stack = [], [(node, rows)]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                out.append((node, rows))
+            else:
+                left = X[rows, node.feature] <= node.threshold
+                stack += [(child, part) for child, part in
+                          ((node.left, rows[left]), (node.right, rows[~left]))
+                          if len(part)]
+        return out
+
     def _split_candidates(self, leaf):
         """features, gains, thresholds: each ranged feature's best split."""
         features = np.flatnonzero(leaf.fmax > leaf.fmin)
@@ -589,16 +749,8 @@ class HoeffdingTreeClassifier:
         by _route's rule, so a NaN feature goes right."""
         X = np.asarray(X, dtype=np.float64)
         out = np.empty((len(X), len(self.classes)))
-        stack = [(self.root, np.arange(len(X)))]
-        while stack:
-            node, rows = stack.pop()
-            if node.is_leaf:
-                out[rows] = self._leaf_distribution(node)
-            else:
-                left = X[rows, node.feature] <= node.threshold
-                stack += [(child, part) for child, part in
-                          ((node.left, rows[left]), (node.right, rows[~left]))
-                          if len(part)]
+        for leaf, rows in self._leaf_rows(self.root, np.arange(len(X)), X):
+            out[rows] = self._leaf_distribution(leaf)
         return out
 
     def leaves(self):

@@ -296,6 +296,67 @@ class TestTraining:
             assert correct / len(test) >= 0.9
 
 
+def row_loop_model(params, X, labels):
+    """A model whose members train each row in turn, as train_rows did
+    when it was a row loop: it stops at the first row a member refuses."""
+    model = Ensemble((1, 2, 3), params=params)
+    try:
+        for x, label in zip(X, labels):
+            for member in model.members:
+                member.train(x, label)
+    except LearnerError as exc:
+        return model, str(exc)
+    return model, None
+
+
+class TestTrainRowsRefusals:
+    PARAMS = LearnerParams(knn_capacity=60, vfdt_grace_period=5,
+                           vfdt_tie_threshold=1.0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["label", np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 130, 249])
+    def test_a_refused_row_raises_as_the_row_loop(self, bad, at):
+        # row 130 lies in a later chunk than the first; the rows before the
+        # refused one wrap the store and split the tree
+        X, labels = rows(drawn_instances(np.random.default_rng(8), 250, 0.8))
+        if bad == "label":
+            labels[at] = 7
+        else:
+            X[at, 5] = bad
+        want, message = row_loop_model(self.PARAMS, X, labels)
+        model = Ensemble((1, 2, 3), params=self.PARAMS)
+        with pytest.raises(LearnerError) as exc:
+            model.train_rows(X, labels)
+        assert str(exc.value) == message
+        assert model.state_hash() == want.state_hash()
+        if at > 100:
+            assert model.members[2].n_splits > 0
+            assert model.members[0].n_trained > 60
+
+    @pytest.mark.parametrize("bad", ["label", np.nan])
+    def test_a_refused_single_row(self, bad):
+        X, labels = rows(drawn_instances(np.random.default_rng(8), 1, 0.8))
+        if bad == "label":
+            labels[0] = 7
+        else:
+            X[0, 0] = bad
+        want, message = row_loop_model(self.PARAMS, X, labels)
+        model = Ensemble((1, 2, 3), params=self.PARAMS)
+        with pytest.raises(LearnerError, match=message):
+            model.train_rows(X, labels)
+        assert model.state_hash() == want.state_hash()
+
+    @pytest.mark.parametrize("n_rows, n_labels", [(3, 1), (1, 3), (0, 2),
+                                                  (2, 0)])
+    def test_rows_and_labels_of_other_lengths(self, n_rows, n_labels):
+        model = Ensemble((1, 2, 3))
+        before = model.state_hash()
+        with pytest.raises(EnsembleError, match="rows for"):
+            model.train_rows(np.zeros((n_rows, N_FEATURES)), [1] * n_labels)
+        assert model.state_hash() == before
+
+
 class TestSelfUpdate:
     def test_gate_is_strict(self):
         model = stub_ensemble([[1.0, 0.0]] * 3)
@@ -609,6 +670,24 @@ class TestRunBlocks:
         assert Ensemble((1, 2)).run_blocks(*rows([]), mode) == []
         with pytest.raises(EnsembleError):
             Ensemble((1, 2)).run_blocks(*rows([]), "nonsense")
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n_rows, n_labels", [(5, 3), (3, 9), (0, 8)])
+    def test_rows_and_labels_of_other_lengths(self, mode, n_rows, n_labels):
+        # fewer rows than labels once scored no row and never returned
+        rng = np.random.default_rng(3)
+        model = Ensemble((1, 2, 3)).train_offline(make_instances(rng, 30))
+        X, _ = rows(make_instances(rng, n_rows))
+        with pytest.raises(EnsembleError, match="rows for"):
+            model.run_blocks(X, [1] * n_labels, mode)
+
+    def test_a_frozen_audit_longer_than_the_rows(self):
+        rng = np.random.default_rng(3)
+        model = Ensemble((1, 2, 3)).train_offline(make_instances(rng, 30))
+        X, labels = rows(make_instances(rng, 12))
+        frozen = model.run_blocks(X, labels, "supervised_frozen")
+        with pytest.raises(EnsembleError, match="frozen audit"):
+            model.run_blocks(X[:10], labels[:10], "semi_supervised", frozen)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("mode", MODES)

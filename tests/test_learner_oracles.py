@@ -5,16 +5,24 @@ lexsorts the whole store, naive Bayes scores one class at a time, and the
 Hoeffding tree scores one feature, class and threshold at a time.
 """
 
+import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harbench.learners import (KNN_FILTER_MIN_ROWS, N_CANDIDATE_THRESHOLDS,
-                               GaussianNbClassifier, HoeffdingTreeClassifier,
-                               KnnClassifier, LearnerError, _entropy,
-                               _sq_distances, hoeffding_bound)
+from harbench import evaluation
+from harbench.dataset import SyntheticSpec, generate_synthetic
+from harbench.ensemble import Ensemble, LearnerParams
+from harbench.features import N_FEATURES
+from harbench.learners import (KNN_FILTER_MIN_ROWS, KNN_FIRST_BLOCK,
+                               N_CANDIDATE_THRESHOLDS, GaussianNbClassifier,
+                               HoeffdingTreeClassifier, KnnClassifier,
+                               LearnerError, _entropy, _sq_distances,
+                               hoeffding_bound)
+from harbench.windowing import WindowConfig
 
 
 def insertion_index(knn):
@@ -110,6 +118,58 @@ def scalar_split_decision(tree, leaf):
     if best[0] - second[0] > eps or eps < tree.tie_threshold:
         return best[1], best[2]
     return None
+
+
+def member_hash(member):
+    """A member's state as Ensemble.state_hash reads it: its __dict__."""
+    return hashlib.sha256(pickle.dumps(member.__dict__)).hexdigest()
+
+
+def refusal(train):
+    """The LearnerError message train() raises, or None."""
+    try:
+        train()
+    except LearnerError as exc:
+        return str(exc)
+    return None
+
+
+def assert_batches_train_as_the_row_loop(member, X, y, cuts):
+    """train_rows over X and class indices y, in one call per part between
+    cuts, leaves a copy of member with the bits, and raises the error, of
+    train on each row in turn."""
+    loop, batch = (pickle.loads(pickle.dumps(member)) for _ in range(2))
+    classes = member.classes
+
+    def rows():
+        for x, ci in zip(X, y):
+            loop.train(x, classes[ci])
+
+    def parts():
+        for lo, hi in zip((0,) + cuts, cuts + (len(X),)):
+            batch.train_rows(X[lo:hi], y[lo:hi])
+
+    assert refusal(parts) == refusal(rows)
+    assert member_hash(batch) == member_hash(loop)
+    return batch
+
+
+def labeled_rows(rng, n, n_features, n_classes, pattern, decimals):
+    """n rows and class indices: one class, runs of one class (as a stream
+    holds them), or drawn row by row; rounded values repeat, and round
+    small negatives to -0.0."""
+    if pattern == "single":
+        y = np.full(n, n_classes - 1)
+    elif pattern == "runs":
+        y = np.repeat(rng.integers(0, n_classes, size=n),
+                      rng.integers(1, 40, size=n))[:n]
+    else:
+        y = rng.integers(0, n_classes, size=n)
+    X = (rng.normal(size=(n, n_features))
+         + y[:, None] * rng.uniform(0.0, 2.0, size=n_features))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    return X, y
 
 
 BAD_VALUE = st.one_of(st.none(), st.sampled_from([np.nan, np.inf, -np.inf]))
@@ -421,3 +481,140 @@ class TestVfdtAgainstScalarSearch:
         for i in range(40):
             tree.train([1.0, 2.0, 3.0], i % 2)
         assert tree.n_splits == 0
+
+
+class TestTrainRowsAgainstRowLoop:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_before=st.sampled_from([0, 0, 1, 7, 40]),
+           n=st.one_of(st.integers(0, 12),
+                       st.integers(KNN_FIRST_BLOCK - 20, 700)),
+           n_features=st.sampled_from([1, 3, 81]),
+           n_classes=st.integers(1, 5),
+           pattern=st.sampled_from(["single", "runs", "drawn"]),
+           decimals=st.sampled_from([None, 0]),
+           capacity=st.one_of(st.integers(1, 30),
+                              st.integers(KNN_FIRST_BLOCK - 5, 900)),
+           grace=st.one_of(st.integers(1, 5), st.just(200)),
+           tie=st.sampled_from([0.05, 1.0, 2.0]),
+           cut=st.floats(0.0, 1.0), bad=BAD_VALUE)
+    def test_each_member_as_its_row_loop(self, seed, n_before, n, n_features,
+                                         n_classes, pattern, decimals,
+                                         capacity, grace, tie, cut, bad):
+        # From a member that trained n_before rows by train (none: the
+        # batch trains the first row ever, the kNN's center), through a
+        # first store block that fills and grows, a capacity that wraps
+        # several times in one chunk, and trees that split inside a batch,
+        # in two train_rows calls that meet at any row. A NaN or infinite
+        # value: the kNN refuses its row after the rows before it, and the
+        # other members train it as train does.
+        rng = np.random.default_rng(seed)
+        X, y = labeled_rows(rng, n_before + n, n_features, n_classes,
+                            pattern, decimals)
+        if bad is not None and n:
+            X[n_before + rng.integers(n), rng.integers(n_features)] = bad
+        classes = tuple(range(10, 10 + n_classes))
+        for member in (KnnClassifier(classes, n_features, k=3,
+                                     capacity=capacity),
+                       GaussianNbClassifier(classes, n_features),
+                       HoeffdingTreeClassifier(classes, n_features,
+                                               delta=0.05, tie_threshold=tie,
+                                               grace_period=grace)):
+            for x, ci in zip(X[:n_before], y[:n_before]):
+                member.train(x, classes[ci])
+            assert_batches_train_as_the_row_loop(
+                member, X[n_before:], y[n_before:], (int(cut * n),))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 400),
+           n_classes=st.integers(2, 4),
+           pattern=st.sampled_from(["runs", "drawn"]),
+           decimals=st.sampled_from([None, 0, 1]),
+           grace=st.integers(1, 5), tie=st.sampled_from([1.0, 1.5, 3.0]))
+    def test_tree_splits_inside_a_batch(self, seed, n, n_classes, pattern,
+                                        decimals, grace, tie):
+        # a bound below the tie threshold splits on the first positive gain
+        rng = np.random.default_rng(seed)
+        X, y = labeled_rows(rng, n, 6, n_classes, pattern, decimals)
+        y[:2] = [0, 1]  # two classes before the first attempt
+        X[:2] = [np.zeros(6), np.ones(6)]
+        tree = HoeffdingTreeClassifier(range(n_classes), 6, delta=0.05,
+                                       tie_threshold=tie, grace_period=grace)
+        batch = assert_batches_train_as_the_row_loop(tree, X, y, ())
+        assert batch.n_splits > 0
+
+    @pytest.mark.parametrize("n_features", [1, 3])
+    @pytest.mark.parametrize("other", [1.0, -1.0])
+    @pytest.mark.parametrize("grace", [3, 200])
+    def test_a_leafs_range_keeps_trains_zero(self, n_features, other, grace):
+        # zeros of both signs are equal, so the one fmin or fmax keeps
+        # depends on the order the rows fold in: the batch keeps train's.
+        # A one-feature numpy reduction pairs the rows otherwise.
+        rng = np.random.default_rng(2)
+        for n in rng.integers(9, 300, size=30):
+            X = rng.choice([0.0, -0.0, other], size=(n, n_features))
+            y = rng.integers(0, 2, size=n)
+            tree = HoeffdingTreeClassifier((0, 1), n_features, delta=0.05,
+                                           tie_threshold=1.0,
+                                           grace_period=grace)
+            assert_batches_train_as_the_row_loop(tree, X, y, (n // 2,))
+
+    def test_an_empty_batch_changes_nothing(self):
+        for member in (KnnClassifier((1, 2), 4),
+                       GaussianNbClassifier((1, 2), 4),
+                       HoeffdingTreeClassifier((1, 2), 4)):
+            before = member_hash(member)
+            member.train_rows(np.zeros((0, 4)), np.zeros(0, dtype=int))
+            assert member_hash(member) == before
+
+    def test_counters_stay_python_ints(self):
+        # state_hash pickles them: a numpy int of the same value differs
+        rng = np.random.default_rng(5)
+        X, y = labeled_rows(rng, 300, 4, 3, "drawn", None)
+        tree = HoeffdingTreeClassifier(range(3), 4, tie_threshold=1.0,
+                                       grace_period=7)
+        knn = KnnClassifier(range(3), 4, capacity=50)
+        tree.train_rows(X, y)
+        knn.train_rows(X, y)
+        assert tree.n_splits > 0
+        assert type(knn.n_trained) is int
+        assert all(type(leaf.n_since_eval) is int for leaf in tree.leaves())
+
+
+FOLD_PARAMS = LearnerParams(knn_capacity=30, vfdt_grace_period=10,
+                            vfdt_tie_threshold=1.0)
+
+
+def row_loop_fold(tables, config, test_user, classes):
+    """The fold's model trained by train on each row, user by user in
+    sorted order, every member in turn."""
+    model = Ensemble(classes, params=FOLD_PARAMS)
+    for user in sorted(tables):
+        starts, X, labels = tables[user]
+        if user == test_user:
+            continue
+        for x, label in zip(X[starts % config.step == 0],
+                            labels[starts % config.step == 0].tolist()):
+            for member in model.members:
+                member.train(x, label)
+    return model
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.5])
+def test_every_fold_is_the_row_loops(overlap):
+    # a store that wraps and a tree that splits inside one user's batch
+    spec = SyntheticSpec.default(class_count=3, samples_per_class=400,
+                                 users=(1, 2, 3, 4), noise_sigma=1.0, seed=3)
+    config = WindowConfig(40, overlap)
+    classes = spec.class_labels
+    tables = evaluation.row_tables(generate_synthetic(spec), [config],
+                                   valid_labels=classes)
+    folds = evaluation.fold_models(tables, config, sorted(tables),
+                                   FOLD_PARAMS, classes)
+    for user, model in folds:
+        assert model.members[2].n_splits > 0
+        assert model.members[0].n_trained > 30
+        want = row_loop_fold(tables, config, user, classes)
+        assert model.state_hash() == want.state_hash()

@@ -13,7 +13,9 @@ threshold (default 0.99); a run's step per row is that rule's one entry.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
+import operator
 import pickle
 from dataclasses import dataclass
 
@@ -126,13 +128,20 @@ class Ensemble:
             raise EnsembleError("classify on untrained ensemble")
         # members x classes; argmax = fixed class order
         dists = _check_rows(np.stack([m.predict(x) for m in self.members]))
-        votes = dists.argmax(axis=1)
-        counts = np.bincount(votes, minlength=len(self.classes))
-        tied = np.flatnonzero(counts == counts.max())
+        # the vote over Python floats: each member's first largest class
+        rows = dists.tolist()
+        votes = [row.index(max(row)) for row in rows]
+        top = max(map(votes.count, votes))
+        tied = sorted({v for v in votes if votes.count(v) == top})
         # tied columns summed down the rows, in member order
-        winner = tied[dists[:, tied].sum(axis=0).argmax()]
-        voting = dists[votes == winner, winner]
-        confidence = float(voting.mean() * len(voting) / len(self.members))
+        winner = tied[0] if len(tied) == 1 else tied[
+            dists[:, tied].sum(axis=0).argmax()]
+        voting = [row[winner] for row, v in zip(rows, votes) if v == winner]
+        # their mean, added left to right as numpy adds a few values
+        # (not sum(), which compensates from Python 3.12)
+        n = len(voting)
+        mean = functools.reduce(operator.add, voting) / n
+        confidence = mean * n / len(self.members)
         return Prediction(label=self.classes[winner], confidence=confidence,
                           member_distributions=dists)
 

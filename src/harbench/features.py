@@ -69,7 +69,8 @@ def _kernel(block):
     """(n, 27, W) windows -> (n, 81) features.
 
     A NaN-free block is C-ordered, so its sums run pairwise along W as a
-    window's F-ordered channel slice summed them. Filled windows come as
+    window's F-ordered channel slice summed them, and it is centred once,
+    for the stds and the correlations. Filled windows come as
     `filled.transpose(0, 2, 1)` of their (n, W, 27) copy: their means and
     stds sum row by row, as reductions of a window's C-ordered copy did,
     while each correlation centres a channel on its own pairwise mean,
@@ -77,9 +78,11 @@ def _kernel(block):
     matmul is the same dot product as a 1-D `a @ b`.
     """
     means = block.mean(axis=2)
-    stds = np.sqrt(np.mean((block - means[..., None]) ** 2, axis=2))
-    c = np.ascontiguousarray(block)
-    d = c - c.mean(axis=2)[..., None]
+    d = block - means[..., None]
+    stds = np.sqrt(np.mean(d ** 2, axis=2))
+    if not block.flags.c_contiguous:
+        c = np.ascontiguousarray(block)
+        d = c - c.mean(axis=2)[..., None]
     sq = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
     cov = (d[:, _PAIR_A, None, :] @ d[:, _PAIR_B, :, None])[..., 0, 0]
     va, vb = sq[:, _PAIR_A], sq[:, _PAIR_B]
@@ -98,11 +101,12 @@ def featurize(spans, size):
     quality = np.ones(len(spans), dtype=bool)
     step = max(1, _BLOCK_VALUES // (27 * size))
     for lo in range(0, len(spans), step):
-        channels = [stream.values[start:start + size, FEATURE_CHANNEL_INDEX].T
-                    for stream, start in spans[lo:lo + step]]
+        # each a C-ordered (27, size) gather; one window needs no stack
+        channels = [stream.values[start:start + size, :].T[
+            FEATURE_CHANNEL_INDEX] for stream, start in spans[lo:lo + step]]
         if any(c.shape[1] != size for c in channels):
             raise FeatureError(f"window sizes differ from {size}")
-        block = np.stack(channels)
+        block = np.stack(channels) if len(channels) > 1 else channels[0][None]
         X[lo:lo + step] = _kernel(block)
         gapped = np.flatnonzero(np.isnan(block).any(axis=(1, 2)))
         if len(gapped):  # one C-ordered (windows, W, 27) copy, filled

@@ -479,11 +479,13 @@ class GaussianNbClassifier:
         return n, self.mean[ci].copy(), var
 
     def _seen(self):
-        """The trained classes, their log priors and floored variances."""
+        """The trained classes (a slice of all when every class is),
+        their log priors and floored variances."""
         total = self.counts.sum()
         if total == 0:
             raise LearnerError("predict before any NB update")
-        seen = np.flatnonzero(self.counts)
+        # every class seen: the statistics themselves, not gathered copies
+        seen = slice(None) if self.counts.all() else np.flatnonzero(self.counts)
         count = self.counts[seen]
         var = np.maximum(self.m2[seen] / count[:, None], self.VAR_FLOOR)
         return seen, list(map(math.log, (count / total).tolist())), var
@@ -491,15 +493,17 @@ class GaussianNbClassifier:
     def log_posteriors(self, x):
         seen, prior, var = self._seen()
         diff = np.asarray(x, dtype=np.float64) - self.mean[seen]
-        ll = -0.5 * (np.log(2 * math.pi * var) + diff * diff / var).sum(axis=1)
+        diff *= diff
+        diff /= var
+        ll = -0.5 * (np.log(2 * math.pi * var) + diff).sum(axis=1)
         log_post = np.full(len(self.classes), -np.inf)
         log_post[seen] = prior + ll
         return log_post
 
     def predict(self, x):
         log_post = self.log_posteriors(x)
-        log_post = log_post - log_post.max()
-        probs = np.exp(log_post)
+        log_post -= log_post.max()
+        probs = np.exp(log_post, out=log_post)
         return probs / probs.sum()
 
     def predict_rows(self, X):

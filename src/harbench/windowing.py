@@ -74,14 +74,23 @@ def label_window(candidate, purity_threshold=DEFAULT_PURITY,
     The label is the modal activity, ties broken toward the label occurring
     earlier in the window. Kept only when the modal share reaches the
     purity threshold and the label is a valid (non-transient) activity.
+    A window of one activity is labeled by one comparison, at share 1.0.
+    A purity outside [0, 1] raises WindowingError.
     """
+    check_purity(purity_threshold)
     start, size = candidate.start, candidate.size
-    ids = candidate.stream.values[start:start + size, 1].astype(np.int64)
-    labels, first_pos, counts = np.unique(ids, return_index=True,
-                                          return_counts=True)
-    order = np.lexsort((first_pos, -counts))  # max count, then earliest
-    modal = int(labels[order[0]])
-    if counts[order[0]] / len(ids) < purity_threshold:
+    col = candidate.stream.values[start:start + size, 1]
+    first = col[0]
+    # one id inside int64's range (so no NaN or inf): int() is astype's
+    if first == col[-1] and abs(first) < 2 ** 63 and (col == first).all():
+        modal, share = int(first), 1.0
+    else:
+        ids = col.astype(np.int64)
+        labels, first_pos, counts = np.unique(ids, return_index=True,
+                                              return_counts=True)
+        order = np.lexsort((first_pos, -counts))  # max count, then earliest
+        modal, share = int(labels[order[0]]), counts[order[0]] / len(ids)
+    if share < purity_threshold:
         return None
     if modal == TRANSIENT_ACTIVITY or modal not in valid_labels:
         return None

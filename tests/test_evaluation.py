@@ -220,6 +220,48 @@ class TestRowTables:
             assert starts.tolist() == sorted(union)
         assert flagged > 0 and len(tables[4][0]) == 0
 
+    def test_device_form_equals_row_tables(self):
+        # the device's segment -> label_window -> extract gives a point's
+        # starts, labels and feature bytes of row_tables, and featurize's
+        # quality flags, over one-activity and mixed windows, transient
+        # gaps, a non-protocol run and drop-outs short and longer than W
+        labels = (1, 2, 3)
+        runs = [(1, 60), (0, 15), (2, 70), (10, 40), (2, 30), (3, 120),
+                (0, 5), (1, 50), (3, 23)]
+        ids = np.concatenate([np.full(n, a) for a, n in runs])
+        rng = np.random.default_rng(3)
+        streams = []
+        for user in (1, 2):
+            values = rng.normal(size=(len(ids), dataset.N_COLUMNS))
+            values[:, 1] = ids
+            values[100:104, FEATURE_CHANNEL_INDEX] = np.nan  # device drop-out
+            values[200:203, FEATURE_CHANNEL_INDEX[5]] = np.nan
+            values[260:330, FEATURE_CHANNEL_INDEX[user]] = np.nan  # > W
+            streams.append(SensorStream(user, values))
+        counted = Counter()
+        for w, o in [(2, 0.0), (2, 0.5), (7, 0.3), (20, 0.5), (50, 0.9)]:
+            config = WindowConfig(w, o)
+            tables = evaluation.row_tables(streams, [config],
+                                           valid_labels=labels)
+            for stream in streams:
+                starts, X, kept = tables[stream.user_id]
+                wins = [windowing.label_window(c, valid_labels=labels)
+                        for c in windowing.segment(stream, config)]
+                wins = [win for win in wins if win is not None]
+                fvs = [features.extract(win, i) for i, win in enumerate(wins)]
+                quality = features.featurize(
+                    [(stream, start) for start in starts.tolist()], w)[1]
+                assert [win.start for win in wins] == starts.tolist()
+                assert [fv.label for fv in fvs] == kept.tolist()
+                assert b"".join(fv.values.tobytes() for fv in fvs) == (
+                    X.tobytes())
+                assert [fv.quality_ok for fv in fvs] == quality.tolist()
+                for win, fv in zip(wins, fvs):
+                    col = stream.values[win.start:win.start + w, 1]
+                    counted["one" if len(set(col)) == 1 else "mixed"] += 1
+                    counted["flagged"] += not fv.quality_ok
+        assert min(counted["one"], counted["mixed"], counted["flagged"]) > 0
+
     @pytest.mark.parametrize("purity", [1.5, -3.0, float("nan")])
     def test_purity_outside_unit_interval_raises(self, small_streams,
                                                  small_spec, purity):

@@ -432,6 +432,31 @@ class TestNbAgainstClassLoop:
             x = rng.normal(scale=4.0, size=n_features)
             assert nb.log_posteriors(x).tobytes() == nb_oracle(nb, x).tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(1, 12),
+           all_seen=st.booleans(), n_features=st.integers(1, 90),
+           n_train=st.integers(0, 80))
+    def test_predict_bit_equal(self, seed, n_classes, all_seen, n_features,
+                               n_train):
+        # predict is the oracle's log posteriors exp-normalized, whether
+        # every class is trained (no gathered copies) or only some are
+        rng = np.random.default_rng(seed)
+        nb = GaussianNbClassifier(classes=range(n_classes),
+                                  n_features=n_features)
+        n_seen = n_classes if all_seen else rng.integers(1, n_classes + 1)
+        seen = rng.permutation(n_classes)[:n_seen]
+        for label in [*seen, *rng.choice(seen, size=n_train)]:
+            x = rng.normal(loc=label, scale=rng.uniform(0.01, 5.0),
+                           size=n_features)
+            nb.train(x, int(label))
+        assert (nb.counts > 0).sum() == n_seen
+        for _ in range(3):
+            x = rng.normal(scale=4.0, size=n_features)
+            log_post = nb_oracle(nb, x)
+            log_post = log_post - log_post.max()
+            probs = np.exp(log_post)
+            assert nb.predict(x).tobytes() == (probs / probs.sum()).tobytes()
+
 
 class TestVfdtAgainstScalarSearch:
     @settings(max_examples=60, deadline=None)

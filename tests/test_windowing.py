@@ -167,6 +167,31 @@ class TestLabelWindow:
         with pytest.raises(WindowingError):
             labeled_windows(id_stream([1] * 200), WindowConfig(100, 0.0),
                             purity)
+        # label_window refuses it too, for a 70%-pure and a one-activity
+        # window, rather than dropping or keeping them
+        for ids in ([1] * 7 + [2] * 3, [1] * 10):
+            cand = segment(id_stream(ids), WindowConfig(10, 0.0))[0]
+            with pytest.raises(WindowingError, match="purity"):
+                label_window(cand, purity)
+
+    @pytest.mark.parametrize("ids", [
+        [4] * 10, [0] * 10, [99] * 10, [4.5] * 10, [-0.5] * 10,
+        [np.inf] * 10, [1e19] * 10, [np.nan] * 10, [4] * 9 + [np.nan],
+        [np.nan] + [4] * 9, [4] * 5 + [np.nan] + [4] * 4],
+        ids=["one", "transient", "nonprotocol", "fraction", "negative",
+             "inf", "past-int64", "nan", "nan-last", "nan-first",
+             "nan-inside"])
+    @pytest.mark.parametrize("purity", [0.0, 0.8, 1.0])
+    def test_one_activity_shortcut_is_label_starts(self, ids, purity):
+        # a window whose activity column holds one id inside int64's range
+        # is labeled without np.unique; label_starts counts every window
+        # alike
+        stream = id_stream(ids)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to int64
+            starts, labels = label_starts(stream, [0], len(ids), purity)
+            win = label_window(Window(stream, 0, len(ids)), purity)
+        assert starts.tolist() == ([] if win is None else [0])
+        assert labels.tolist() == ([] if win is None else [win.label])
 
 
 def per_window_labels(stream, starts, size, purity, valid):

@@ -89,34 +89,36 @@ class Ensemble:
         return hashlib.sha256(payload).hexdigest()
 
     def train_offline(self, instances):
-        """Fit all members on labeled instances, in stream order."""
+        """Fit all members on labeled instances, in stream order: train_rows
+        of their feature vectors, stacked a chunk of rows at a time."""
         instances = list(instances)
         if not instances:
             raise EnsembleError("empty training set")
-        return self.train_rows([fv.values for fv in instances],
-                               [fv.label for fv in instances])
+        for chunk in _row_chunks(len(instances), N_FEATURES):
+            part = instances[chunk]
+            self.train_rows(np.array([fv.values for fv in part], np.float64),
+                            [fv.label for fv in part])
+        return self
 
     def train_rows(self, X, labels):
-        """Train each row of X, with its label, into every member, in order;
-        no rows leave the model as it was. One row goes through each
-        member's train; more go through each member's train_rows, which
-        leaves the bits of train per row. Rows and labels of different
-        lengths are refused first. Then a row that kNN's train refuses, one
-        with an unknown label or a NaN or infinite value, raises its error
-        after every member has trained the rows before it."""
+        """Train each row of X, a float64 array, with its label, into every
+        member, in order, through each member's train_rows, which leaves
+        the bits of train per row; no rows leave the model as it was. Rows
+        and labels of different lengths are refused first. Then a row that
+        kNN's train refuses, one with an unknown label or a NaN or infinite
+        value, raises its error after every member has trained the rows
+        before it."""
+        X = np.asarray(X, dtype=np.float64)
         if len(X) != len(labels):
             raise EnsembleError(f"{len(X)} rows for {len(labels)} labels")
-        if len(labels) == 1:  # a self-update
-            for member in self.members:
-                member.train(X[0], labels[0])
-        elif len(labels):
-            index = {c: i for i, c in enumerate(self.classes)}
-            y = np.array([index.get(label, -1) for label in labels])
-            n = _first_refused(X, y)
-            for member in self.members:
-                member.train_rows(X[:n], y[:n])
-            if n < len(labels):  # raises, and changes no member
-                self.members[0].train(X[n], labels[n])
+        index = {c: i for i, c in enumerate(self.classes)}
+        # int64 for no labels too: naive Bayes bincounts them
+        y = np.array([index.get(label, -1) for label in labels], np.int64)
+        n = _first_refused(X, y)
+        for member in self.members:
+            member.train_rows(X[:n], y[:n])
+        if n < len(labels):  # raises, and changes no member
+            self.members[0].train(X[n], labels[n])
         self._trained = self._trained or len(labels) > 0
         return self
 
@@ -180,10 +182,12 @@ class Ensemble:
 
     def _step(self, x, label, pred, update):
         """A scored row's audit record, each run's one step per row: it trains
-        the predicted label back in iff the run updates and the gate passes."""
+        the predicted label back in iff the run updates and the gate passes,
+        through each member's one-row train."""
         updated = update and pred.confidence > self.confidence_threshold
         if updated:
-            self.train_rows([x], [pred.label])
+            for member in self.members:
+                member.train(x, pred.label)
         return AuditRecord(label, pred.label, pred.confidence, updated)
 
     def run_online(self, instances, mode):
@@ -242,8 +246,7 @@ def _first_refused(X, y):
     """The first row kNN's train refuses, with a class index y of -1 or a
     NaN or infinite value, or len(X); a chunk of rows at a time."""
     for chunk in _row_chunks(len(X), N_FEATURES):
-        rows = np.asarray(X[chunk], dtype=np.float64)
-        ok = np.isfinite(rows).all(axis=1) & (y[chunk] >= 0)
+        ok = np.isfinite(X[chunk]).all(axis=1) & (y[chunk] >= 0)
         if not ok.all():
             return chunk.start + int(ok.argmin())
     return len(X)

@@ -32,14 +32,6 @@ def _row_chunks(n_rows, row_values):
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-def _take(X, rows):
-    """The rows of X at the indices rows as one float64 array. X is an
-    array of rows, or a list of them, which is not stacked whole."""
-    if isinstance(X, np.ndarray):
-        return X[rows].astype(np.float64, copy=False)
-    return np.array([X[i] for i in rows.tolist()], dtype=np.float64)
-
-
 def _check_rows(rows):
     """rows, if each is a class distribution: no entry below 0, and a sum
     within 1e-9 of 1, written so that NaN and infinite entries fail too.
@@ -100,9 +92,19 @@ def _margin(a, c, w):
     g = 8.0 * _gamma(m + 11)
     # 2^-149 (sum(w) + sum(|2 w q|) + 20 m), as sum(|2 w q|) <= sum(w) + c
     tiny = _F32_SUBNORMAL_MIN * (2.0 * w.sum() + c + 20 * m)
-    # rounded g a plus a term without a: it grows with a, so predict_rows
-    # bounds every row's margin by the largest a's
+    # rounded g a plus a term without a: it grows with a, so the filters
+    # bound every row's margin by the largest a's
     return g * a + (g * c + tiny)
+
+
+def _bounded(top, c):
+    """Whether no filter value overflows or is NaN for rows of weighted
+    squared norm at most top and queries of c, w being normal in float32:
+    8 (top + c) is at most float32's largest. Then |2 w q| stays below it
+    (were it above, |q - center| would pass 1/2 and c a quarter of it),
+    each term of the float32 products stays below top + c, and |approx|
+    and each end below 3 (top + c). A NaN or infinite top or c is not."""
+    return 8.0 * (top + c) <= _F32_MAX
 
 
 class KnnClassifier:
@@ -183,10 +185,10 @@ class KnnClassifier:
         once, and the running statistics take every row in turn, as one
         recurrence. A NaN or infinite row is refused after the rows before
         it."""
+        X = np.asarray(X, dtype=np.float64)
         class_indices = np.asarray(class_indices)
         for chunk in _row_chunks(len(X), self.n_features):
-            rows = np.asarray(X[chunk], dtype=np.float64)
-            y = class_indices[chunk]
+            rows, y = X[chunk], class_indices[chunk]
             finite = np.isfinite(rows).all(axis=1)
             n = len(rows) if finite.all() else int(finite.argmin())
             self._store(rows[:n], y[:n])
@@ -248,7 +250,8 @@ class KnnClassifier:
         gamma_(m+4) D <= 2 gamma_(m+4) (A + C) of D. They differ by at most
         4 gamma_(m+10) (A + C); with one u more for an underflow below, the
         margin is twice 4 gamma_(m+11) (a + c), which also covers the
-        rounding of a, c and the margin itself.
+        rounding of a, c and the margin itself. It grows with a, so one
+        margin per query, _margin of the largest a, covers every row.
 
         An operation whose float32 result underflows loses up to 2^-150
         more: w_j 2^-150 for a stored square, which w_j multiplies,
@@ -259,9 +262,10 @@ class KnnClassifier:
         sum(|2 w q|) + 20 m) holds them all, twice over, and
         2^-149 (2 sum(w) + c + 20 m) is at least that, as 2 |q| <= 1 + q^2.
 
-        The bound needs w normal in float32 and no overflow, which a finite
-        upper end rules out: an infinite term makes its sum infinite or NaN.
-        Otherwise, and below the crossover, every row is ranked.
+        The bound needs w normal in float32 and no overflow, which
+        _bounded(max a, c) checks before the float32 products; a NaN c
+        fails it too. Otherwise, and below the crossover, every row is
+        ranked.
         """
         n = self.size
         w = None if n < KNN_FILTER_MIN_ROWS else self._filter_weights(scale)
@@ -271,15 +275,15 @@ class KnnClassifier:
         wq = w * q
         c = wq @ q
         a = (self._Xc2[:n] @ w.astype(np.float32)).astype(np.float64)
+        top = a.max()
+        if not _bounded(top, c):
+            return slice(n)
         approx = self._Xc[:n] @ (-2.0 * wq).astype(np.float32) + a
         approx += c
-        margin = _margin(a, c, w)
-        upper = approx + margin
-        if not np.isfinite(upper).all():  # then so are q and every approx
-            return slice(n)
+        margin = _margin(top, c, w)
         # A row whose lower end lies above the k-th smallest upper end has
         # k rows nearer than it, so it neither votes nor ties.
-        kth_upper = np.partition(upper, k - 1)[k - 1]
+        kth_upper = np.partition(approx, k - 1)[k - 1] + margin
         return np.flatnonzero(approx - margin <= kth_upper)
 
     def _filter_weights(self, scale):
@@ -326,15 +330,10 @@ class KnnClassifier:
     def predict_rows(self, X):
         """predict of each row of X, a chunk of queries at a time.
 
-        A chunk's filter is _candidates' at any store size, with one margin
-        per query: _margin of the store's largest a, which is at least each
-        row's. No value overflows or is NaN while 8 (max a + c) is at most
-        float32's largest: then |2 w q| stays below it (were it above,
-        |q - center| would pass 1/2 and c a quarter of it), each term of
-        the float32 products stays below a + c, and |approx| and each end
-        below 3 (a + c). A query for which it is not keeps every row. When
-        w is not normal in float32, zero weights give every pair the same
-        ends, so every row is kept.
+        A chunk's filter is _candidates' at any store size, with its one
+        margin per query and its guard: a query that _bounded refuses keeps
+        every row. When w is not normal in float32, zero weights give every
+        pair the same ends, so every row is kept.
 
         The store is read in blocks of _BLOCK_VALUES / queries rows,
         _KNN_STORE_ROWS for a full chunk, so that each (queries, rows)
@@ -367,7 +366,8 @@ class KnnClassifier:
             wq = w * Qc
             c = np.einsum("ij,ij->i", wq, Qc)[:, None]
             wq2 = (-2.0 * wq).astype(np.float32)
-            margin = _margin(a.max(), c, w)
+            top = a.max()
+            margin = _margin(top, c, w)
             best = np.full((len(Q), k), np.inf)
             least = np.empty((len(Q), len(blocks)))
             for b, rows in enumerate(blocks):
@@ -379,8 +379,7 @@ class KnnClassifier:
                                          k - 1, axis=1)[:, :k]
             # A pair whose lower end lies above the k-th upper end has k
             # rows nearer than it, so it neither votes nor ties.
-            kth = np.where(8.0 * (a.max() + c) <= _F32_MAX,
-                           best[:, k - 1:] + margin, np.inf)
+            kth = np.where(_bounded(top, c), best[:, k - 1:] + margin, np.inf)
             hit = ~(least - margin > kth)
             qi, slots = [], []
             for b in np.flatnonzero(hit.any(axis=0)):
@@ -441,6 +440,7 @@ class GaussianNbClassifier:
         classes go in order of their row counts, most first, so that these
         are a prefix of each statistic's rows. Once one class is left, its
         rows go one at a time, as train takes them."""
+        X = np.asarray(X, dtype=np.float64)
         y = np.asarray(class_indices)
         count = np.bincount(y, minlength=len(self.classes))
         order = np.argsort(y, kind="stable")  # each class's rows in turn
@@ -454,16 +454,13 @@ class GaussianNbClassifier:
         steps = count[1] if len(count) > 1 else 0
         live = np.searchsorted(-count, -np.arange(steps)).tolist()
         for j, k in enumerate(live):
-            x = _take(X, order[first[:k] + j])
             n[:k] += 1
-            delta = x - mean[:k]
-            mean[:k] += delta / n[:k, None]
-            m2[:k] += delta * (x - mean[:k])
+            _welford(mean[:k], m2[:k], X[order[first[:k] + j]], n[:k, None])
         # the rest of the first class's rows; a float64 count divides alike
         n0, mean0, m20 = float(n[0]), mean[0], m2[0]
         rest = order[first[0] + steps:first[0] + count[0]]
         for chunk in _row_chunks(len(rest), self.n_features):
-            for x in _take(X, rest[chunk]):
+            for x in X[rest[chunk]]:
                 n0 += 1
                 _welford(mean0, m20, x, n0)
         n[0] = n0
@@ -649,10 +646,9 @@ class HoeffdingTreeClassifier:
         statistics stay fixed between split attempts (VFDTc), and the leaf
         at the boundary attempts its split there; after a split, only its
         later rows are routed again."""
-        y = np.asarray(class_indices)
+        X, y = np.asarray(X, dtype=np.float64), np.asarray(class_indices)
         for chunk in _row_chunks(len(y), self.n_features):
-            self._train_chunk(np.asarray(X[chunk], dtype=np.float64),
-                              y[chunk])
+            self._train_chunk(X[chunk], y[chunk])
         return self
 
     def _train_chunk(self, X, y):

@@ -254,6 +254,32 @@ class TestTraining:
         a, b = parts.classify_row(X[0]), whole.classify(instances[0])
         assert (a.label, a.confidence) == (b.label, b.confidence)
 
+    def test_train_offline_hands_train_rows_float64_chunks(self):
+        # train_offline stacks its feature vectors one row chunk at a time:
+        # train_rows gets float64 arrays of at most one chunk's rows, which
+        # take the rows in order, and leaves one train_rows call's state
+        instances = make_instances(np.random.default_rng(15), 1000)
+        X, labels = rows(instances)
+        calls = []
+        train_rows = Ensemble.train_rows
+
+        def spying(model, part, part_labels):
+            calls.append((part, part_labels))
+            return train_rows(model, part, part_labels)
+
+        with mock.patch.object(Ensemble, "train_rows", spying):
+            offline = Ensemble((1, 2, 3)).train_offline(instances)
+        step = learners._row_chunks(len(X), N_FEATURES)[0].stop
+        assert step == 101 and len(calls) == 10
+        for part, _ in calls:
+            assert type(part) is np.ndarray and part.dtype == np.float64
+            assert 0 < len(part) <= step
+        assert (np.concatenate([part for part, _ in calls]).tobytes()
+                == X.tobytes())
+        assert [label for _, part in calls for label in part] == labels
+        whole = Ensemble((1, 2, 3)).train_rows(X, labels)
+        assert offline.state_hash() == whole.state_hash()
+
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(1)
         instances = make_instances(rng, 120)
@@ -388,6 +414,41 @@ class TestSelfUpdate:
         audit = model.run_online(stream, "semi_supervised")
         gate_count = sum(1 for rec in audit if rec.confidence > 0.99)
         assert sum(1 for rec in audit if rec.updated) == gate_count
+
+    def test_a_self_update_trains_each_member_by_train(self):
+        # a self-update trains one row through each member's train: with
+        # every member's train_rows refusing, self_update and a
+        # semi-supervised run_blocks still update; and a one-row train_rows
+        # leaves the state each member's train leaves, past a wrapped kNN
+        # store and across the tree's grace-period boundaries
+        rng = np.random.default_rng(16)
+        params = LearnerParams(knn_capacity=60, vfdt_grace_period=5,
+                               vfdt_tie_threshold=1.0,
+                               confidence_threshold=0.3)
+        model = Ensemble((1, 2, 3), params=params)
+        model.train_offline(make_instances(rng, 90))
+        stream = make_instances(rng, 40)
+        twin = model.clone()
+
+        def refuse(*args):
+            raise AssertionError("a self-update called train_rows")
+
+        with mock.patch.object(learners.KnnClassifier, "train_rows", refuse), \
+                mock.patch.object(learners.GaussianNbClassifier,
+                                  "train_rows", refuse), \
+                mock.patch.object(learners.HoeffdingTreeClassifier,
+                                  "train_rows", refuse):
+            assert model.self_update(stream[0],
+                                     model.classify(stream[0])) is True
+            audit = model.run_blocks(*rows(stream[1:]), "semi_supervised")
+        assert sum(rec.updated for rec in audit) > 20
+        for inst in stream:
+            by_train = twin.clone()
+            for member in by_train.members:
+                member.train(inst.values, inst.label)
+            twin.train_rows(inst.values[None], [inst.label])
+            assert twin.state_hash() == by_train.state_hash()
+        assert twin.members[2].n_splits > 0
 
 
 class TestRunOnline:

@@ -20,8 +20,8 @@ from harbench.features import N_FEATURES
 from harbench.learners import (KNN_FILTER_MIN_ROWS, KNN_FIRST_BLOCK,
                                N_CANDIDATE_THRESHOLDS, GaussianNbClassifier,
                                HoeffdingTreeClassifier, KnnClassifier,
-                               LearnerError, _entropy, _sq_distances,
-                               hoeffding_bound)
+                               LearnerError, _entropy, _margin,
+                               _sq_distances, hoeffding_bound)
 from harbench.windowing import WindowConfig
 
 
@@ -327,6 +327,28 @@ class TestKnnAgainstFullSort:
             assert knn._candidates(q, knn._scale(), 5) == slice(n)
         assert_votes_equal_the_full_sort(knn, queries)
         np.testing.assert_array_equal(knn.predict(queries[0]), [1, 0, 0])
+
+    def test_a_query_past_the_guard_with_finite_ends_ranks_every_row(self):
+        # One feature of the query 6.6e18 scales from the center: c ~ 4.4e37,
+        # so 8 (max a + c) passes float32's largest, while -2 w q (~1.3e19
+        # in that feature) and each row's upper end stay finite. The
+        # one-query filter takes predict_rows' guard and ranks every row.
+        rng = np.random.default_rng(18)
+        n = 300
+        X = rng.normal(size=(n, N_FEATURES))
+        knn = trained_knn(X)
+        scale = knn._scale()
+        q = X[0] + np.eye(N_FEATURES)[3] * 6.6e18 * scale[3]
+        w, p = 1.0 / (scale * scale), q - knn._center
+        c = (w * p) @ p
+        a = (knn._Xc2[:n] @ w.astype(np.float32)).astype(np.float64)
+        assert 8.0 * (a.max() + c) > np.finfo(np.float32).max
+        wq2 = (-2.0 * w * p).astype(np.float32)
+        assert np.isfinite(wq2).all()
+        upper = knn._Xc[:n] @ wq2 + a + c + _margin(a, c, w)
+        assert np.isfinite(upper).all()
+        assert knn._candidates(q, scale, 5) == slice(n)
+        assert_votes_equal_the_full_sort(knn, np.vstack([q, X[:3] + 0.01]))
 
     def test_centered_values_that_underflow_float32(self):
         # Feature 0 spreads ~1e-19 (weight ~1e38, normal in float32), but

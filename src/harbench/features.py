@@ -105,7 +105,8 @@ def featurize(spans, size):
         channels = [stream.values[start:start + size, :].T[
             FEATURE_CHANNEL_INDEX] for stream, start in spans[lo:lo + step]]
         if any(c.shape[1] != size for c in channels):
-            raise FeatureError(f"window sizes differ from {size}")
+            raise FeatureError(f"a window of {size} rows runs outside its "
+                               "stream")
         block = np.stack(channels) if len(channels) > 1 else channels[0][None]
         X[lo:lo + step] = _kernel(block)
         gapped = np.flatnonzero(np.isnan(block).any(axis=(1, 2)))

@@ -458,11 +458,9 @@ class GaussianNbClassifier:
             _welford(mean[:k], m2[:k], X[order[first[:k] + j]], n[:k, None])
         # the rest of the first class's rows; a float64 count divides alike
         n0, mean0, m20 = float(n[0]), mean[0], m2[0]
-        rest = order[first[0] + steps:first[0] + count[0]]
-        for chunk in _row_chunks(len(rest), self.n_features):
-            for x in X[rest[chunk]]:
-                n0 += 1
-                _welford(mean0, m20, x, n0)
+        for i in order[first[0] + steps:first[0] + count[0]].tolist():
+            n0 += 1
+            _welford(mean0, m20, X[i], n0)
         n[0] = n0
         for a, b in ((self.counts, n), (self.mean, mean), (self.m2, m2)):
             a[present] = b
@@ -640,45 +638,32 @@ class HoeffdingTreeClassifier:
 
     def train_rows(self, X, class_indices):
         """train of each row of X, with the class at its index in classes,
-        with the same bits, a chunk of rows at a time. A chunk is routed
-        once. Each leaf takes its rows up to the earliest grace-period
-        boundary of any leaf in one naive Bayes train_rows call, as its
-        statistics stay fixed between split attempts (VFDTc), and the leaf
-        at the boundary attempts its split there; after a split, only its
-        later rows are routed again."""
+        with the same bits. The batch is routed once, and each leaf trains
+        on its own rows, as a row changes only the leaf it reaches and a
+        split only where that leaf's later rows go (VFDT, VFDTc). A leaf
+        takes its rows up to its grace-period boundary, at most one
+        _row_chunks step at a time, each in one naive Bayes train_rows
+        call; at the boundary it attempts its split, and its later rows
+        are routed on from it."""
         X, y = np.asarray(X, dtype=np.float64), np.asarray(class_indices)
-        for chunk in _row_chunks(len(y), self.n_features):
-            self._train_chunk(X[chunk], y[chunk])
+        if not len(y):
+            return self
+        step = max(1, _BLOCK_VALUES // self.n_features)  # as _row_chunks'
+        stack = self._leaf_rows(self.root, np.arange(len(y)), X)
+        while stack:
+            leaf, rows = stack.pop()
+            take = rows[:min(self.grace_period - leaf.n_since_eval, step)]
+            x = X[take]
+            leaf.train_rows(x, y[take])
+            _fold(np.minimum, leaf.fmin, x)
+            _fold(np.maximum, leaf.fmax, x)
+            leaf.n_since_eval += len(take)
+            if leaf.n_since_eval == self.grace_period:
+                leaf.n_since_eval = 0
+                self._attempt_split(leaf)
+            if len(rows) > len(take):
+                stack += self._leaf_rows(leaf, rows[len(take):], X)
         return self
-
-    def _train_chunk(self, X, y):
-        """train_rows of the rows of one chunk, with class indices y."""
-        groups = self._leaf_rows(self.root, np.arange(len(X)), X)
-        while groups:
-            # the row at which each leaf reaches its grace period, if any
-            ends = []
-            for leaf, rows in groups:
-                due = self.grace_period - leaf.n_since_eval  # rows to go
-                ends.append(rows[due - 1] if len(rows) >= due else len(X))
-            end, later = min(ends), []
-            for (leaf, rows), leaf_end in zip(groups, ends):
-                cut = int(np.searchsorted(rows, end, side="right"))
-                if cut:
-                    x = X[rows[:cut]]
-                    leaf.train_rows(x, y[rows[:cut]])
-                    _fold(np.minimum, leaf.fmin, x)
-                    _fold(np.maximum, leaf.fmax, x)
-                    leaf.n_since_eval += cut
-                rows = rows[cut:]
-                if leaf_end == end < len(X):
-                    leaf.n_since_eval = 0
-                    self._attempt_split(leaf)
-                    if not leaf.is_leaf:
-                        later += self._leaf_rows(leaf, rows, X)
-                        continue
-                if len(rows):
-                    later.append((leaf, rows))
-            groups = later
 
     @staticmethod
     def _leaf_rows(node, rows, X):

@@ -75,11 +75,15 @@ def label_window(candidate, purity_threshold=DEFAULT_PURITY,
     earlier in the window. Kept only when the modal share reaches the
     purity threshold and the label is a valid (non-transient) activity.
     A window of one activity is labeled by one comparison, at share 1.0.
-    A purity outside [0, 1] raises WindowingError.
+    A purity outside [0, 1], or a window whose rows do not all lie in its
+    stream, raises WindowingError.
     """
     check_purity(purity_threshold)
     start, size = candidate.start, candidate.size
     col = candidate.stream.values[start:start + size, 1]
+    if not (start >= 0 and len(col) == size):
+        raise WindowingError(f"a window of {size} rows at {start} runs "
+                             "outside its stream")
     first = col[0]
     # one id inside int64's range (so no NaN or inf): int() is astype's
     if first == col[-1] and abs(first) < 2 ** 63 and (col == first).all():
@@ -111,10 +115,14 @@ def label_starts(stream, starts, size, purity_threshold=DEFAULT_PURITY,
     exact. A window's modal label has the largest count, a tie going to
     the label whose first occurrence in the window is earliest (its
     (c + 1)-th occurrence, c being its count before the window). A purity
-    outside [0, 1] raises WindowingError."""
+    outside [0, 1], or a start below 0 or past len(stream) - size, raises
+    WindowingError."""
     check_purity(purity_threshold)
     ids = stream.values[:, 1].astype(np.int64)
     starts = np.asarray(starts, dtype=np.int64)
+    if len(starts) and not 0 <= starts.min() <= starts.max() <= len(ids) - size:
+        raise WindowingError(f"a window of {size} rows runs outside its "
+                             f"{len(ids)}-row stream")
     best = np.zeros(len(starts), dtype=np.int64)  # the modal count so far
     first = np.zeros(len(starts), dtype=np.int64)  # its first position
     modal = np.zeros(len(starts), dtype=np.int64)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from harbench import features
 from harbench.dataset import FEATURE_CHANNEL_INDEX, N_COLUMNS, SensorStream
 from harbench.features import (FEATURE_NAMES, N_FEATURES, FeatureError,
-                               FeatureVector, extract, extract_stream)
+                               FeatureVector, extract, extract_stream,
+                               featurize)
 from harbench.windowing import WindowConfig, segment
 
 from conftest import FakeWindow, random_window
@@ -316,3 +317,10 @@ def test_window_past_its_stream_raises():
         extract(past)
     with pytest.raises(FeatureError):
         extract_stream([win, past])
+
+
+def test_a_short_window_is_named_outside_its_stream():
+    # featurize gets fewer than size rows only past its stream's end
+    win = random_window(np.random.default_rng(9), 10)
+    with pytest.raises(FeatureError, match="runs outside its stream"):
+        featurize([(win.stream, 0), (win.stream, 4)], 10)

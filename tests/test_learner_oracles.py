@@ -630,6 +630,36 @@ class TestTrainRowsAgainstRowLoop:
         assert all(type(leaf.n_since_eval) is int for leaf in tree.leaves())
 
 
+    def test_each_leaf_trains_its_own_grace_segments(self, monkeypatch):
+        # a leaf's naive Bayes calls end at its own grace-period boundaries,
+        # never at another leaf's, and take at most one 101-row chunk of
+        # 81-feature rows
+        sizes = []
+        train_rows = GaussianNbClassifier.train_rows
+
+        def spy(nb, X, class_indices):
+            sizes.append(len(X))
+            return train_rows(nb, X, class_indices)
+
+        monkeypatch.setattr(GaussianNbClassifier, "train_rows", spy)
+        rng = np.random.default_rng(3)
+        # two leaves of one class each, whose attempts never split
+        tree = HoeffdingTreeClassifier((0, 1), 3, tie_threshold=-1.0,
+                                       grace_period=10)
+        tree._split(tree.root, 0, 0.0)
+        y = np.arange(300) % 2
+        X = rng.normal(size=(300, 3))
+        X[:, 0] = np.where(y, 1.0, -1.0) * rng.uniform(0.5, 2.0, size=300)
+        batch = assert_batches_train_as_the_row_loop(tree, X, y, ())
+        assert sizes == [10] * 30
+        assert batch.n_splits == 1
+        sizes.clear()
+        X, y = labeled_rows(rng, 1000, N_FEATURES, 2, "drawn", None)
+        tree = HoeffdingTreeClassifier((0, 1), N_FEATURES, grace_period=200)
+        assert_batches_train_as_the_row_loop(tree, X, y, ())
+        assert max(sizes) <= 101 and sum(sizes) == 1000
+
+
 FOLD_PARAMS = LearnerParams(knn_capacity=30, vfdt_grace_period=10,
                             vfdt_tie_threshold=1.0)
 

@@ -255,6 +255,33 @@ class TestLabelStarts:
             stream, starts, 10, 0.8, PROTOCOL_ACTIVITIES)
 
 
+class TestWindowBounds:
+    # a window's rows must all lie in its stream: both labelers keep the
+    # start len - size and refuse len - size + 1 and -1, and anything past
+    @pytest.mark.parametrize("size", [2, 50])
+    def test_each_side_of_the_stream_limits(self, size):
+        stream = id_stream([4] * 300)
+        last = 300 - size
+        assert label_window(Window(stream, last, size)).label == 4
+        assert label_window(Window(stream, 0, size)).label == 4
+        assert label_starts(stream, [0, last], size)[0].tolist() == [0, last]
+        for start in (last + 1, -1, 305, -5):
+            with pytest.raises(WindowingError, match="outside its"):
+                label_window(Window(stream, start, size))
+            with pytest.raises(WindowingError, match="outside its"):
+                label_starts(stream, [0, start], size)
+
+    def test_a_stream_shorter_than_its_window(self):
+        stream = id_stream([4] * 5)
+        with pytest.raises(WindowingError):
+            label_window(Window(stream, 0, 10))
+        with pytest.raises(WindowingError):
+            label_starts(stream, [0], 10)
+        # no start at all is no window, and no error
+        assert label_starts(stream, [], 10)[0].tolist() == []
+        assert classification_count(stream, WindowConfig(10, 0.0)) == 0
+
+
 class TestClassificationCount:
     def test_monotone_in_overlap(self):
         stream = id_stream([1] * 3000)

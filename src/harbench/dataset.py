@@ -174,12 +174,10 @@ def parse_subject_file(text_source, user_id) -> SensorStream:
         text_source.seek(start)
 
     kept = array("d")  # every line's stored columns, back to back
-    blank = []  # line numbers of blank lines, to map rows back to lines
     prev_ts = -math.inf
     for line_no, line in enumerate(text_source, start=1):
         tokens = line.split()
         if not tokens:
-            blank.append(line_no)
             continue
         if len(tokens) != _RAW_COLUMNS:
             raise ParseError(
@@ -197,16 +195,13 @@ def parse_subject_file(text_source, user_id) -> SensorStream:
         prev_ts = ts
         if math.isnan(row[1]):
             raise ParseError("missing activity id", line_no)
-        kept.extend(_GATHER(row))
+        stored = _GATHER(row)
+        if math.inf in stored or -math.inf in stored:
+            name = next(c for c, v in zip(COLUMNS, stored) if math.isinf(v))
+            raise ParseError(f"infinite value in column {name}", line_no)
+        kept.extend(stored)
 
     values = np.frombuffer(memoryview(kept).toreadonly()).reshape(-1, N_COLUMNS)
-    infinite = np.flatnonzero(np.isinf(values))
-    if len(infinite):
-        row, col = divmod(int(infinite[0]), N_COLUMNS)
-        line_no = row + 1
-        for b in blank:  # the row's line is the (row + 1)-th non-blank one
-            line_no += b <= line_no
-        raise ParseError(f"infinite value in column {COLUMNS[col]}", line_no)
     return SensorStream(user_id, values)
 
 

@@ -96,7 +96,9 @@ def _kernel(block):
 def featurize(spans, size):
     """(X, quality) of the windows of `size` rows at a list of (stream, start)
     spans: their (n, 81) features, each from its own rows, a block of about
-    _BLOCK_VALUES values at a time, and whether no channel is all NaN."""
+    _BLOCK_VALUES values at a time, and whether no channel is all NaN. A
+    window outside its stream raises FeatureError, also from a start below
+    0, which numpy would count from the end."""
     X = np.empty((len(spans), N_FEATURES))
     quality = np.ones(len(spans), dtype=bool)
     step = max(1, _BLOCK_VALUES // (27 * size))
@@ -104,7 +106,8 @@ def featurize(spans, size):
         # each a C-ordered (27, size) gather; one window needs no stack
         channels = [stream.values[start:start + size, :].T[
             FEATURE_CHANNEL_INDEX] for stream, start in spans[lo:lo + step]]
-        if any(c.shape[1] != size for c in channels):
+        if any(c.shape[1] != size for c in channels) or any(
+                start < 0 for _, start in spans[lo:lo + step]):
             raise FeatureError(f"a window of {size} rows runs outside its "
                                "stream")
         block = np.stack(channels) if len(channels) > 1 else channels[0][None]

@@ -302,11 +302,8 @@ class KnnClassifier:
         return np.lexsort((rank, dist, *groups))
 
     def predict(self, x):
-        return self._predict_one(np.asarray(x, dtype=np.float64),
-                                 *self._query_terms())
-
-    def _predict_one(self, x, scale, k):
-        """predict's one-query form."""
+        x = np.asarray(x, dtype=np.float64)
+        scale, k = self._query_terms()
         rows = self._candidates(x, scale, k)
         dist = _sq_distances(self._X[rows], x, scale)
         # Rows beyond the k-th smallest distance cannot vote; the rest go in
@@ -351,22 +348,17 @@ class KnnClassifier:
         X = np.asarray(X, dtype=np.float64)
         w = self._filter_weights(scale)
         w = np.zeros(self.n_features) if w is None else w
-        # a one-query X is one one-query chunk, which does not use a
-        a = ((self._Xc2[:n] @ w.astype(np.float32)).astype(np.float64)
-             if len(X) > 1 else None)
+        a = (self._Xc2[:n] @ w.astype(np.float32)).astype(np.float64)
+        top = a.max()
         out = np.empty((len(X), n_classes))
         for chunk in _row_chunks(len(X), min(n, _KNN_STORE_ROWS)):
             Q = X[chunk]
-            if len(Q) == 1:  # one filter pass of predict's, not two
-                out[chunk] = self._predict_one(Q[0], scale, k)
-                continue
             step = _BLOCK_VALUES // len(Q)  # longer for fewer queries
             blocks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
             Qc = Q - self._center
             wq = w * Qc
             c = np.einsum("ij,ij->i", wq, Qc)[:, None]
             wq2 = (-2.0 * wq).astype(np.float32)
-            top = a.max()
             margin = _margin(top, c, w)
             best = np.full((len(Q), k), np.inf)
             least = np.empty((len(Q), len(blocks)))

@@ -128,6 +128,21 @@ def test_parse_infinite_values_report_first_line(parse):
         parse([lines[0], make_line(0.02, "inf")], 1)
 
 
+def test_parse_names_an_infinite_value_before_a_later_fault(parse, tmp_path):
+    # line 2 holds an infinite hand temperature and line 4 repeats line 3's
+    # timestamp: the loop refuses line 2 as it reads it
+    lines = [make_line(0.01, 1),
+             make_line(0.02, 1).replace("1.0", "inf", 1),  # hand temp
+             make_line(0.03, 1), make_line(0.03, 1)]
+    first = r"line 2: infinite value in column hand_temp"
+    with pytest.raises(ParseError, match=rf"^{first}"):
+        parse(lines, 1)
+    path = tmp_path / "faults.dat"
+    path.write_text("".join(line + "\n" for line in lines))
+    with open(path) as fh, pytest.raises(ParseError, match=rf"^{first}"):
+        parse_subject_file(fh, 1)
+
+
 def test_parse_ignores_an_infinite_orientation(parse):
     tokens = make_line(0.02, 1).split()
     tokens[_ORIENTATION_POSITIONS[0]] = "inf"

@@ -10,7 +10,7 @@ from harbench.dataset import FEATURE_CHANNEL_INDEX, N_COLUMNS, SensorStream
 from harbench.features import (FEATURE_NAMES, N_FEATURES, FeatureError,
                                FeatureVector, extract, extract_stream,
                                featurize)
-from harbench.windowing import WindowConfig, segment
+from harbench.windowing import Window, WindowConfig, segment
 
 from conftest import FakeWindow, random_window
 
@@ -324,3 +324,17 @@ def test_a_short_window_is_named_outside_its_stream():
     win = random_window(np.random.default_rng(9), 10)
     with pytest.raises(FeatureError, match="runs outside its stream"):
         featurize([(win.stream, 0), (win.stream, 4)], 10)
+
+
+def test_a_start_below_zero_is_outside_its_stream():
+    # numpy would take a negative start from the end: start -5 of a
+    # 300-row stream would read rows 295-297
+    values = np.random.default_rng(4).normal(size=(300, N_COLUMNS))
+    stream = SensorStream(1, values)
+    for start in (-1, -5):
+        for spans in ([(stream, start)],
+                      [(stream, 0), (stream, start), (stream, 297)]):
+            with pytest.raises(FeatureError, match="runs outside its stream"):
+                featurize(spans, 3)
+        with pytest.raises(FeatureError, match="runs outside its stream"):
+            extract(Window(stream, start, 3))

@@ -103,8 +103,7 @@ def test_knn_rows_equal_predict(seed, capacity, k, n_train, n_features,
 
 
 # A block value of 2b and a store block of b rows make two-query chunks
-# that read the store b rows at a time (a one-query chunk takes predict's
-# form, see below).
+# that read the store b rows at a time.
 @pytest.mark.parametrize("block_rows", [1, 3, 4, 128])
 def test_knn_rows_break_ties_by_insertion_across_blocks(block_rows):
     # One row trained three times, each time with another label, in a
@@ -134,27 +133,33 @@ def test_knn_rows_with_k_above_a_blocks_rows(block_rows):
 
 
 @pytest.mark.parametrize("n", [128, 2000])
-def test_knn_one_query_chunk_takes_predicts_form(n):
+def test_knn_one_query_chunk_takes_the_block_filter(n):
     # A one-row chunk, alone or the tail of a longer block, is scored by
-    # predict's one filter pass, not by the two blocked passes, with the
-    # same bits; stores on both sides of predict's crossover.
+    # the two blocked passes like any other chunk, with predict's bits;
+    # stores on both sides of predict's crossover.
     rng = np.random.default_rng(n)
     knn = KnnClassifier(classes=(0, 1, 2), n_features=81, k=5, capacity=n)
     for i, x in enumerate(rng.normal(size=(n, 81))):
         knn.train(x, i % 3)
     per_chunk = learners._BLOCK_VALUES // min(n, learners._KNN_STORE_ROWS)
     queries = rng.normal(size=(per_chunk + 1, 81))
-    blocked, approx = [], KnnClassifier._approx
+    calls, approx = [], KnnClassifier._approx
 
-    def counted(self, *args):
-        blocked.append(1)
-        return approx(self, *args)
+    def counted(self, wq2, *args):
+        calls.append(len(wq2))  # the queries of one blocked pass's call
+        return approx(self, wq2, *args)
+
+    def approx_calls(X):
+        calls.clear()
+        assert_rows_equal(knn, X, learners._BLOCK_VALUES)
+        return list(calls)
 
     with mock.patch.object(KnnClassifier, "_approx", counted):
-        assert_rows_equal(knn, queries[-1:], learners._BLOCK_VALUES)
-        assert not blocked
-        assert_rows_equal(knn, queries, learners._BLOCK_VALUES)
-        assert blocked
+        one = approx_calls(queries[-1:])
+        head = approx_calls(queries[:-1])  # one full chunk
+        assert approx_calls(queries) == head + one
+    # both passes, each over the one query
+    assert len(one) >= 2 and set(one) == {1}
 
 
 def test_knn_rows_of_a_store_whose_filter_could_overflow():

@@ -215,9 +215,9 @@ def cmd_profile(args):
 
 
 def cmd_synth(args):
-    spec = SyntheticSpec.from_file(args.spec)
+    streams = dataset.generate_synthetic(SyntheticSpec.from_file(args.spec))
     os.makedirs(args.out, exist_ok=True)
-    for stream in dataset.generate_synthetic(spec):
+    for stream in streams:
         path = os.path.join(args.out, f"synthetic{stream.user_id:03d}.dat")
         with open(path, "w") as fh:
             fh.write(dataset.serialize_stream(stream))

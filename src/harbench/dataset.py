@@ -403,7 +403,8 @@ def generate_synthetic(spec) -> list:
     Each class occupies a contiguous block of samples_per_class readings;
     every feature channel carries that class's sinusoid plus Gaussian noise,
     with a small per-channel mean spread so axes are not identical, plus the
-    user offset.
+    user offset. A non-finite timestamp or feature channel value, as from a
+    sample rate whose period overflows, raises DatasetError.
     """
     n_feat = len(FEATURE_CHANNELS)
     dt = 1.0 / spec.sample_rate
@@ -430,6 +431,10 @@ def generate_synthetic(spec) -> list:
                           + rng.normal(0.0, cs.noise_sigma, size=n))
                 values[block, FEATURE_CHANNEL_INDEX[j]] = signal
             pos += n
+        finite = np.isfinite(values).all(axis=0)  # per column, in one pass
+        if not finite[[0, *FEATURE_CHANNEL_INDEX]].all():
+            raise DatasetError(f"synthetic spec gives user {user_id} a "
+                               "non-finite timestamp or channel value")
         # Plumbing channels kept finite so stream invariants hold.
         values[:, 2] = np.nan  # heart rate unused
         for dev in range(3):

@@ -77,7 +77,6 @@ class Ensemble:
                                     tie_threshold=params.vfdt_tie_threshold,
                                     grace_period=params.vfdt_grace_period),
         ]
-        self._trained = False
 
     def clone(self):
         return copy.deepcopy(self)
@@ -119,14 +118,13 @@ class Ensemble:
             member.train_rows(X[:n], y[:n])
         if n < len(labels):  # raises, and changes no member
             self.members[0].train(X[n], labels[n])
-        self._trained = self._trained or len(labels) > 0
         return self
 
     def classify(self, fv) -> Prediction:
         return self.classify_row(fv.values)
 
     def classify_row(self, x) -> Prediction:
-        if not self._trained:
+        if self.members[0].size == 0:  # every member trains each row
             raise EnsembleError("classify on untrained ensemble")
         # members x classes; argmax = fixed class order
         dists = _check_rows(np.stack([m.predict(x) for m in self.members]))
@@ -152,7 +150,7 @@ class Ensemble:
         Each member row is checked as classify checks it, and the vote is
         the same, as array operations over a rows x members x classes
         stack, a chunk of rows at a time."""
-        if not self._trained:
+        if self.members[0].size == 0:  # every member trains each row
             raise EnsembleError("classify on untrained ensemble")
         X = np.asarray(X, dtype=np.float64)
         n_members, n_classes = len(self.members), len(self.classes)

@@ -103,16 +103,6 @@ def check_grid(windows, overlaps) -> list:
     return [WindowConfig(w, o) for w in windows for o in overlaps]
 
 
-def user_stream(streams, test_user):
-    """The test user's stream; DatasetError if streams hold none.
-    evaluate_fold and profiling.timed_run ask for it before row_tables
-    labels and featurizes anything."""
-    for stream in streams:
-        if stream.user_id == test_user:
-            return stream
-    raise DatasetError(f"no stream for user {test_user}")
-
-
 def row_tables(streams, configs, purity=DEFAULT_PURITY,
                valid_labels=PROTOCOL_ACTIVITIES):
     """user -> (starts, X, labels) for configs of one window size: the
@@ -192,14 +182,27 @@ def score_fold(model, tables, test_user, config, mode, frozen=()):
     return fold_result(audit, test_user, config, mode, model.classes), audit
 
 
+def cell_model(streams, test_user, config, params=None,
+               purity=DEFAULT_PURITY, valid_labels=PROTOCOL_ACTIVITIES):
+    """(stream, tables, model) of one point's fold of sweep's streams: the
+    test user's stream, row_tables' tables at the point and the fold's
+    model from fold_models. A test user with no stream raises DatasetError
+    before row_tables labels and featurizes anything."""
+    test = next((s for s in streams if s.user_id == test_user), None)
+    if test is None:
+        raise DatasetError(f"no stream for user {test_user}")
+    tables = row_tables(streams, [config], purity, valid_labels)
+    _, model = next(fold_models(tables, config, [test_user], params,
+                                valid_labels))
+    return test, tables, model
+
+
 def evaluate_fold(streams, test_user, config, mode, params=None,
                   purity=DEFAULT_PURITY, valid_labels=PROTOCOL_ACTIVITIES):
     """(FoldResult, audit) of one cell of sweep's streams: train on every
     other user, score the test user as score_fold does."""
-    user_stream(streams, test_user)
-    tables = row_tables(streams, [config], purity, valid_labels)
-    _, model = next(fold_models(tables, config, [test_user], params,
-                                valid_labels))
+    _, tables, model = cell_model(streams, test_user, config, params, purity,
+                                  valid_labels)
     return score_fold(model, tables, test_user, config, mode)
 
 

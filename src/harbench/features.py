@@ -97,8 +97,10 @@ def featurize(spans, size):
     """(X, quality) of the windows of `size` rows at a list of (stream, start)
     spans: their (n, 81) features, each from its own rows, a block of about
     _BLOCK_VALUES values at a time, and whether no channel is all NaN. A
-    window outside its stream raises FeatureError, also from a start below
-    0, which numpy would count from the end."""
+    size below 1 row, or a window outside its stream, raises FeatureError,
+    also from a start below 0, which numpy would count from the end."""
+    if size < 1:
+        raise FeatureError(f"a window needs at least 1 row, got {size}")
     X = np.empty((len(spans), N_FEATURES))
     quality = np.ones(len(spans), dtype=bool)
     step = max(1, _BLOCK_VALUES // (27 * size))

@@ -76,18 +76,15 @@ def timed_run(streams, test_user, config, mode="supervised_frozen",
               params=None, repetitions=5) -> TimingBreakdown:
     """Median per-phase times of one device pass over the test user's
     stream, and the cell's FoldResult: sweep's, from sweep's streams. The
-    fold's model is trained once, untimed, by evaluation.fold_models on
-    row_tables' rows; each repetition then times segment and one
-    label_window call per window (sampling), one extract call per kept
-    window (features) and run_online (classification) on an untimed clone
-    of the model. Users and streams are refused as evaluation.user_stream
-    and row_tables refuse them."""
+    fold's model is trained once, untimed, by evaluation.cell_model; each
+    repetition then times segment and one label_window call per window
+    (sampling), one extract call per kept window (features) and run_online
+    (classification) on an untimed clone of the model. Users and streams
+    are refused as evaluation.cell_model refuses them."""
     if repetitions < 1:
         raise ProfilingError("repetitions must be >= 1")
-    test = evaluation.user_stream(streams, test_user)
-    tables = evaluation.row_tables(streams, [config], purity, valid_labels)
-    _, model = next(evaluation.fold_models(tables, config, [test_user],
-                                           params, valid_labels))
+    test, _, model = evaluation.cell_model(streams, test_user, config, params,
+                                           purity, valid_labels)
 
     warnings = []
     res = time.get_clock_info("perf_counter").resolution

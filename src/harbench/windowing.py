@@ -75,11 +75,13 @@ def label_window(candidate, purity_threshold=DEFAULT_PURITY,
     earlier in the window. Kept only when the modal share reaches the
     purity threshold and the label is a valid (non-transient) activity.
     A window of one activity is labeled by one comparison, at share 1.0.
-    A purity outside [0, 1], or a window whose rows do not all lie in its
-    stream, raises WindowingError.
+    A purity outside [0, 1], a window of fewer than 1 row, or one whose
+    rows do not all lie in its stream, raises WindowingError.
     """
     check_purity(purity_threshold)
     start, size = candidate.start, candidate.size
+    if size < 1:
+        raise WindowingError(f"a window needs at least 1 row, got {size}")
     col = candidate.stream.values[start:start + size, 1]
     if not (start >= 0 and len(col) == size):
         raise WindowingError(f"a window of {size} rows at {start} runs "
@@ -115,9 +117,11 @@ def label_starts(stream, starts, size, purity_threshold=DEFAULT_PURITY,
     exact. A window's modal label has the largest count, a tie going to
     the label whose first occurrence in the window is earliest (its
     (c + 1)-th occurrence, c being its count before the window). A purity
-    outside [0, 1], or a start below 0 or past len(stream) - size, raises
-    WindowingError."""
+    outside [0, 1], a size below 1, or a start below 0 or past
+    len(stream) - size, raises WindowingError."""
     check_purity(purity_threshold)
+    if size < 1:
+        raise WindowingError(f"a window needs at least 1 row, got {size}")
     ids = stream.values[:, 1].astype(np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     if len(starts) and not 0 <= starts.min() <= starts.max() <= len(ids) - size:

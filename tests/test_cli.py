@@ -281,6 +281,23 @@ class TestInputFiles:
         assert code == cli.EXIT_MISSING_DATA
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("cfg", [dict(SPEC, sample_rate=1e-320),
+                                     _first_class(frequency=1e308)],
+                             ids=["rate-tiny", "frequency-huge"])
+    def test_non_finite_stream_exits_three(self, capsys, tmp_path, cfg):
+        # every field passes its own rule, but the streams are not finite:
+        # neither command writes anything, or scores zero-filled windows
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(cfg))
+        for argv in (["synth", "--spec", str(spec)],
+                     ["eval", "--synthetic", str(spec), "--user", "1",
+                      "--window", "10", "--overlap", "0.0"]):
+            code = run(argv + ["--out", str(tmp_path / "out")])
+            assert code == cli.EXIT_MISSING_DATA
+            assert "non-finite" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("fields", [{"label": 2}, {"noise_sigma": -1.0},
                                         {"label": 0}],
                              ids=["repeated-label", "noise-negative",

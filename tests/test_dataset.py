@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -482,3 +486,34 @@ def test_synthetic_spec_from_file_invalid(tmp_path):
 def test_synthetic_feature_channels_finite(small_streams):
     for s in small_streams:
         assert np.isfinite(s.values[:, dataset.FEATURE_CHANNEL_INDEX]).all()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("field", ["sample_rate", "frequency"])
+def test_synthetic_refuses_a_non_finite_stream(field):
+    # sample rate 1e-320 passes 0 < rate < inf, but its period overflows,
+    # so every timestamp and channel value is NaN or inf; frequency 1e308
+    # leaves about half the channel values non-finite
+    spec = SyntheticSpec.default(class_count=2, samples_per_class=50,
+                                 users=(1, 2))
+    if field == "sample_rate":
+        spec = replace(spec, sample_rate=1e-320)
+    else:
+        spec = replace(spec, classes=[replace(spec.classes[0],
+                                              frequency=1e308),
+                                      *spec.classes[1:]])
+    with pytest.raises(DatasetError, match="non-finite"):
+        generate_synthetic(spec)
+
+
+def test_importing_a_module_loads_only_its_imports():
+    # the package binds no name but __version__, so a fresh interpreter
+    # that imports harbench.dataset loads no other harbench module
+    src = os.path.dirname(os.path.dirname(dataset.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, harbench.dataset; print(*sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'harbench'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out.split() == ["harbench", "harbench.dataset"]

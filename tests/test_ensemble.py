@@ -24,6 +24,7 @@ def fv(values, label=1, user=1, index=0):
 
 class StubMember:
     """Fixed-output member for exercising the vote/confidence arithmetic."""
+    size = 1
 
     def __init__(self, dist):
         self.dist = np.asarray(dist, dtype=np.float64)
@@ -39,7 +40,6 @@ class StubMember:
 def stub_ensemble(dists, classes=(1, 2)):
     model = Ensemble(classes)
     model.members = [StubMember(d) for d in dists]
-    model._trained = True
     return model
 
 
@@ -146,6 +146,7 @@ class TestClassify:
 
 class RowStub:
     """Member whose posterior for a query is row int(x[0]) of a table."""
+    size = 1
 
     def __init__(self, table):
         self.table = np.asarray(table, dtype=np.float64)
@@ -200,7 +201,6 @@ class TestClassifyRows:
         classes = tuple(range(10, 10 + len(queries[0][0])))
         model = Ensemble(classes)
         model.members = [RowStub([q[m] for q in queries]) for m in range(3)]
-        model._trained = True
         X = np.zeros((len(queries), N_FEATURES))
         X[:, 0] = np.arange(len(queries))
         assert_rows_classify_alike(model, X, chunk_rows)
@@ -372,6 +372,26 @@ class TestTrainRowsRefusals:
         with pytest.raises(LearnerError, match=message):
             model.train_rows(X, labels)
         assert model.state_hash() == want.state_hash()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_model_that_refused_a_row_classifies_as_the_row_loop(self):
+        # the rows before the refused one are trained into every member,
+        # so the model classifies, as one train_rows call per row leaves it
+        X, labels = rows(drawn_instances(np.random.default_rng(8), 8, 0.8))
+        X[5, 3] = np.nan
+        model, loop = (Ensemble((1, 2, 3), params=self.PARAMS)
+                       for _ in range(2))
+        with pytest.raises(LearnerError):
+            model.train_rows(X, labels)
+        with pytest.raises(LearnerError):
+            for i in range(len(X)):
+                loop.train_rows(X[i:i + 1], labels[i:i + 1])
+        assert model.state_hash() == loop.state_hash()
+        a, b = model.classify_row(X[0]), loop.classify_row(X[0])
+        assert (a.label, a.confidence) == (b.label, b.confidence)
+        assert ([(p.label, p.confidence) for p in model.classify_rows(X[:5])]
+                == [(p.label, p.confidence)
+                    for p in loop.classify_rows(X[:5])])
 
     @pytest.mark.parametrize("n_rows, n_labels", [(3, 1), (1, 3), (0, 2),
                                                   (2, 0)])
@@ -629,7 +649,6 @@ class TestRunBlocks:
         table[update] = [1.0, 0.0]
         model = Ensemble((1, 2))
         model.members = [TrainedRowStub(table) for _ in range(3)]
-        model._trained = True
         scored = []
         classify_rows = Ensemble.classify_rows
 
@@ -655,7 +674,6 @@ class TestRunBlocks:
         table[update] = [1.0, 0.0]
         model = Ensemble((1, 2), LearnerParams(confidence_threshold=theta))
         model.members = [TrainedRowStub(table) for _ in range(3)]
-        model._trained = True
         stream = [fv([i], index=i) for i in range(20)]
         frozen = model.run_blocks(*rows(stream), "supervised_frozen")
         online, given = model.clone(), model.clone()

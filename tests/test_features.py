@@ -338,3 +338,16 @@ def test_a_start_below_zero_is_outside_its_stream():
                 featurize(spans, 3)
         with pytest.raises(FeatureError, match="runs outside its stream"):
             extract(Window(stream, start, 3))
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_a_window_needs_at_least_one_row(size):
+    # a size below 1 is refused before the block arithmetic divides by
+    # it, with spans or without
+    stream = SensorStream(1, np.random.default_rng(4).normal(
+        size=(200, N_COLUMNS)))
+    for spans in ([(stream, 3)], []):
+        with pytest.raises(FeatureError, match="at least 1 row"):
+            featurize(spans, size)
+    with pytest.raises(FeatureError, match="at least 1 row"):
+        extract(Window(stream, 3, size))

@@ -281,6 +281,17 @@ class TestWindowBounds:
         assert label_starts(stream, [], 10)[0].tolist() == []
         assert classification_count(stream, WindowConfig(10, 0.0)) == 0
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_a_window_needs_at_least_one_row(self, size):
+        # a size below 1 is no window: refused before any row is read,
+        # even with no start to label
+        stream = id_stream([4] * 200)
+        with pytest.raises(WindowingError, match="at least 1 row"):
+            label_window(Window(stream, 3, size))
+        for starts in ([0, 5, 100], []):
+            with pytest.raises(WindowingError, match="at least 1 row"):
+                label_starts(stream, starts, size)
+
 
 class TestClassificationCount:
     def test_monotone_in_overlap(self):

@@ -127,9 +127,13 @@ class Ensemble:
         if self.members[0].size == 0:  # every member trains each row
             raise EnsembleError("classify on untrained ensemble")
         # members x classes; argmax = fixed class order
-        dists = _check_rows(np.stack([m.predict(x) for m in self.members]))
+        dists = np.stack([m.predict(x) for m in self.members])
         # the vote over Python floats: each member's first largest class
         rows = dists.tolist()
+        # rows summing within 1e-10 of 1 here sum within 1e-9 in numpy's
+        # order too; a NaN sums to NaN; _check_rows decides the rest
+        if not all(min(r) >= 0 and abs(sum(r) - 1.0) <= 1e-10 for r in rows):
+            _check_rows(dists)
         votes = [row.index(max(row)) for row in rows]
         top = max(map(votes.count, votes))
         tied = sorted({v for v in votes if votes.count(v) == top})

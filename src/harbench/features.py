@@ -75,14 +75,16 @@ def _kernel(block):
     stds sum row by row, as reductions of a window's C-ordered copy did,
     while each correlation centres a channel on its own pairwise mean,
     hence the means of `np.ascontiguousarray(block)`. A (1, W) @ (W, 1)
-    matmul is the same dot product as a 1-D `a @ b`.
+    matmul is the same dot product as a 1-D `a @ b`, and add.reduce / W the
+    mean np.mean takes, without its Python wrapper.
     """
-    means = block.mean(axis=2)
+    size = block.shape[2]
+    means = np.add.reduce(block, axis=2) / size
     d = block - means[..., None]
-    stds = np.sqrt(np.mean(d ** 2, axis=2))
+    stds = np.sqrt(np.add.reduce(d ** 2, axis=2) / size)
     if not block.flags.c_contiguous:
         c = np.ascontiguousarray(block)
-        d = c - c.mean(axis=2)[..., None]
+        d = c - (np.add.reduce(c, axis=2) / size)[..., None]
     sq = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
     cov = (d[:, _PAIR_A, None, :] @ d[:, _PAIR_B, :, None])[..., 0, 0]
     va, vb = sq[:, _PAIR_A], sq[:, _PAIR_B]

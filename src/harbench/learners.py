@@ -118,7 +118,8 @@ class KnnClassifier:
     k-nearest neighbor search", SIGMOD 1998): two float32 BLAS products
     over a centered copy of the store give every row an interval that holds
     its exact distance, and only the rows whose interval can reach the k-th
-    smallest upper end are ranked exactly, in float64.
+    smallest upper end are ranked exactly, in float64; exactly k such rows
+    are the k nearest, and predict votes them unranked.
     """
 
     def __init__(self, classes, n_features, k=5, capacity=5000):
@@ -170,13 +171,18 @@ class KnnClassifier:
 
     def _reserve(self, n):
         """Grow the store to capacity, zeroed, if the next n rows pass its
-        first block."""
+        first block; a capacity that cannot be allocated leaves the store
+        as it was and raises LearnerError."""
         rows = len(self._y)
         if rows < min(self.n_trained + n, self.capacity):
-            self._X, self._Xc, self._Xc2, self._y = (
-                np.concatenate([a, np.zeros((self.capacity - rows,)
-                                            + a.shape[1:], a.dtype)])
-                for a in (self._X, self._Xc, self._Xc2, self._y))
+            try:  # every array is grown before the tuple is assigned
+                self._X, self._Xc, self._Xc2, self._y = (
+                    np.concatenate([a, np.zeros((self.capacity - rows,)
+                                                + a.shape[1:], a.dtype)])
+                    for a in (self._X, self._Xc, self._Xc2, self._y))
+            except MemoryError:
+                raise LearnerError(f"kNN capacity {self.capacity} rows "
+                                   "cannot be allocated") from None
 
     def train_rows(self, X, class_indices):
         """train of each row of X, with the class at its index in classes,
@@ -305,6 +311,10 @@ class KnnClassifier:
         x = np.asarray(x, dtype=np.float64)
         scale, k = self._query_terms()
         rows = self._candidates(x, scale, k)
+        if not isinstance(rows, slice) and len(rows) == k:
+            # a row left out has a lower end above each kept row's upper end:
+            # the k kept are the k nearest, untied, with no NaN distance
+            return np.bincount(self._y[rows], minlength=len(self.classes)) / k
         dist = _sq_distances(self._X[rows], x, scale)
         # Rows beyond the k-th smallest distance cannot vote; the rest go in
         # _nearest_first order. A slice of candidates starts at slot 0.
@@ -312,8 +322,7 @@ class KnnClassifier:
         near = np.flatnonzero(~(dist > kth))
         slots = near if isinstance(rows, slice) else rows[near]
         order = slots[self._nearest_first(slots, dist[near])]
-        votes = np.bincount(self._y[order[:k]], minlength=len(self.classes))
-        return votes / k
+        return np.bincount(self._y[order[:k]], minlength=len(self.classes)) / k
 
     def _approx(self, wq2, c, a, rows):
         """The filter's approximate distance of each (query, row) pair over

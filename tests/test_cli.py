@@ -496,6 +496,19 @@ class TestEvalCommand:
         assert code == cli.EXIT_BAD_GRID
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unallocatable_knn_capacity_exits_two(self, capsys, spec_file,
+                                                  tmp_path):
+        # user 1's ~1,200 training rows pass the store's first block, so it
+        # grows to a capacity of 81e12 float64 values
+        out = tmp_path / "new"
+        code = run(["eval", "--synthetic", spec_file, "--user", "2",
+                    "--window", "10", "--overlap", "0.9", "--mode", "sup",
+                    "--knn-capacity", "1000000000000", "--out", str(out)])
+        assert code == cli.EXIT_BAD_GRID
+        assert capsys.readouterr().err == (
+            "error: kNN capacity 1000000000000 rows cannot be allocated\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--delta", "0"],
                                        ["--delta", "0", "--window", "99999"],
                                        ["--grace-period", "0"],

@@ -139,6 +139,31 @@ class TestClassify:
         with pytest.raises(LearnerError):
             model.classify(fv(np.full(N_FEATURES, np.nan)))
 
+    def test_clear_rows_skip_the_array_check(self):
+        model = stub_ensemble([[0.9, 0.1], [0.8, 0.2], [0.4, 0.6]])
+        with mock.patch("harbench.ensemble._check_rows") as check:
+            model.classify(fv([0.0]))
+        check.assert_not_called()
+
+    def test_a_sum_within_the_check_classifies(self):
+        # 5e-10 off 1 fails the float screen but passes _check_rows' 1e-9
+        model = stub_ensemble([[0.5, 0.5 + 5e-10], [1.0, 0.0], [1.0, 0.0]])
+        pred = model.classify(fv([0.0]))
+        assert pred.label == 1
+        assert pred.confidence == 2 / 3
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [1.0, np.nan],
+                                     [np.inf, 0.0], [-1e-300, 1.0],
+                                     [0.5, 0.5 + 2e-9]],
+                             ids=["nan-first", "nan-last", "inf",
+                                  "negative", "sum-off-2e-9"])
+    def test_an_invalid_row_is_named(self, bad):
+        model = stub_ensemble([[1.0, 0.0], bad, [1.0, 0.0]])
+        with pytest.raises(LearnerError) as err:
+            model.classify(fv([0.0]))
+        assert str(err.value) == (
+            f"invalid class distribution: {np.array(bad)}")
+
     def test_untrained_model_raises(self):
         with pytest.raises(EnsembleError):
             Ensemble((1, 2)).classify(fv([0.0]))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harbench import evaluation
+from harbench import evaluation, learners
 from harbench.dataset import SyntheticSpec, generate_synthetic
 from harbench.ensemble import Ensemble, LearnerParams
 from harbench.features import N_FEATURES
@@ -252,6 +252,52 @@ class TestKnnAgainstFullSort:
         for i, x in enumerate(X[1:]):
             small.train(x, i % 2)
         assert small._candidates(q, small._scale(), 5) == slice(small.size)
+
+    def test_exactly_k_kept_rows_vote_unranked(self, monkeypatch):
+        # the store above keeps exactly k rows for this query: they are the
+        # k nearest, so predict votes them without computing a distance
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(KNN_FILTER_MIN_ROWS, 81)) + 50.0
+        knn = KnnClassifier(classes=(0, 1), n_features=81, k=5,
+                            capacity=KNN_FILTER_MIN_ROWS)
+        for i, x in enumerate(X):
+            knn.train(x, i % 2)
+        q = X[7] + 0.01
+        assert len(knn._candidates(q, knn._scale(), knn.k)) == knn.k
+        want = knn_oracle(knn, q)
+
+        def refuse(*args):
+            raise AssertionError("exactly k kept rows were ranked")
+
+        monkeypatch.setattr(learners, "_sq_distances", refuse)
+        np.testing.assert_array_equal(knn.predict(q), want)
+
+    def test_copies_tied_at_the_kth_distance_are_ranked(self, monkeypatch):
+        # row 7 and k copies of it tie at the k-th distance: the filter
+        # keeps all k + 1, they are ranked, and the k inserted first vote
+        rng = np.random.default_rng(3)
+        n, k = KNN_FILTER_MIN_ROWS + 20, 5
+        X = rng.normal(size=(n, 81)) + 50.0
+        copies = np.arange(40, 40 + 7 * k, 7)
+        X[copies] = X[7]
+        labels = np.ones(n, dtype=np.int64)
+        labels[7] = 0
+        labels[copies[:k - 1]] = 0  # the last copy, inserted last, is 1
+        knn = KnnClassifier(classes=(0, 1), n_features=81, k=k, capacity=n)
+        for x, label in zip(X, labels):
+            knn.train(x, int(label))
+        q = X[7] + 0.01
+        assert len(knn._candidates(q, knn._scale(), k)) == k + 1
+        ranked = []
+
+        def sq_distances(*args):
+            ranked.append(len(args[0]))
+            return _sq_distances(*args)
+
+        monkeypatch.setattr(learners, "_sq_distances", sq_distances)
+        np.testing.assert_array_equal(knn.predict(q), [1.0, 0.0])
+        np.testing.assert_array_equal(knn.predict(q), knn_oracle(knn, q))
+        assert ranked and min(ranked) >= k + 1
 
     def test_a_weight_that_is_not_normal_ranks_every_row(self):
         # Above the crossover, a feature spread 1.2e-154 about 0 has weight

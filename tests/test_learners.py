@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -98,6 +99,25 @@ class TestKnn:
             knn.train([i, 0.0, 1.0], 1 + i % 2)
         assert max(len(knn._X), len(knn._Xc), len(knn._Xc2),
                    len(knn._y)) <= 256
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["train",
+                                                          "train_rows"])
+    def test_unallocatable_capacity_leaves_the_store(self, batch):
+        # the 257th row grows the store to 81e12 float64 values, which
+        # cannot be allocated: the error names the capacity, and the store
+        # is the one the first block's rows made
+        capacity = 10 ** 12
+        knn = KnnClassifier(classes=(1, 2), n_features=81, capacity=capacity)
+        X = np.random.default_rng(6).normal(size=(257, 81))
+        for i, x in enumerate(X[:256]):
+            knn.train(x, 1 + i % 2)
+        before = pickle.dumps(knn.__dict__)
+        with pytest.raises(LearnerError, match=f"capacity {capacity} rows"):
+            if batch:
+                knn.train_rows(X[256:], [0])
+            else:
+                knn.train(X[256], 1)
+        assert pickle.dumps(knn.__dict__) == before
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_is_refused(self, bad):

@@ -88,16 +88,14 @@ class Ensemble:
         return hashlib.sha256(payload).hexdigest()
 
     def train_offline(self, instances):
-        """Fit all members on labeled instances, in stream order: train_rows
-        of their feature vectors, stacked a chunk of rows at a time."""
+        """Fit all members on labeled instances, in stream order: one
+        train_rows call on their feature vectors, stacked."""
         instances = list(instances)
         if not instances:
             raise EnsembleError("empty training set")
-        for chunk in _row_chunks(len(instances), N_FEATURES):
-            part = instances[chunk]
-            self.train_rows(np.array([fv.values for fv in part], np.float64),
-                            [fv.label for fv in part])
-        return self
+        return self.train_rows(
+            np.array([fv.values for fv in instances], np.float64),
+            [fv.label for fv in instances])
 
     def train_rows(self, X, labels):
         """Train each row of X, a float64 array, with its label, into every

@@ -51,18 +51,37 @@ class FeatureVector:
             raise FeatureError(f"expected {N_FEATURES} features, got {self.values.shape}")
 
 
-def _fill_gaps(filled):
-    """Interpolate, in place, each NaN run of (n, W, 27) windows in its own
-    column (edge gaps extend the nearest value, a fully missing channel is
-    zeroed); returns whether no channel of each window was fully missing."""
-    missing = np.isnan(filled)
+def _fill_gaps(block):
+    """Fill, in place, each NaN run of C-ordered (n, 27, W) windows along W,
+    all gapped channels at once, with np.interp's bits: an inner gap lies on
+    the line between its known neighbours, an edge gap takes the one known
+    value it has, and a fully missing channel is zeroed; returns whether no
+    channel of each window was fully missing."""
+    size = block.shape[2]
+    rows = block.reshape(-1, size)  # a view: one channel of a window a row
+    missing = np.isnan(rows)
     lost = missing.all(axis=1)
-    filled[missing & lost[:, None]] = 0.0
-    idx = np.arange(filled.shape[1])
-    for k, c in zip(*np.nonzero(missing.any(axis=1) & ~lost)):
-        col, gap = filled[k, :, c], missing[k, :, c]
-        col[gap] = np.interp(idx[gap], idx[~gap], col[~gap])
-    return ~lost.any(axis=1)
+    rows[lost] = 0.0
+    gapped = np.flatnonzero(missing.any(axis=1) & ~lost)
+    part, gap = rows[gapped], missing[gapped]
+    idx = np.arange(size)
+    r, x = np.nonzero(gap)
+    # each gap's previous and next known index, -1 or size where none is
+    prev = np.maximum.accumulate(np.where(gap, -1, idx), axis=1)[r, x]
+    after = np.minimum.accumulate(np.where(gap, size, idx)[:, ::-1],
+                                  axis=1)[:, ::-1][r, x]
+    lo = np.where(prev < 0, after, prev)  # an edge gap: lo == hi
+    hi = np.where(after == size, prev, after)
+    f_lo, f_hi = part[r, lo], part[r, hi]
+    # np.interp's arithmetic, and its fallbacks where a value comes out NaN
+    # (an infinite neighbour, or lo == hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (f_hi - f_lo) / (hi - lo)
+        value = slope * (x - lo) + f_lo
+        value = np.where(np.isnan(value), slope * (x - hi) + f_hi, value)
+    rows[gapped[r], x] = np.where(np.isnan(value) & (f_lo == f_hi), f_lo,
+                                  value)
+    return ~lost.reshape(block.shape[:2]).any(axis=1)
 
 
 def _kernel(block):
@@ -115,12 +134,17 @@ def featurize(spans, size):
             raise FeatureError(f"a window of {size} rows runs outside its "
                                "stream")
         block = np.stack(channels) if len(channels) > 1 else channels[0][None]
-        X[lo:lo + step] = _kernel(block)
-        gapped = np.flatnonzero(np.isnan(block).any(axis=(1, 2)))
-        if len(gapped):  # one C-ordered (windows, W, 27) copy, filled
-            filled = np.ascontiguousarray(block.transpose(0, 2, 1)[gapped])
-            quality[lo + gapped] = _fill_gaps(filled)
-            X[lo + gapped] = _kernel(filled.transpose(0, 2, 1))
+        nan = np.isnan(block).any(axis=(1, 2))
+        if not nan.any():
+            X[lo:lo + step] = _kernel(block)
+            continue
+        out = X[lo:lo + step]
+        out[~nan] = _kernel(block[~nan])  # the clean windows, C-ordered
+        filled = block[nan]
+        quality[lo:lo + step][nan] = _fill_gaps(filled)
+        # their C-ordered (windows, W, 27) copy, as _kernel takes it
+        out[nan] = _kernel(np.ascontiguousarray(
+            filled.transpose(0, 2, 1)).transpose(0, 2, 1))
     return X, quality
 
 

@@ -55,7 +55,7 @@ def _welford(mean, m2, x, n):
 # Below this many stored rows predict ranks every row exactly: for one query
 # the filter's extra numpy calls cost more than the rows it would skip
 # (measured crossover). predict_rows filters at any size.
-KNN_FILTER_MIN_ROWS = 160
+KNN_FILTER_MIN_ROWS = 64
 KNN_FIRST_BLOCK = 256  # rows a store starts with; it grows to capacity once
 # stored rows predict_rows' filter reads at a time from a full chunk, which
 # holds _BLOCK_VALUES / _KNN_STORE_ROWS queries; a smaller chunk reads more

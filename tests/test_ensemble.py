@@ -279,10 +279,10 @@ class TestTraining:
         a, b = parts.classify_row(X[0]), whole.classify(instances[0])
         assert (a.label, a.confidence) == (b.label, b.confidence)
 
-    def test_train_offline_hands_train_rows_float64_chunks(self):
-        # train_offline stacks its feature vectors one row chunk at a time:
-        # train_rows gets float64 arrays of at most one chunk's rows, which
-        # take the rows in order, and leaves one train_rows call's state
+    def test_train_offline_hands_train_rows_one_float64_call(self):
+        # train_offline stacks its feature vectors whole: one train_rows
+        # call gets every row, as float64, and every label, in stream
+        # order, and leaves that call's state
         instances = make_instances(np.random.default_rng(15), 1000)
         X, labels = rows(instances)
         calls = []
@@ -294,16 +294,30 @@ class TestTraining:
 
         with mock.patch.object(Ensemble, "train_rows", spying):
             offline = Ensemble((1, 2, 3)).train_offline(instances)
-        step = learners._row_chunks(len(X), N_FEATURES)[0].stop
-        assert step == 101 and len(calls) == 10
-        for part, _ in calls:
-            assert type(part) is np.ndarray and part.dtype == np.float64
-            assert 0 < len(part) <= step
-        assert (np.concatenate([part for part, _ in calls]).tobytes()
-                == X.tobytes())
-        assert [label for _, part in calls for label in part] == labels
+        assert len(calls) == 1
+        part, part_labels = calls[0]
+        assert type(part) is np.ndarray and part.dtype == np.float64
+        assert part.shape == X.shape and part.tobytes() == X.tobytes()
+        assert list(part_labels) == labels
         whole = Ensemble((1, 2, 3)).train_rows(X, labels)
         assert offline.state_hash() == whole.state_hash()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_train_offline_refuses_a_nan_row_after_the_rows_before_it(self):
+        # a NaN at row 700 of 1000: the rows before it are trained into
+        # every member, as a row loop leaves them, then it raises
+        params = LearnerParams(knn_capacity=300, vfdt_grace_period=50)
+        instances = make_instances(np.random.default_rng(16), 1000)
+        X, labels = rows(instances)
+        X[700, 4] = np.nan
+        instances[700] = fv(X[700], label=labels[700], index=700)
+        want, message = row_loop_model(params, X, labels)
+        model = Ensemble((1, 2, 3), params=params)
+        with pytest.raises(LearnerError) as exc:
+            model.train_offline(instances)
+        assert str(exc.value) == message
+        assert model.state_hash() == want.state_hash()
+        assert model.members[0].n_trained == 700
 
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(1)

@@ -161,6 +161,73 @@ class TestBlockKernel:
                                 random_window(rng, 12)])
 
 
+@st.composite
+def gapped_windows(draw):
+    """(n, W, 27) windows whose channels have NaN runs of every kind: inner
+    ones, ones touching either edge or both, channels with a single known
+    value or none, and +-inf or a repeated value next to a gap."""
+    n, w = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = rng.normal(scale=10.0, size=(n, w, 27))
+    if draw(st.booleans()):
+        data = np.round(data)  # equal neighbours
+    for _ in range(draw(st.integers(0, 30))):
+        k, j = draw(st.integers(0, n - 1)), draw(st.integers(0, 26))
+        col = data[k, :, j]
+        kind = draw(st.sampled_from(["run", "edges", "single", "all"]))
+        if kind == "run":
+            lo = draw(st.integers(0, w - 1))
+            col[lo:lo + draw(st.integers(1, w))] = np.nan
+        elif kind == "edges":  # a gap at each edge, or all but a middle
+            col[:draw(st.integers(1, w))] = np.nan
+            col[w - draw(st.integers(1, w)):] = np.nan
+        elif kind == "single":
+            keep = col[draw(st.integers(0, w - 1))]
+            col[:] = np.nan
+            col[draw(st.integers(0, w - 1))] = keep
+        else:
+            col[:] = np.nan
+        # an infinite or a copied value next to one of the column's gaps
+        gaps = np.flatnonzero(np.isnan(col))
+        known = np.flatnonzero(~np.isnan(col))
+        for _ in range(draw(st.integers(0, 2)) if len(gaps) and len(known)
+                       else 0):
+            at = known[np.abs(known - gaps[draw(st.integers(
+                0, len(gaps) - 1))]).argmin()]
+            col[at] = draw(st.sampled_from([np.inf, -np.inf,
+                                            col[known[0]]]))
+    return data
+
+
+class TestFillGaps:
+    @settings(max_examples=300, deadline=None)
+    @given(gapped_windows())
+    def test_fill_has_np_interp_bits_column_by_column(self, data):
+        # the one array pass over a block's gapped channels against
+        # np.interp called on each gapped column of each window
+        block = data.transpose(0, 2, 1).copy()  # C-ordered, not a view
+        quality = features._fill_gaps(block)
+        for k, window in enumerate(data):
+            with np.errstate(invalid="ignore"):
+                want, quality_ok = _reference_fill(window)
+            assert block[k].T.tobytes() == want.tobytes(), k
+            assert quality[k] == quality_ok
+
+    def test_fill_falls_back_as_np_interp_beside_infinities(self):
+        # inf then 1: slope -inf, inf - inf is NaN, so the fill counts from
+        # the upper end; inf on both sides: NaN both ways, equal ends give
+        # inf; inf and -inf stay NaN, as np.interp leaves them
+        window = np.zeros((3, 27))
+        for j, (a, b) in enumerate([(np.inf, 1.0), (1.0, -np.inf),
+                                    (np.inf, np.inf), (np.inf, -np.inf)]):
+            window[:, j] = [a, np.nan, b]
+        block = np.ascontiguousarray(window.T[None])
+        assert features._fill_gaps(block).tolist() == [True]
+        middle = block[0, :4, 1]
+        assert middle[:3].tolist() == [np.inf, -np.inf, np.inf]
+        assert np.isnan(middle[3])
+
+
 class TestSignalStats:
     """The mean and population-std features of one channel."""
 

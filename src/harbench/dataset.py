@@ -263,17 +263,17 @@ def serialize_stream(stream) -> str:
     return "\n".join(lines) + "\n"
 
 
-def filter_protocol_activities(stream, activities=PROTOCOL_ACTIVITIES) -> SensorStream:
-    """Keep only samples labeled with one of the given activities, in order."""
-    mask = np.isin(stream.values[:, 1], np.asarray(activities, dtype=np.float64))
+def filter_protocol_activities(stream) -> SensorStream:
+    """Keep only samples labeled with a protocol activity, in order."""
+    mask = np.isin(stream.values[:, 1], PROTOCOL_ACTIVITIES)
     kept = stream.values[mask]
     kept.setflags(write=False)  # a fresh copy: the stream shares it
     return SensorStream(user_id=stream.user_id, values=kept)
 
 
-def sample_counts(stream, activities=PROTOCOL_ACTIVITIES):
-    """Exact per-activity sample counts (0 for absent activities)."""
-    counts = {a: 0 for a in activities}
+def sample_counts(stream):
+    """Exact per-protocol-activity sample counts (0 for absent ones)."""
+    counts = {a: 0 for a in PROTOCOL_ACTIVITIES}
     ids, ns = np.unique(stream.values[:, 1].astype(np.int64), return_counts=True)
     for a, n in zip(ids, ns):
         if int(a) in counts:

@@ -26,7 +26,7 @@ from .learners import (GaussianNbClassifier, HoeffdingTreeClassifier,
                        KnnClassifier, LearnerError, _check_rows, _row_chunks)
 
 MODES = ("supervised_frozen", "semi_supervised")
-STREAK_ROWS, MAX_BLOCK_ROWS = 8, 4096  # run_blocks' streak gate
+STREAK_ROWS = 8  # run_blocks' streak gate
 
 
 class EnsembleError(Exception):
@@ -221,7 +221,7 @@ class Ensemble:
         audit, streak, careful = [], 0, 0
         while len(audit) < len(labels):
             i = len(audit)
-            size = min(streak, MAX_BLOCK_ROWS) if update else len(labels)
+            size = streak if update else len(labels)
             if frozen and i == 0:
                 preds = [Prediction(rec.predicted_label, rec.confidence, None)
                          for rec in frozen]

@@ -329,8 +329,10 @@ def sweep(streams, windows, overlaps, modes, seed, out_dir,
             rows.setdefault(config.window_size, []).append((config, keys))
 
     shared = (streams, params, purity, valid_labels)
-    pool = (ProcessPoolExecutor(workers, initializer=_init_worker,
-                                initargs=shared) if workers > 1 else None)
+    # a worker scores whole rows, and the pool starts every worker at once
+    pool = (ProcessPoolExecutor(min(workers, len(rows)),
+                                initializer=_init_worker, initargs=shared)
+            if workers > 1 and rows else None)
     with pool or nullcontext():  # in-process, each cell comes as it is scored
         for cells in (pool.map(_score_row, rows.values()) if pool else
                       (_row_cells(*shared, row) for row in rows.values())):

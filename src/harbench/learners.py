@@ -232,7 +232,7 @@ class KnnClassifier:
         return self._scale(), min(self.k, n)
 
     def _candidates(self, x, scale, k):
-        """Rows that may be among the k nearest, or a slice of every row.
+        """Slots of the rows that may be among the k nearest.
 
         The margin is a rounding bound after Higham (Accuracy and Stability
         of Numerical Algorithms, 3.1), with u = 2^-24: each rounding, to
@@ -268,37 +268,38 @@ class KnnClassifier:
         sum(|2 w q|) + 20 m) holds them all, twice over, and
         2^-149 (2 sum(w) + c + 20 m) is at least that, as 2 |q| <= 1 + q^2.
 
-        The bound needs w normal in float32 and no overflow, which
-        _bounded(max a, c) checks before the float32 products; a NaN c
-        fails it too. Otherwise, and below the crossover, every row is
-        ranked.
+        The bound needs w normal in float32; _filter_terms' zero weights
+        give every row 0 under a positive margin, so keep them all. It
+        needs no overflow either: when _bounded(max a, c) fails, checked
+        before the float32 products, every slot is returned.
         """
         n = self.size
-        w = None if n < KNN_FILTER_MIN_ROWS else self._filter_weights(scale)
-        if w is None:
-            return slice(n)
+        if n < KNN_FILTER_MIN_ROWS:
+            return np.arange(n)
+        w, a, top = self._filter_terms(scale)
         q = x - self._center
         wq = w * q
         c = wq @ q
-        a = (self._Xc2[:n] @ w.astype(np.float32)).astype(np.float64)
-        top = a.max()
         if not _bounded(top, c):
-            return slice(n)
-        approx = self._Xc[:n] @ (-2.0 * wq).astype(np.float32) + a
-        approx += c
+            return np.arange(n)
+        approx = self._approx((-2.0 * wq).astype(np.float32), c, a, slice(n))
         margin = _margin(top, c, w)
         # A row whose lower end lies above the k-th smallest upper end has
         # k rows nearer than it, so it neither votes nor ties.
         kth_upper = np.partition(approx, k - 1)[k - 1] + margin
         return np.flatnonzero(approx - margin <= kth_upper)
 
-    def _filter_weights(self, scale):
-        """w = 1 / scale^2, or None when w is not normal in float32 and
-        every row is to be ranked."""
+    def _filter_terms(self, scale):
+        """(w, a, top): w = 1 / scale^2, or zeros when not normal in float32;
+        each stored row's a = _Xc2 @ w in float64, quietly NaN for zero
+        weights times an infinite square; and their largest."""
         w = 1.0 / (scale * scale)
         if not _F32_TINY <= w.min() <= w.max() <= _F32_MAX:
-            return None
-        return w
+            w = np.zeros(self.n_features)
+        with np.errstate(invalid="ignore"):
+            a = self._Xc2[:self.size] @ w.astype(np.float32)
+        a = a.astype(np.float64)
+        return w, a, a.max()
 
     def _nearest_first(self, slots, dist, *groups):
         """The order of candidate slots by groups (the last first), then
@@ -310,24 +311,23 @@ class KnnClassifier:
     def predict(self, x):
         x = np.asarray(x, dtype=np.float64)
         scale, k = self._query_terms()
-        rows = self._candidates(x, scale, k)
-        if not isinstance(rows, slice) and len(rows) == k:
-            # a row left out has a lower end above each kept row's upper end:
-            # the k kept are the k nearest, untied, with no NaN distance
-            return np.bincount(self._y[rows], minlength=len(self.classes)) / k
-        dist = _sq_distances(self._X[rows], x, scale)
-        # Rows beyond the k-th smallest distance cannot vote; the rest go in
-        # _nearest_first order. A slice of candidates starts at slot 0.
-        kth = np.partition(dist, k - 1)[k - 1]
-        near = np.flatnonzero(~(dist > kth))
-        slots = near if isinstance(rows, slice) else rows[near]
-        order = slots[self._nearest_first(slots, dist[near])]
-        return np.bincount(self._y[order[:k]], minlength=len(self.classes)) / k
+        slots = self._candidates(x, scale, k)
+        if len(slots) > k:
+            # Slots beyond the k-th smallest distance cannot vote; the rest
+            # go in _nearest_first order.
+            dist = _sq_distances(self._X[slots], x, scale)
+            near = ~(dist > np.partition(dist, k - 1)[k - 1])
+            slots, dist = slots[near], dist[near]
+            slots = slots[self._nearest_first(slots, dist)[:k]]
+        # The k slots left are the k nearest: ranked, a store's every row,
+        # or the filter's k, each left-out row's lower end lying above each
+        # kept row's upper end, so untied, with no NaN distance.
+        return np.bincount(self._y[slots], minlength=len(self.classes)) / k
 
     def _approx(self, wq2, c, a, rows):
         """The filter's approximate distance of each (query, row) pair over
-        a slice of stored rows, a - 2 sum(w p q) + c as _candidates takes
-        it, from the float32 wq2 = -2 w q, the float64 a = _Xc2 @ w and
+        a slice of stored rows, a - 2 sum(w p q) + c, from the float32
+        wq2 = -2 w q of one query or a chunk of them, _filter_terms' a and
         c."""
         approx = wq2 @ self._Xc[rows].T + a[rows]
         approx += c
@@ -336,10 +336,9 @@ class KnnClassifier:
     def predict_rows(self, X):
         """predict of each row of X, a chunk of queries at a time.
 
-        A chunk's filter is _candidates' at any store size, with its one
-        margin per query and its guard: a query that _bounded refuses keeps
-        every row. When w is not normal in float32, zero weights give every
-        pair the same ends, so every row is kept.
+        A chunk's filter is _candidates' at any store size, with its
+        _filter_terms, its one margin per query and its guard: a query that
+        _bounded refuses keeps every row.
 
         The store is read in blocks of _BLOCK_VALUES / queries rows,
         _KNN_STORE_ROWS for a full chunk, so that each (queries, rows)
@@ -355,10 +354,7 @@ class KnnClassifier:
         scale, k = self._query_terms()
         n, n_classes = self.size, len(self.classes)
         X = np.asarray(X, dtype=np.float64)
-        w = self._filter_weights(scale)
-        w = np.zeros(self.n_features) if w is None else w
-        a = (self._Xc2[:n] @ w.astype(np.float32)).astype(np.float64)
-        top = a.max()
+        w, a, top = self._filter_terms(scale)
         out = np.empty((len(X), n_classes))
         for chunk in _row_chunks(len(X), min(n, _KNN_STORE_ROWS)):
             Q = X[chunk]

@@ -443,6 +443,35 @@ class TestSweep:
         assert max(map(len, sent)) < min(s.values.nbytes
                                          for s in small_streams)
 
+    def test_pool_starts_a_worker_per_pending_row_at_most(
+            self, small_streams, small_spec, tmp_path, monkeypatch):
+        # a worker scores whole window-size rows, so 8 requested over 2
+        # rows start 2, and a fully resumed sweep builds no pool
+        started = []
+
+        class CountingPool:
+            def __init__(self, workers, initializer, initargs):
+                started.append(workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, rows):
+                return map(fn, rows)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(evaluation, "_shared", ())
+        labels = small_spec.class_labels
+        for _ in range(2):
+            sweep(small_streams, [50, 80], [0.0], ["supervised_frozen"],
+                  seed=0, out_dir=str(tmp_path), params=FAST,
+                  valid_labels=labels, workers=8)
+        assert started == [2]
+
     def test_every_cell_equals_evaluate_fold(self, small_streams, small_spec,
                                              tmp_path):
         labels = small_spec.class_labels

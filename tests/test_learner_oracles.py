@@ -51,6 +51,12 @@ def trained_knn(X, capacity=None):
     return knn
 
 
+def assert_every_slot(slots, n):
+    """slots is the integer array of every slot, 0 ... n - 1."""
+    assert slots.dtype.kind == "i"
+    np.testing.assert_array_equal(slots, np.arange(n))
+
+
 def assert_votes_equal_the_full_sort(knn, queries):
     """predict of each query, and predict_rows of them all, equal the
     oracle's votes."""
@@ -251,7 +257,7 @@ class TestKnnAgainstFullSort:
                               capacity=KNN_FILTER_MIN_ROWS - 1)
         for i, x in enumerate(X[1:]):
             small.train(x, i % 2)
-        assert small._candidates(q, small._scale(), 5) == slice(small.size)
+        assert_every_slot(small._candidates(q, small._scale(), 5), small.size)
 
     def test_exactly_k_kept_rows_vote_unranked(self, monkeypatch):
         # the store above keeps exactly k rows for this query: they are the
@@ -271,6 +277,64 @@ class TestKnnAgainstFullSort:
 
         monkeypatch.setattr(learners, "_sq_distances", refuse)
         np.testing.assert_array_equal(knn.predict(q), want)
+
+    @pytest.mark.parametrize("n_train, capacity", [(1, 5), (5, 5), (7, 3)])
+    def test_a_store_of_at_most_k_rows_votes_unranked(self, n_train, capacity,
+                                                      monkeypatch):
+        # k is min(k, stored rows): every stored row votes, in any order,
+        # so predict votes them without computing a distance, a NaN
+        # query's too
+        rng = np.random.default_rng(n_train)
+        X = rng.normal(size=(n_train, 4))
+        knn = trained_knn(X, capacity)
+        assert knn.size <= knn.k
+        queries = np.vstack([rng.normal(size=(3, 4)), [np.nan, 0, 0, 0]])
+        expected = [knn_oracle(knn, q) for q in queries]
+
+        def refuse(*args):
+            raise AssertionError("a store of at most k rows was ranked")
+
+        monkeypatch.setattr(learners, "_sq_distances", refuse)
+        for q, want in zip(queries, expected):
+            np.testing.assert_array_equal(knn.predict(q), want)
+
+    def test_candidates_are_an_integer_array_of_slots(self):
+        # below the crossover, with weights that are not normal, for a
+        # query _bounded refuses, and for a filtered query
+        rng = np.random.default_rng(3)
+        n = KNN_FILTER_MIN_ROWS + 36
+        X = rng.normal(size=(n, 4)) + 50.0
+        tiny = X.copy()
+        tiny[:, 0] = np.where(np.arange(n) % 2, 1e-20, -1e-20)
+        q = X[7] + 0.01
+        for knn, query, size in [
+                (trained_knn(X[:KNN_FILTER_MIN_ROWS - 1]), q,
+                 KNN_FILTER_MIN_ROWS - 1),
+                (trained_knn(tiny), tiny[7] + 0.01, n),
+                (trained_knn(X), q + [np.nan, 0, 0, 0], n)]:
+            assert_every_slot(knn._candidates(query, knn._scale(), 5), size)
+        knn = trained_knn(X)
+        slots = knn._candidates(q, knn._scale(), 5)
+        assert slots.dtype.kind == "i" and 5 <= len(slots) < n and 7 in slots
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_weights_over_an_infinite_square_stay_quiet(self):
+        # Feature 0 spreads 1e-20 about 0, so w is not normal in float32
+        # and _filter_terms gives zeros. Row 60 lies 1e20 from the center
+        # in feature 1, so its float32 square is infinite and its a is
+        # 0 * inf, NaN, which _bounded refuses. Both paths rank every row,
+        # and neither warns.
+        rng = np.random.default_rng(19)
+        n = KNN_FILTER_MIN_ROWS + 40
+        X = rng.normal(size=(n, 4))
+        X[:, 0] = np.where(np.arange(n) % 2, 1e-20, -1e-20)
+        X[60, 1] = 1e20
+        with np.errstate(over="ignore"):  # train's float32 square
+            knn = trained_knn(X)
+        w, a, top = knn._filter_terms(knn._scale())
+        assert not w.any() and np.isnan(a[60]) and np.isnan(top)
+        queries = np.vstack([X[:6] + [0.0, 0.5, -0.5, 0.25], X[60]])
+        assert_votes_equal_the_full_sort(knn, queries)
 
     def test_copies_tied_at_the_kth_distance_are_ranked(self, monkeypatch):
         # row 7 and k copies of it tie at the k-th distance: the filter
@@ -310,9 +374,9 @@ class TestKnnAgainstFullSort:
         knn = KnnClassifier(classes=(0, 1, 2), n_features=4, k=5, capacity=n)
         for i, x in enumerate(X):
             knn.train(x, i % 3)
-        assert knn._filter_weights(knn._scale()) is None
+        assert not knn._filter_terms(knn._scale())[0].any()
         queries = X[:6] + [0.0, 0.5, -0.5, 0.25]
-        assert knn._candidates(queries[0], knn._scale(), 5) == slice(n)
+        assert_every_slot(knn._candidates(queries[0], knn._scale(), 5), n)
         expected = [knn_oracle(knn, q) for q in queries]
         for q, want in zip(queries, expected):
             np.testing.assert_array_equal(knn.predict(q), want)
@@ -327,9 +391,9 @@ class TestKnnAgainstFullSort:
         X = rng.normal(size=(n, 4))
         X[:, 0] = np.where(np.arange(n) % 2, 1e-20, -1e-20)
         knn = trained_knn(X)
-        assert knn._filter_weights(knn._scale()) is None
+        assert not knn._filter_terms(knn._scale())[0].any()
         queries = X[:6] + [0.0, 0.5, -0.5, 0.25]
-        assert knn._candidates(queries[0], knn._scale(), 5) == slice(n)
+        assert_every_slot(knn._candidates(queries[0], knn._scale(), 5), n)
         assert_votes_equal_the_full_sort(knn, queries)
 
     # the square overflows, and inf - inf is NaN in predict_rows' ends
@@ -344,11 +408,11 @@ class TestKnnAgainstFullSort:
         X = rng.normal(size=(n, 4))
         X[100, 0] = 1e20
         knn = trained_knn(X)
-        assert knn._filter_weights(knn._scale()) is not None
+        assert knn._filter_terms(knn._scale())[0].all()
         assert np.isinf(knn._Xc2[100, 0])
         queries = np.vstack([X[:6] + [0.0, 0.5, -0.5, 0.25], X[100]])
         for q in queries:
-            assert knn._candidates(q, knn._scale(), 5) == slice(n)
+            assert_every_slot(knn._candidates(q, knn._scale(), 5), n)
         assert_votes_equal_the_full_sort(knn, queries)
 
     # -2 w q overflows float32, and inf - inf is NaN
@@ -370,7 +434,7 @@ class TestKnnAgainstFullSort:
         queries = X[:4] + [[1e39, 0, 0, 0], [-1e39, 0, 0, 0],
                            [0, 0, 3e38, 0], [0, 1e30, 0, 0]]
         for q in queries[:3]:
-            assert knn._candidates(q, knn._scale(), 5) == slice(n)
+            assert_every_slot(knn._candidates(q, knn._scale(), 5), n)
         assert_votes_equal_the_full_sort(knn, queries)
         np.testing.assert_array_equal(knn.predict(queries[0]), [1, 0, 0])
 
@@ -393,7 +457,7 @@ class TestKnnAgainstFullSort:
         assert np.isfinite(wq2).all()
         upper = knn._Xc[:n] @ wq2 + a + c + _margin(a, c, w)
         assert np.isfinite(upper).all()
-        assert knn._candidates(q, scale, 5) == slice(n)
+        assert_every_slot(knn._candidates(q, scale, 5), n)
         assert_votes_equal_the_full_sort(knn, np.vstack([q, X[:3] + 0.01]))
 
     def test_centered_values_that_underflow_float32(self):
@@ -412,16 +476,16 @@ class TestKnnAgainstFullSort:
         X[copies, 1:] = X[0, 1:]
         X[copies, 0] = np.where(copies % 2, 1e-39, 1e-46) * (copies % 7)
         knn = trained_knn(X)
-        assert knn._filter_weights(knn._scale()) is not None
+        assert knn._filter_terms(knn._scale())[0].all()
         queries = np.array([[2e-39, *X[0, 1:]], [3e-46, *X[0, 1:]],
                             [0.0, *X[0, 1:]],
                             X[3] + [0.0, 0.01, -0.01, 0.01]])
         for q in queries:
             rows = knn._candidates(q, knn._scale(), 5)
-            assert not isinstance(rows, slice) and len(rows) < n
+            assert len(rows) < n
         assert_votes_equal_the_full_sort(knn, queries)
 
-    def test_a_center_far_from_every_later_row(self):
+    def test_a_center_far_from_every_later_row(self, monkeypatch):
         # The first row, which the store keeps as its center, lies 1e6 from
         # every later row and is overwritten when the store wraps: the
         # centered values are large and their margins wide, but the filter
@@ -434,8 +498,18 @@ class TestKnnAgainstFullSort:
         assert knn.n_trained > knn.capacity
         np.testing.assert_array_equal(knn._center, X[0])
         queries = np.vstack([X[-8:] + 0.01, rng.normal(size=(4, 6))])
-        for q in queries:
-            assert not isinstance(knn._candidates(q, knn._scale(), 5), slice)
+        filtered, approx = [], KnnClassifier._approx
+
+        def counted(*args):
+            filtered.append(True)
+            return approx(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(KnnClassifier, "_approx", counted)
+            for q in queries:
+                knn._candidates(q, knn._scale(), 5)
+        # the filter computed its values for every query
+        assert len(filtered) == len(queries)
         assert_votes_equal_the_full_sort(knn, queries)
 
     @settings(max_examples=60, deadline=None)

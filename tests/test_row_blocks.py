@@ -150,14 +150,17 @@ def test_knn_one_query_chunk_takes_the_block_filter(n):
         return approx(self, wq2, *args)
 
     def approx_calls(X):
+        # predict_rows' calls alone: predict filters these stores too
         calls.clear()
-        assert_rows_equal(knn, X, learners._BLOCK_VALUES)
+        with mock.patch.object(KnnClassifier, "_approx", counted):
+            rows = knn.predict_rows(X)
+        single = np.array([knn.predict(q) for q in X])
+        assert rows.tobytes() == single.tobytes()
         return list(calls)
 
-    with mock.patch.object(KnnClassifier, "_approx", counted):
-        one = approx_calls(queries[-1:])
-        head = approx_calls(queries[:-1])  # one full chunk
-        assert approx_calls(queries) == head + one
+    one = approx_calls(queries[-1:])
+    head = approx_calls(queries[:-1])  # one full chunk
+    assert approx_calls(queries) == head + one
     # both passes, each over the one query
     assert len(one) >= 2 and set(one) == {1}
 
@@ -176,7 +179,7 @@ def test_knn_rows_of_a_store_whose_filter_could_overflow():
     with np.errstate(over="ignore"):
         for i, x in enumerate(X):
             knn.train(x, i % 2)
-    assert knn._filter_weights(knn._scale()) is not None
+    assert knn._filter_terms(knn._scale())[0].all()
     assert np.isinf(knn._Xc2[1:, 0]).all()
     queries = X[:5] + [0.0, 0.1, -0.1]
     ranked, exact = [], learners._sq_distances
